@@ -18,7 +18,7 @@ from .prediction import (PredictionResult, PredictorSpec, effective_snr,
 from .psk import (Codebook, PscBlock, PskConstellation, generate_codebook,
                   make_constellation, synthesize_block_at_rho,
                   synthesize_psc_block)
-from .simulate import RtReport, SchemeConfig, budget_check, report_to_json, run
+from .simulate import RtReport, SchemeConfig, budget_check, run
 from .utils import complex_normal, compensated_mean, derive_seed
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "generate_path", "gmi", "gmi_lower_bound_check", "lambda_hat",
     "make_constellation", "metric", "pairwise_undercut_probability",
     "predictor_coefficients", "psk_capacity", "psk_capacity_quadrature",
-    "rate_budget", "rate_ladder", "report_to_json", "rho_sequence",
+    "rate_budget", "rate_ladder", "rho_sequence",
     "schedule_lag_pattern", "schedule_predictors", "solve_hermitian_toeplitz",
     "synthesize_block_at_rho", "synthesize_psc_block", "run",
 ]

@@ -135,7 +135,6 @@ class RateLadder:
     capacity_nats: np.ndarray
     capacity_ci: np.ndarray
     l_average: float
-    rt_estimate: float
     convergence_gap: float
 
     def to_csv(self, path):
@@ -189,7 +188,6 @@ def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
         capacity_nats=caps,
         capacity_ci=cis,
         l_average=l_avg,
-        rt_estimate=l_avg,
         convergence_gap=gap,
     )
 

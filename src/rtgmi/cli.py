@@ -6,8 +6,12 @@ are in dB at this layer and converted to linear internally.  Outputs are a
 versioned report.json, CSVs, and optional SVG plots, all deterministic for a
 fixed (config, seed) so reruns are byte-identical.
 
-Exit codes: 0 success, 1 numerical-consistency failure, 2 configuration
-error, 3 unwritable output directory.
+Every parameter is declared once, in SCHEMAS: its config-file key (snr_db)
+is also its flag (--snr-db), and both go through the same parser.
+
+Exit codes: 0 success, 1 numerical fault (a failed self-check or a singular
+linear-algebra problem), 2 configuration error, 3 unwritable output
+directory.
 """
 
 import argparse
@@ -26,16 +30,18 @@ from .fading import Ar1Fading, ClarkeFading, TabulatedFading
 from .gmi import DEFAULT_MU_RANGE, gmi
 from .prediction import DEFAULT_PREDICTOR_ORDER
 from .psk import make_constellation, synthesize_block_at_rho
-from .simulate import SchemeConfig, report_to_json, run
+from .simulate import SchemeConfig, run
 from .svgplot import LinePlot
 from .utils import derive_seed
 
-COMMANDS = ("capacity", "gmi", "ladder", "simulate", "sweep")
+COMMANDS = {
+    "capacity": "memoryless PSK capacity at one SNR",
+    "gmi": "GMI of the nearest-neighbor metric",
+    "ladder": "per-subchannel rate ladder",
+    "simulate": "end-to-end recursive training run",
+    "sweep": "capacity over an SNR grid",
+}
 _NAMED_CONSTELLATIONS = {"bpsk": 2, "qpsk": 4, "8psk": 8, "16psk": 16}
-
-
-class OutputDirError(OSError):
-    pass
 
 
 def db_to_linear(db: float) -> float:
@@ -66,6 +72,13 @@ def _parse_constellation(text):
     return order
 
 
+def _parse_format(text):
+    if text not in ("json", "csv", "both"):
+        raise ConfigurationError(
+            f"format must be json, csv, or both, got {text!r}")
+    return text
+
+
 def _parse_grid(text):
     """START:STEP:STOP inclusive grid, all in dB."""
     parts = str(text).split(":")
@@ -88,20 +101,21 @@ class Param:
     parse: callable
     required: bool = False
     default: object = None
+    help: str = None
 
 
 _COMMON = {
     "seed": Param(int, default=0),
     "output_dir": Param(str, default="."),
-    "format": Param(str, default="both"),
+    "format": Param(_parse_format, default="both", help="json | csv | both"),
     "plot": Param(_parse_bool, default=False),
 }
 
 _MODEL_KEYS = {
-    "model": Param(str),
+    "model": Param(str, required=True, help="ar1 | clarke | tabulated"),
     "alpha": Param(float),
     "doppler": Param(float),
-    "table": Param(str),
+    "table": Param(str, help="CSV autocorrelation table (lag,re,im)"),
 }
 
 SCHEMAS = {
@@ -116,7 +130,7 @@ SCHEMAS = {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(float, required=True),
-        "K": Param(int, default=100_000),
+        "K": Param(int, default=100_000, help="block length"),
         "curve_points": Param(int, default=33),
         "mu_min": Param(float, default=DEFAULT_MU_RANGE[0]),
         "mu_max": Param(float, default=DEFAULT_MU_RANGE[1]),
@@ -125,7 +139,7 @@ SCHEMAS = {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(float, required=True),
-        "L": Param(int, required=True),
+        "L": Param(int, required=True, help="interleave depth"),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
     },
@@ -133,8 +147,8 @@ SCHEMAS = {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(float, required=True),
-        "L": Param(int, required=True),
-        "K": Param(int, required=True),
+        "L": Param(int, required=True, help="interleave depth"),
+        "K": Param(int, required=True, help="codeword length"),
         "rate_fraction": Param(float, required=True),
         "trials": Param(int, default=1000),
         "genie": Param(_parse_bool, default=False),
@@ -145,13 +159,11 @@ SCHEMAS = {
     "sweep": {
         **_COMMON,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_grid, required=True),
+        "snr_db": Param(_parse_grid, required=True,
+                        help="START:STEP:STOP in dB"),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
     },
 }
-
-# commands whose model parameter is mandatory
-_NEEDS_MODEL = {"gmi", "ladder", "simulate"}
 
 
 def read_config_file(path):
@@ -175,33 +187,26 @@ def read_config_file(path):
 
 
 def merge_parameters(command: str, file_values: dict, flag_values: dict) -> dict:
+    """Defaults, then config-file values, then flags; every value is parsed
+    by its key's Param, whichever source it came from."""
     schema = SCHEMAS[command]
     params = {key: spec.default for key, spec in schema.items()}
-    for key, text in file_values.items():
-        if key not in schema:
-            raise ConfigurationError(
-                f"unknown key for {command}: {key!r}")
-        try:
-            params[key] = schema[key].parse(text)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"bad value for {key}: {text!r}") from None
-    for key, value in flag_values.items():
-        if value is None:
-            continue
-        if key not in schema:
-            raise ConfigurationError(f"unknown key for {command}: {key!r}")
-        params[key] = value
+    for values in (file_values, flag_values):
+        for key, text in values.items():
+            if text is None:
+                continue
+            if key not in schema:
+                raise ConfigurationError(f"unknown key for {command}: {key!r}")
+            try:
+                params[key] = schema[key].parse(text)
+            except ConfigurationError:
+                raise
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"bad value for {key}: {text!r}") from None
     for key, spec in schema.items():
         if spec.required and params[key] is None:
             raise ConfigurationError(f"missing required key: {key}")
-    if params["format"] not in ("json", "csv", "both"):
-        raise ConfigurationError(
-            f"format must be json, csv, or both, got {params['format']!r}")
-    if command in _NEEDS_MODEL and params.get("model") is None:
-        raise ConfigurationError("missing required key: model")
     return params
 
 
@@ -235,7 +240,7 @@ def _prepare_output_dir(path):
             pass
         os.remove(probe)
     except OSError as exc:
-        raise OutputDirError(f"output directory {path!r} is not writable: {exc}")
+        raise OSError(f"output directory {path!r} is not writable: {exc}")
 
 
 def _write_json(path, payload):
@@ -244,18 +249,60 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _run_capacity(params, out):
+@dataclass(frozen=True)
+class _Outputs:
+    """What one command emits: report.json, <stem>.csv, <stem>.svg, a line."""
+    stem: str
+    payload: dict
+    write_csv: callable    # path -> None
+    plot: LinePlot         # None: the command draws nothing
+    summary: str
+
+
+def _emit(params, out: _Outputs):
+    """Write the outputs that --format and --plot select, then the summary."""
+    path = os.path.join(params["output_dir"], out.stem)
+    if params["format"] in ("json", "both"):
+        _write_json(os.path.join(params["output_dir"], "report.json"),
+                    out.payload)
+    if params["format"] in ("csv", "both"):
+        out.write_csv(path + ".csv")
+    if params["plot"] and out.plot is not None:
+        out.plot.save(path + ".svg")
+    print(out.summary)
+
+
+def _report_head(command, params):
+    """Report keys shared by every command but simulate."""
+    return {"schema_version": 1, "command": command,
+            "constellation_order": params["constellation"],
+            "snr_db": params["snr_db"], "seed": params["seed"]}
+
+
+def _model_keys(params):
+    """The model name and whichever of its parameters were given."""
+    return {key: params[key] for key in _MODEL_KEYS if params[key] is not None}
+
+
+def _capacity_csv(points):
+    """Writer of one CSV row per (snr_db, rho, CapacityEstimate)."""
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            fh.write("snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats\n")
+            for snr_db, rho, est in points:
+                fh.write(f"{snr_db!r},{rho!r},{est.nats!r},"
+                         f"{est.bits!r},{est.ci!r}\n")
+    return write
+
+
+def _run_capacity(params):
     rho = db_to_linear(params["snr_db"])
     est = psk_capacity(params["constellation"], rho, params["samples"],
                        params["seed"])
     payload = {
-        "schema_version": 1,
-        "command": "capacity",
-        "constellation_order": params["constellation"],
-        "snr_db": params["snr_db"],
+        **_report_head("capacity", params),
         "rho_linear": rho,
         "samples": params["samples"],
-        "seed": params["seed"],
         "capacity_nats": est.nats,
         "capacity_bits": est.bits,
         "ci_nats": est.ci,
@@ -264,38 +311,27 @@ def _run_capacity(params, out):
     if params["quadrature"]:
         payload["quadrature_nats"] = psk_capacity_quadrature(
             params["constellation"], rho)
-    if params["format"] in ("json", "both"):
-        _write_json(os.path.join(out, "report.json"), payload)
-    if params["format"] in ("csv", "both"):
-        with open(os.path.join(out, "capacity.csv"), "w", newline="") as fh:
-            fh.write("snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats\n")
-            fh.write(f"{params['snr_db']!r},{rho!r},{est.nats!r},"
-                     f"{est.bits!r},{est.ci!r}\n")
-    print(f"capacity: {est.bits:.6f} bits/symbol "
-          f"+/- {est.ci * NATS_TO_BITS:.6f} (95% CI)")
-    return 0
+    return _Outputs(
+        "capacity", payload, _capacity_csv([(params["snr_db"], rho, est)]),
+        None, f"capacity: {est.bits:.6f} bits/symbol "
+              f"+/- {est.ci * NATS_TO_BITS:.6f} (95% CI)")
 
 
-def _run_gmi(params, out):
+def _run_gmi(params):
+    if not params["mu_min"] < params["mu_max"] < 0.0:
+        raise ConfigurationError("need mu_min < mu_max < 0")
     model = build_model(params)
     rho = db_to_linear(params["snr_db"])
     const = make_constellation(params["constellation"])
     block = synthesize_block_at_rho(model, rho, const, params["K"],
                                     derive_seed(params["seed"], 1))
-    if not params["mu_min"] < params["mu_max"] < 0.0:
-        raise ConfigurationError("need mu_min < mu_max < 0")
     report = gmi(block, const, mu_range=(params["mu_min"], params["mu_max"]),
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))
     payload = {
-        "schema_version": 1,
-        "command": "gmi",
-        "model": params["model"],
-        "constellation_order": params["constellation"],
-        "snr_db": params["snr_db"],
+        **_report_head("gmi", params), **_model_keys(params),
         "rho_linear": rho,
         "block_length": params["K"],
-        "seed": params["seed"],
         "mu_star": report.mu_star,
         "gmi_nats": report.gmi,
         "gmi_bits": report.gmi * NATS_TO_BITS,
@@ -304,73 +340,50 @@ def _run_gmi(params, out):
         "g_at_minus_one_ci_nats": report.g_at_minus_one_ci,
         "clamped": report.clamped,
     }
-    for key in ("alpha", "doppler", "table"):
-        if params.get(key) is not None:
-            payload[key] = params[key]
-    if params["format"] in ("json", "both"):
-        _write_json(os.path.join(out, "report.json"), payload)
-    if params["format"] in ("csv", "both"):
-        report.curve_to_csv(os.path.join(out, "lambda_curve.csv"))
-    if params["plot"]:
-        plot = LinePlot(title="log-MGF of the decoding metric",
-                        xlabel="mu", ylabel="lambda_hat (nats)")
-        plot.add("lambda_hat", report.lambda_curve[:, 0],
-                 report.lambda_curve[:, 1])
-        plot.save(os.path.join(out, "lambda_curve.svg"))
-    print(f"gmi: {report.gmi * NATS_TO_BITS:.6f} bits/symbol "
-          f"+/- {report.ci_halfwidth * NATS_TO_BITS:.6f} (95% CI), "
-          f"mu* = {report.mu_star:.4f}")
-    return 0
+    plot = LinePlot(title="log-MGF of the decoding metric",
+                    xlabel="mu", ylabel="lambda_hat (nats)")
+    plot.add("lambda_hat", report.lambda_curve[:, 0], report.lambda_curve[:, 1])
+    return _Outputs(
+        "lambda_curve", payload, report.curve_to_csv, plot,
+        f"gmi: {report.gmi * NATS_TO_BITS:.6f} bits/symbol "
+        f"+/- {report.ci_halfwidth * NATS_TO_BITS:.6f} (95% CI), "
+        f"mu* = {report.mu_star:.4f}")
 
 
-def _run_ladder(params, out):
+def _run_ladder(params):
     model = build_model(params)
     snr = db_to_linear(params["snr_db"])
     ladder = rate_ladder(model, params["L"], snr, params["constellation"],
                          params["predictor_order"], params["samples"],
                          params["seed"])
     payload = {
-        "schema_version": 1,
-        "command": "ladder",
-        "model": params["model"],
-        "constellation_order": params["constellation"],
-        "snr_db": params["snr_db"],
+        **_report_head("ladder", params), **_model_keys(params),
         "snr_linear": snr,
         "interleave_depth": params["L"],
         "predictor_order": params["predictor_order"],
         "samples": params["samples"],
-        "seed": params["seed"],
         "rho_linear": [float(v) for v in ladder.rho],
         "capacity_nats": [float(v) for v in ladder.capacity_nats],
         "capacity_ci_nats": [float(v) for v in ladder.capacity_ci],
         "l_average_nats": ladder.l_average,
         "l_average_bits": ladder.l_average * NATS_TO_BITS,
-        "rt_estimate_nats": ladder.rt_estimate,
+        "rt_estimate_nats": ladder.l_average,
         "convergence_gap_nats": ladder.convergence_gap,
     }
-    for key in ("alpha", "doppler", "table"):
-        if params.get(key) is not None:
-            payload[key] = params[key]
-    if params["format"] in ("json", "both"):
-        _write_json(os.path.join(out, "report.json"), payload)
-    if params["format"] in ("csv", "both"):
-        ladder.to_csv(os.path.join(out, "ladder.csv"))
-    if params["plot"]:
-        plot = LinePlot(title="per-subchannel rate ladder",
-                        xlabel="subchannel index", ylabel="rate (bits/symbol)")
-        plot.add("capacity", np.arange(params["L"]),
-                 ladder.capacity_nats * NATS_TO_BITS)
-        plot.save(os.path.join(out, "ladder.svg"))
-    print(f"ladder: l_average {ladder.l_average * NATS_TO_BITS:.6f} bits/symbol "
-          f"+/- {float(ladder.capacity_ci.max()) * NATS_TO_BITS:.6f} (95% CI), "
-          f"convergence gap {ladder.convergence_gap * NATS_TO_BITS:.6f}")
-    return 0
+    plot = LinePlot(title="per-subchannel rate ladder",
+                    xlabel="subchannel index", ylabel="rate (bits/symbol)")
+    plot.add("capacity", np.arange(params["L"]),
+             ladder.capacity_nats * NATS_TO_BITS)
+    return _Outputs(
+        "ladder", payload, ladder.to_csv, plot,
+        f"ladder: l_average {ladder.l_average * NATS_TO_BITS:.6f} bits/symbol "
+        f"+/- {float(ladder.capacity_ci.max()) * NATS_TO_BITS:.6f} (95% CI), "
+        f"convergence gap {ladder.convergence_gap * NATS_TO_BITS:.6f}")
 
 
-def _run_simulate(params, out):
-    model = build_model(params)
+def _run_simulate(params):
     config = SchemeConfig(
-        model=model,
+        model=build_model(params),
         interleave_depth=params["L"],
         block_length=params["K"],
         constellation_order=params["constellation"],
@@ -384,61 +397,43 @@ def _run_simulate(params, out):
         gmi_block_length=params["gmi_K"],
     )
     report = run(config)
-    if params["format"] in ("json", "both"):
-        report_to_json(report, os.path.join(out, "report.json"))
-    if params["format"] in ("csv", "both"):
-        report.to_csv(os.path.join(out, "simulate.csv"))
-    if params["plot"]:
-        ls = np.arange(1, config.interleave_depth)
-        plot = LinePlot(title="per-subchannel block error",
-                        xlabel="subchannel index", ylabel="block error rate")
-        plot.add("block error", ls, report.per_psc_block_error[1:])
-        budget = config.error_target / config.interleave_depth
-        plot.add("budget", ls, np.full(len(ls), budget))
-        plot.save(os.path.join(out, "simulate.svg"))
-    print(f"simulate: achieved {report.achieved_rate * NATS_TO_BITS:.6f} "
-          f"bits/symbol, overall block error {report.overall_error:.4f} "
-          f"+/- {report.overall_ci:.4f} (95% CI)")
-    return 0
+    ls = np.arange(1, config.interleave_depth)
+    plot = LinePlot(title="per-subchannel block error",
+                    xlabel="subchannel index", ylabel="block error rate")
+    plot.add("block error", ls, report.per_psc_block_error[1:])
+    budget = config.error_target / config.interleave_depth
+    plot.add("budget", ls, np.full(len(ls), budget))
+    return _Outputs(
+        "simulate", report.to_json_dict(), report.to_csv, plot,
+        f"simulate: achieved {report.achieved_rate * NATS_TO_BITS:.6f} "
+        f"bits/symbol, overall block error {report.overall_error:.4f} "
+        f"+/- {report.overall_ci:.4f} (95% CI)")
 
 
-def _run_sweep(params, out):
+def _run_sweep(params):
     points = []
     for i, snr_db in enumerate(params["snr_db"]):
         rho = db_to_linear(snr_db)
         est = psk_capacity(params["constellation"], rho, params["samples"],
                            derive_seed(params["seed"], i))
         points.append((snr_db, rho, est))
+    ests = [est for _, _, est in points]
+    bits = [est.bits for est in ests]
     payload = {
-        "schema_version": 1,
-        "command": "sweep",
-        "constellation_order": params["constellation"],
+        **_report_head("sweep", params),
         "samples": params["samples"],
-        "seed": params["seed"],
-        "snr_db": [p[0] for p in points],
-        "capacity_nats": [p[2].nats for p in points],
-        "capacity_bits": [p[2].nats * NATS_TO_BITS for p in points],
-        "ci_nats": [p[2].ci for p in points],
+        "capacity_nats": [est.nats for est in ests],
+        "capacity_bits": bits,
+        "ci_nats": [est.ci for est in ests],
     }
-    if params["format"] in ("json", "both"):
-        _write_json(os.path.join(out, "report.json"), payload)
-    if params["format"] in ("csv", "both"):
-        with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-            fh.write("snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats\n")
-            for snr_db, rho, est in points:
-                fh.write(f"{snr_db!r},{rho!r},{est.nats!r},"
-                         f"{est.bits!r},{est.ci!r}\n")
-    if params["plot"]:
-        plot = LinePlot(title="capacity vs SNR",
-                        xlabel="SNR (dB)", ylabel="capacity (bits/symbol)")
-        plot.add("capacity", [p[0] for p in points],
-                 [p[2].bits for p in points])
-        plot.save(os.path.join(out, "sweep.svg"))
-    bits = [p[2].bits for p in points]
-    max_ci = max(p[2].ci for p in points) * NATS_TO_BITS
-    print(f"sweep: {len(points)} points, capacity {min(bits):.6f}.."
-          f"{max(bits):.6f} bits/symbol, max CI +/- {max_ci:.6f}")
-    return 0
+    plot = LinePlot(title="capacity vs SNR",
+                    xlabel="SNR (dB)", ylabel="capacity (bits/symbol)")
+    plot.add("capacity", params["snr_db"], bits)
+    max_ci = max(est.ci for est in ests) * NATS_TO_BITS
+    return _Outputs(
+        "sweep", payload, _capacity_csv(points), plot,
+        f"sweep: {len(points)} points, capacity {min(bits):.6f}.."
+        f"{max(bits):.6f} bits/symbol, max CI +/- {max_ci:.6f}")
 
 
 _RUNNERS = {
@@ -450,126 +445,56 @@ _RUNNERS = {
 }
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", default=None, help="flat key=value file")
-    sub.add_argument("--output-dir", dest="output_dir", default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--format", choices=("json", "csv", "both"), default=None)
-    sub.add_argument("--plot", action="store_const", const=True, default=None)
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--model", default=None,
-                     help="ar1 | clarke | tabulated")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--doppler", type=float, default=None)
-    sub.add_argument("--table", default=None,
-                     help="CSV autocorrelation table (lag,re,im)")
-
-
 def build_parser():
+    """One subcommand per SCHEMAS entry, one flag per key: snr_db is --snr-db.
+
+    Flags keep their text, as config-file values do, for merge_parameters to
+    parse; boolean keys are bare flags.
+    """
     parser = argparse.ArgumentParser(
         prog="rtgmi",
         description="PSK fading-channel rate estimation and recursive "
                     "decision-directed training simulation")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("capacity", help="memoryless PSK capacity at one SNR")
-    _add_common_flags(p)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--quadrature", action="store_const", const=True,
-                   default=None)
-
-    p = subs.add_parser("gmi", help="GMI of the nearest-neighbor metric")
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--K", type=int, default=None, help="block length")
-    p.add_argument("--curve-points", dest="curve_points", type=int,
-                   default=None)
-    p.add_argument("--mu-min", dest="mu_min", type=float, default=None)
-    p.add_argument("--mu-max", dest="mu_max", type=float, default=None)
-
-    p = subs.add_parser("ladder", help="per-subchannel rate ladder")
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--L", type=int, default=None, help="interleave depth")
-    p.add_argument("--predictor-order", dest="predictor_order", type=int,
-                   default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = subs.add_parser("simulate", help="end-to-end recursive training run")
-    _add_common_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--L", type=int, default=None, help="interleave depth")
-    p.add_argument("--K", type=int, default=None, help="codeword length")
-    p.add_argument("--rate-fraction", dest="rate_fraction", type=float,
-                   default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--genie", action="store_const", const=True, default=None)
-    p.add_argument("--predictor-order", dest="predictor_order", type=int,
-                   default=None)
-    p.add_argument("--error-target", dest="error_target", type=float,
-                   default=None)
-    p.add_argument("--gmi-K", dest="gmi_K", type=int, default=None)
-
-    p = subs.add_parser("sweep", help="capacity over an SNR grid")
-    _add_common_flags(p)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--snr-db", dest="snr_db", default=None,
-                   help="START:STEP:STOP in dB")
-    p.add_argument("--samples", type=int, default=None)
-
+    for command, schema in SCHEMAS.items():
+        sub = subs.add_parser(command, help=COMMANDS[command])
+        sub.add_argument("--config", help="flat key=value file")
+        for key, spec in schema.items():
+            flag = "--" + key.replace("_", "-")
+            if spec.parse is _parse_bool:
+                sub.add_argument(flag, dest=key, action="store_const",
+                                 const="true", help=spec.help)
+            else:
+                sub.add_argument(flag, dest=key, help=spec.help)
     return parser
 
 
-def _flag_values(command: str, args: argparse.Namespace) -> dict:
-    schema = SCHEMAS[command]
-    out = {}
-    for key in schema:
-        if not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if value is None:
-            continue
-        # string-typed flags share the config-file parsers
-        if key in ("constellation", "snr_db") and isinstance(value, str):
-            value = schema[key].parse(value)
-        out[key] = value
-    return out
+def _flag_values(args: argparse.Namespace) -> dict:
+    schema = SCHEMAS[args.command]
+    return {key: value for key, value in vars(args).items() if key in schema}
+
+
+def _fail(exc, code):
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        flags = _flag_values(args.command, args)
-        params = merge_parameters(args.command, file_values, flags)
+        params = merge_parameters(args.command, file_values, _flag_values(args))
         _prepare_output_dir(params["output_dir"])
-        return _RUNNERS[args.command](params, params["output_dir"])
-    except OutputDirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _emit(params, _RUNNERS[args.command](params))
+        return 0
+    except (NumericalConsistencyError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but a singular solve is a numerical
+        # fault, not a bad configuration
+        return _fail(exc, 1)
+    except ValueError as exc:  # ConfigurationError included
+        return _fail(exc, 2)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

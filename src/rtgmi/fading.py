@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import lfilter
 from scipy.special import j0
 
 from .utils import complex_normal
@@ -60,7 +59,11 @@ class Ar1Fading(FadingModel):
             return w
         x = math.sqrt(1.0 - self.alpha ** 2) * w
         x[0] = w[0]  # stationary start: h[0] ~ CN(0, 1)
-        return lfilter([1.0], [1.0, -self.alpha], x)
+        # the recursion as a unit lower-bidiagonal solve: h[k] - a*h[k-1] = x[k]
+        ab = np.empty((2, n))
+        ab[0] = 1.0
+        ab[1] = -self.alpha
+        return scipy.linalg.solve_banded((1, 0), ab, x, check_finite=False)
 
 
 @dataclass(frozen=True)

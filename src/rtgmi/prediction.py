@@ -137,6 +137,21 @@ def predictor_coefficients(model: FadingModel, spec: PredictorSpec,
     )
 
 
+def prediction_reference(prediction: PredictionResult, obs: np.ndarray,
+                         times: np.ndarray):
+    """Predicted fading at `times` and the unit-variance channel reference.
+
+    The prediction is sum_a conj(c[a]) * obs[t - tau_a]; the reference scales
+    it by 1 / sqrt(1 - s2).  A degenerate predictor (s2 = 1) predicts nothing
+    and gives no reference (None); each caller supplies its own.
+    """
+    raw = np.zeros(len(times), dtype=complex)
+    for a, tau in enumerate(prediction.spec.lag_pattern):
+        raw += np.conj(prediction.coefficients[a]) * obs[times - tau]
+    s2 = prediction.error_variance
+    return raw, (raw / math.sqrt(1.0 - s2) if s2 < 1.0 else None)
+
+
 def effective_snr(error_variance: float, snr: float) -> float:
     """snr * (1 - s2) / (1 + snr * s2): prediction error folded into the noise."""
     if not 0.0 <= error_variance <= 1.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingModel, generate_path
-from .prediction import PredictionResult
+from .prediction import PredictionResult, prediction_reference
 from .utils import complex_normal, derive_seed
 
 
@@ -96,8 +96,7 @@ def synthesize_psc_block(constellation: PskConstellation, codeword: np.ndarray,
         raise ValueError("codeword contains indices outside the constellation")
     if not snr > 0.0:
         raise ValueError("snr must be positive")
-    lags = np.array(prediction.spec.lag_pattern)
-    horizon = int(lags.max())
+    horizon = max(prediction.spec.lag_pattern)
     n = len(codeword)
     if len(fading) != n + horizon:
         raise ValueError(
@@ -109,17 +108,12 @@ def synthesize_psc_block(constellation: PskConstellation, codeword: np.ndarray,
     if not math.isinf(gamma):
         obs += complex_normal(rng, len(fading)) / math.sqrt(gamma)
 
-    raw = np.zeros(n, dtype=complex)
-    t = np.arange(horizon, horizon + n)
-    for a, tau in enumerate(lags):
-        raw += np.conj(prediction.coefficients[a]) * obs[t - tau]
-
-    s2 = prediction.error_variance
-    if s2 < 1.0:
-        h_hat = raw / math.sqrt(1.0 - s2)
-    else:
+    raw, h_hat = prediction_reference(prediction, obs,
+                                      np.arange(horizon, horizon + n))
+    if h_hat is None:
         # degenerate predictor (rho = 0): any unit-variance reference works
         h_hat = complex_normal(rng, n)
+    s2 = prediction.error_variance
     err = fading[horizon:] - raw
     thermal = complex_normal(rng, n)
     theta = constellation.points[codeword]

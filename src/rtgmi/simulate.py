@@ -9,7 +9,6 @@ per-subchannel achievable-rate estimate; decoding is exhaustive, which is
 what caps the codebook size.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ from .decoder import decode
 from .errors import ConfigurationError
 from .fading import Ar1Fading, FadingModel, generate_path
 from .gmi import gmi
-from .prediction import DEFAULT_PREDICTOR_ORDER, schedule_predictors
+from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
+                         schedule_predictors)
 from .psk import PscBlock, generate_codebook, make_constellation, synthesize_block_at_rho
 from .utils import binomial_halfwidth, derive_seed
 
@@ -215,13 +215,11 @@ def run(config: SchemeConfig) -> RtReport:
             obs = np.full(total, np.nan + 0j)
             obs[obs_times] = x_phys[obs_times] \
                 * np.conj(const.points[s_fb[obs_times]]) / sqrt_snr
-            raw = np.zeros(n_k, dtype=complex)
-            for a, tau in enumerate(pred.spec.lag_pattern):
-                raw += np.conj(pred.coefficients[a]) * obs[times - tau]
-            s2 = pred.error_variance
-            h_ref = raw / math.sqrt(1.0 - s2) if s2 < 1.0 else \
-                np.zeros(n_k, dtype=complex)
-            x_block = x_phys[times] / math.sqrt(1.0 + config.snr * s2)
+            _, h_ref = prediction_reference(pred, obs, times)
+            if h_ref is None:
+                h_ref = np.zeros(n_k, dtype=complex)
+            x_block = x_phys[times] \
+                / math.sqrt(1.0 + config.snr * pred.error_variance)
             codeword = books[l].symbols[sent[l]]
             block = PscBlock(
                 x=x_block, h_hat=h_ref, s=codeword, rho=float(rhos[l]),
@@ -277,9 +275,3 @@ def budget_check(report: RtReport, error_target: float,
     for p, ci in zip(report.per_psc_block_error, report.per_psc_ci):
         out.append(bool(p <= budget + ci))
     return out
-
-
-def report_to_json(report: RtReport, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

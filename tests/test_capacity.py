@@ -133,7 +133,6 @@ def test_ladder_caps_match_quadrature_per_subchannel():
         ref = psk_capacity_quadrature(4, float(rep.rho[l]))
         sigma = rep.capacity_ci[l] / 1.96
         assert abs(rep.capacity_nats[l] - ref) <= 3.5 * sigma, l
-    assert rep.rt_estimate == rep.l_average
 
 
 def test_ladder_convergence_gap_definition():

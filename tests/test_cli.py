@@ -1,9 +1,13 @@
+import argparse
 import json
 
 import pytest
 
-from rtgmi.cli import (_parse_bool, _parse_constellation, _parse_grid,
-                       build_model, db_to_linear, main, merge_parameters,
+from rtgmi import cli
+from rtgmi.capacity import CapacityEstimate
+from rtgmi.cli import (SCHEMAS, _flag_values, _parse_bool,
+                       _parse_constellation, _parse_grid, build_model,
+                       build_parser, db_to_linear, main, merge_parameters,
                        read_config_file)
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading, ClarkeFading
@@ -220,7 +224,9 @@ def test_simulate_command(tmp_path, capsys):
                  "--output-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("simulate:")
-    payload = json.loads((tmp_path / "report.json").read_text())
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("\n")
+    payload = json.loads(text)
     assert payload["schema_version"] == 1
     assert len(payload["per_psc_block_error"]) == 3
     assert (tmp_path / "simulate.csv").exists()
@@ -252,3 +258,117 @@ def test_reports_are_deterministic_across_commands(tmp_path, capsys):
     assert main(args + ["--output-dir", str(d2)]) == 0
     capsys.readouterr()
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+
+
+# every subcommand's option strings as the hand-written parser declared them
+# before the parser was generated from SCHEMAS
+_COMMON_OPTIONS = {"--config", "--format", "--output-dir", "--plot", "--seed"}
+_MODEL_OPTIONS = {"--alpha", "--doppler", "--model", "--table"}
+FROZEN_OPTIONS = {
+    "capacity": _COMMON_OPTIONS | {"--constellation", "--quadrature",
+                                   "--samples", "--snr-db"},
+    "gmi": _COMMON_OPTIONS | _MODEL_OPTIONS | {
+        "--K", "--constellation", "--curve-points", "--mu-max", "--mu-min",
+        "--snr-db"},
+    "ladder": _COMMON_OPTIONS | _MODEL_OPTIONS | {
+        "--L", "--constellation", "--predictor-order", "--samples",
+        "--snr-db"},
+    "simulate": _COMMON_OPTIONS | _MODEL_OPTIONS | {
+        "--K", "--L", "--constellation", "--error-target", "--genie",
+        "--gmi-K", "--predictor-order", "--rate-fraction", "--snr-db",
+        "--trials"},
+    "sweep": _COMMON_OPTIONS | {"--constellation", "--samples", "--snr-db"},
+}
+
+
+def test_option_strings_are_frozen():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(FROZEN_OPTIONS)
+    for command, sub in subs.choices.items():
+        options = {opt for action in sub._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert options == FROZEN_OPTIONS[command], command
+
+
+# one text per key, none equal to its default
+_SAMPLE_TEXT = {
+    "seed": "7", "output_dir": "out", "format": "csv", "plot": "true",
+    "model": "clarke", "alpha": "0.5", "doppler": "0.1", "table": "t.csv",
+    "constellation": "8psk", "snr_db": "1.5", "samples": "100",
+    "quadrature": "true", "K": "50", "curve_points": "9", "mu_min": "-2",
+    "mu_max": "-0.5", "L": "4", "predictor_order": "3",
+    "rate_fraction": "0.3", "trials": "5", "genie": "true",
+    "error_target": "0.1", "gmi_K": "1000",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_flag_and_config_key_give_the_same_params(command):
+    schema = SCHEMAS[command]
+    text = dict(_SAMPLE_TEXT, snr_db="0:1:2") if command == "sweep" \
+        else _SAMPLE_TEXT
+    required = {key: text[key] for key, spec in schema.items() if spec.required}
+    parser = build_parser()
+    for key, spec in schema.items():
+        flag = "--" + key.replace("_", "-")
+        argv = [command, flag] if spec.parse is _parse_bool \
+            else [command, flag, text[key]]
+        from_flag = merge_parameters(command, required,
+                                     _flag_values(parser.parse_args(argv)))
+        from_file = merge_parameters(command, {**required, key: text[key]}, {})
+        assert from_flag == from_file, key
+        assert from_file[key] != spec.default, key
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["capacity", "--constellation", "bpsk", "--snr-db", "0",
+      "--seed", "abc"], "seed"),
+    (["gmi", "--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
+      "--snr-db", "0", "--K", "x"], "K"),
+])
+def test_bad_typed_flag_exits_2_and_names_the_key(tmp_path, capsys, argv, key):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
+def test_bad_format_exits_2(tmp_path, capsys):
+    code = main(["capacity", "--constellation", "bpsk", "--snr-db", "0",
+                 "--format", "xml", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "format must be json, csv, or both" in capsys.readouterr().err
+
+
+def test_singular_prediction_exits_1(tmp_path, capsys):
+    # a constant autocorrelation makes every predictor's normal equations
+    # singular once the observation noise vanishes (300 dB)
+    table = tmp_path / "flat.csv"
+    table.write_text("lag,re,im\n" + "".join(f"{k},1.0,0.0\n"
+                                             for k in range(5)))
+    code = main(["ladder", "--model", "tabulated", "--table", str(table),
+                 "--constellation", "bpsk", "--snr-db", "300", "--L", "3",
+                 "--predictor-order", "2", "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "singular" in capsys.readouterr().err
+
+
+def test_runners_call_the_module_attribute(tmp_path, capsys, monkeypatch):
+    # external tracers wrap cli.psk_capacity by replacing the attribute, so
+    # the runners must look it up at call time
+    calls = []
+
+    def fake(order, rho, n_samples, seed):
+        calls.append((order, rho, n_samples))
+        return CapacityEstimate(nats=0.25, ci=0.0, raw_nats=0.25,
+                                clamped=False)
+
+    monkeypatch.setattr(cli, "psk_capacity", fake)
+    assert main(["capacity", "--constellation", "qpsk", "--snr-db", "0",
+                 "--samples", "1000", "--output-dir", str(tmp_path)]) == 0
+    assert calls == [(4, 1.0, 1000)]
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["capacity_nats"] == 0.25
+    assert main(["sweep", "--constellation", "qpsk", "--snr-db", "0:1:2",
+                 "--samples", "1000", "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 4
+    capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
                           TabulatedFading, generate_path)
+from rtgmi.utils import complex_normal
 
 
 def bessel_j0_series(x: float, terms: int = 48) -> float:
@@ -66,6 +67,20 @@ def test_ar1_prefix_stability():
     a = generate_path(Ar1Fading(0.99), 100, seed=8).samples
     b = generate_path(Ar1Fading(0.99), 5000, seed=8).samples
     assert np.array_equal(a, b[:100])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999])
+def test_ar1_path_matches_plain_recursion(alpha):
+    # oracle: h[0] = w[0], h[k] = alpha * h[k-1] + sqrt(1 - alpha^2) * w[k];
+    # the banded solve does the same arithmetic in the same order
+    n = 300
+    w = complex_normal(np.random.default_rng(21), n)
+    scale = math.sqrt(1.0 - alpha ** 2)
+    expected = [complex(w[0])]
+    for k in range(1, n):
+        expected.append(alpha * expected[-1] + scale * complex(w[k]))
+    path = generate_path(Ar1Fading(alpha), n, seed=21).samples
+    assert np.array_equal(path, expected)
 
 
 def test_clarke_autocorrelation_vs_series_oracle():

@@ -7,7 +7,7 @@ from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading
 from rtgmi.prediction import rho_sequence
 from rtgmi.simulate import (MAX_CODEBOOK_SIZE, RtReport, SchemeConfig,
-                            budget_check, report_to_json, run)
+                            budget_check, run)
 
 
 def small_config(**kw):
@@ -128,11 +128,7 @@ def test_csv_and_json_outputs(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "0" and float(cells[1]) == 0.0
 
-    json_path = tmp_path / "sim.json"
-    report_to_json(rep, str(json_path))
-    text = json_path.read_text()
-    assert text.endswith("\n")
-    payload = json.loads(text)
+    payload = json.loads(json.dumps(rep.to_json_dict()))
     assert payload["schema_version"] == 1
     for key in ("rho_linear", "gmi_nats", "rate_target_nats", "codebook_sizes",
                 "per_psc_block_error", "per_psc_ci", "overall_error",
