@@ -21,7 +21,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
-from .utils import complex_normal, derive_seed
+from .utils import complex_normal, derive_seed, log_mean_exp
 
 DEFAULT_MC_SAMPLES = 400_000
 QUADRATURE_NODES = 64
@@ -44,10 +44,9 @@ class CapacityEstimate:
 def _log_likelihood_ratio_sum(h: np.ndarray, z: np.ndarray,
                               points: np.ndarray, rho: float) -> np.ndarray:
     """log sum_j exp(|z|^2 - |sqrt(rho) h (theta_0 - theta_j) + z|^2)."""
-    shift = np.sqrt(rho) * h[:, None] * (points[0] - points[None, :]) + z[:, None]
-    expo = (np.abs(z) ** 2)[:, None] - np.abs(shift) ** 2
-    top = expo.max(axis=1)
-    return top + np.log(np.exp(expo - top[:, None]).sum(axis=1))
+    shift = np.sqrt(rho) * h * (points[0] - points)[:, None] + z
+    expo = np.abs(z) ** 2 - np.abs(shift) ** 2
+    return log_mean_exp(expo, expo.max(axis=0))
 
 
 def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
@@ -119,11 +118,10 @@ def psk_capacity_quadrature(order: int, rho: float,
     expect = 0.0
     for start in range(0, len(h_grid), 64):
         h = h_grid[start:start + 64]
-        shift = np.sqrt(rho) * h[:, None, None] * (points[0] - points)[None, None, :] \
-            + z_grid[None, :, None]
-        expo = z_sq[None, :, None] - np.abs(shift) ** 2
-        top = expo.max(axis=2)
-        inner = top + np.log(np.exp(expo - top[:, :, None]).sum(axis=2))
+        shift = np.sqrt(rho) * h[:, None] * (points[0] - points)[:, None, None] \
+            + z_grid
+        expo = z_sq - np.abs(shift) ** 2
+        inner = log_mean_exp(expo, expo.max(axis=0))
         expect += float(np.dot(w2[start:start + 64], inner @ w2))
     return math.log(order) - expect
 

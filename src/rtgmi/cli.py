@@ -229,7 +229,11 @@ def build_model(params):
         return Ar1Fading(float(params["alpha"]))
     if name == "clarke":
         return ClarkeFading(float(params["doppler"]))
-    return TabulatedFading.from_csv(params["table"])
+    try:
+        return TabulatedFading.from_csv(params["table"])
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read table {params['table']}: {exc}") from None
 
 
 def _prepare_output_dir(path):
@@ -445,6 +449,33 @@ _RUNNERS = {
 }
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+# flags that take a value (all but the boolean ones)
+_VALUE_FLAGS = {"--config"} | {
+    _flag(key) for schema in SCHEMAS.values()
+    for key, spec in schema.items() if spec.parse is not _parse_bool}
+
+
+def _attach_negative_values(argv):
+    """Write `--snr-db -10:2:0` as `--snr-db=-10:2:0`.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number, so a negative grid would need the '=' form.  A
+    token of '-' and a digit or '.' after a value flag is that flag's value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and len(token) > 1 \
+                and token[0] == "-" and token[1] in "0123456789.":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
     """One subcommand per SCHEMAS entry, one flag per key: snr_db is --snr-db.
 
@@ -460,7 +491,7 @@ def build_parser():
         sub = subs.add_parser(command, help=COMMANDS[command])
         sub.add_argument("--config", help="flat key=value file")
         for key, spec in schema.items():
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             if spec.parse is _parse_bool:
                 sub.add_argument(flag, dest=key, action="store_const",
                                  const="true", help=spec.help)
@@ -480,7 +511,8 @@ def _fail(exc, code):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         file_values = read_config_file(args.config) if args.config else {}
         params = merge_parameters(args.command, file_values, _flag_values(args))

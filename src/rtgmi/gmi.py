@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import compensated_mean, golden_section_maximize
+from .utils import compensated_mean, golden_section_maximize, log_mean_exp
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 GOLDEN_TOL = 1e-6
@@ -50,27 +50,31 @@ class GmiReport:
 
 
 class _LogMgfEvaluator:
-    """Caches the (n, J) squared-distance table; evaluations are O(n*J) each."""
+    """Caches the (J, n) squared-distance table and its per-sample minimum;
+    evaluations are O(n*J) each."""
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
         self.order = constellation.order
         self.n = block.block_length
-        diff = block.x[:, None] \
-            - np.sqrt(block.rho) * block.h_hat[:, None] * constellation.points[None, :]
+        diff = block.x[None, :] \
+            - np.sqrt(block.rho) * block.h_hat * constellation.points[:, None]
         self.sq = np.abs(diff) ** 2
+        self.dmin = self.sq.min(axis=0)
 
     def per_sample(self, mu: float) -> np.ndarray:
-        """log((1/J) sum_j exp(mu * d[k, j])), max-shifted, evaluated in chunks.
+        """log((1/J) sum_j exp(mu * d[j, k])), max-shifted, evaluated in chunks.
 
-        The 1/J sits inside the log: at mu = 0 each term is log(J / J), which
-        is exactly 0 for every J, so lam(0) = 0 whatever the summation order.
+        For mu <= 0 the largest mu * d[j, k] is mu * dmin[k]: rounding is
+        monotone, so the shift needs no max over j.  The 1/J sits inside the
+        log: at mu = 0 each term is log(J / J), which is exactly 0 for every
+        J, so lam(0) = 0 whatever the summation order.
         """
         out = np.empty(self.n)
         for start in range(0, self.n, _EVAL_CHUNK):
-            a = mu * self.sq[start:start + _EVAL_CHUNK]
-            top = a.max(axis=1)
-            out[start:start + len(top)] = top \
-                + np.log(np.exp(a - top[:, None]).sum(axis=1) / self.order)
+            stop = start + _EVAL_CHUNK
+            out[start:stop] = log_mean_exp(mu * self.sq[:, start:stop],
+                                           mu * self.dmin[start:stop],
+                                           self.order)
         return out
 
     def lambda_at(self, mu: float) -> float:

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rtgmi.capacity import (RateBudget, RateLadder, psk_capacity,
-                            psk_capacity_quadrature, rate_budget, rate_ladder)
+from numpy.polynomial.hermite import hermgauss
+
+from rtgmi.capacity import (RateBudget, RateLadder, _log_likelihood_ratio_sum,
+                            psk_capacity, psk_capacity_quadrature, rate_budget,
+                            rate_ladder)
 from rtgmi.fading import Ar1Fading
+from rtgmi.utils import complex_normal
 
 # Deterministic quadrature values, frozen once and reproduced forever.
 # Keyed by (order, rho), in nats.
@@ -50,6 +54,54 @@ def trapezoid_capacity_bpsk(rho, nt=121, nz=101):
     inner = np.log1p(np.exp(a))
     expect = float(wt @ inner @ wzr) * float(wzi.sum())
     return math.log(2.0) - expect
+
+
+def row_major_llr_sum(h, z, points, rho):
+    """The log-likelihood-ratio sum on an (n, J) table, max-shifted per row."""
+    shift = np.sqrt(rho) * h[:, None] * (points[0] - points[None, :]) + z[:, None]
+    expo = (np.abs(z) ** 2)[:, None] - np.abs(shift) ** 2
+    top = expo.max(axis=1)
+    return top + np.log(np.exp(expo - top[:, None]).sum(axis=1))
+
+
+def row_major_quadrature(order, rho, nodes):
+    """psk_capacity_quadrature with the symbol axis last in each block."""
+    points = np.exp(2j * math.pi * np.arange(order) / order)
+    t, w = hermgauss(nodes)
+    grid = (t[:, None] + 1j * t[None, :]).ravel()
+    w2 = (w[:, None] * w[None, :]).ravel() / math.pi
+    z_sq = np.abs(grid) ** 2
+    expect = 0.0
+    for start in range(0, len(grid), 64):
+        h = grid[start:start + 64]
+        shift = np.sqrt(rho) * h[:, None, None] * (points[0] - points)[None, None, :] \
+            + grid[None, :, None]
+        expo = z_sq[None, :, None] - np.abs(shift) ** 2
+        top = expo.max(axis=2)
+        inner = top + np.log(np.exp(expo - top[:, :, None]).sum(axis=2))
+        expect += float(np.dot(w2[start:start + 64], inner @ w2))
+    return math.log(order) - expect
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_llr_sum_equals_the_row_major_formula(order):
+    rng = np.random.default_rng(order)
+    h = complex_normal(rng, 5000)
+    z = complex_normal(rng, 5000)
+    points = np.exp(2j * math.pi * np.arange(order) / order)
+    for rho in (0.1, 1.0, 10.0):
+        assert np.array_equal(_log_likelihood_ratio_sum(h, z, points, rho),
+                              row_major_llr_sum(h, z, points, rho)), rho
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_quadrature_equals_the_row_major_copy(order):
+    # a last-bit change inside the blocks seldom survives the weighted sums,
+    # so several grids are compared; the LLR test above checks every term
+    for nodes in (8, 16):
+        for rho in (0.1, 1.0, 3.0, 10.0):
+            assert psk_capacity_quadrature(order, rho, nodes=nodes) \
+                == row_major_quadrature(order, rho, nodes), (nodes, rho)
 
 
 def test_quadrature_reproduces_frozen_table():

@@ -372,3 +372,25 @@ def test_runners_call_the_module_attribute(tmp_path, capsys, monkeypatch):
                  "--samples", "1000", "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 4
     capsys.readouterr()
+
+
+def test_missing_table_file_exits_2_and_names_the_key(tmp_path, capsys):
+    code = main(["gmi", "--model", "tabulated",
+                 "--table", str(tmp_path / "absent.csv"),
+                 "--constellation", "bpsk", "--snr-db", "0", "--K", "100",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "cannot read table" in capsys.readouterr().err
+
+
+def test_negative_grid_is_accepted_as_its_own_token(tmp_path, capsys):
+    base = ["sweep", "--constellation", "bpsk", "--samples", "2000",
+            "--format", "both", "--plot"]
+    d1, d2 = tmp_path / "joined", tmp_path / "split"
+    assert main(base + ["--snr-db=-10:2:0", "--output-dir", str(d1)]) == 0
+    joined = capsys.readouterr().out
+    assert main(base + ["--snr-db", "-10:2:0", "--output-dir", str(d2)]) == 0
+    assert capsys.readouterr().out == joined
+    assert joined.startswith("sweep: 6 points")
+    for name in ("report.json", "sweep.csv", "sweep.svg"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name

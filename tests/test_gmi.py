@@ -5,8 +5,8 @@ import pytest
 
 from rtgmi.errors import NumericalConsistencyError
 from rtgmi.fading import Ar1Fading
-from rtgmi.gmi import (GmiReport, _audit_convexity, gmi, gmi_lower_bound_check,
-                       lambda_hat)
+from rtgmi.gmi import (GmiReport, _audit_convexity, _LogMgfEvaluator, gmi,
+                       gmi_lower_bound_check, lambda_hat)
 from rtgmi.psk import make_constellation, synthesize_block_at_rho
 from rtgmi.utils import COMPENSATED_THRESHOLD
 
@@ -42,6 +42,23 @@ def test_lambda_at_zero_is_exact_on_both_mean_branches(order, n):
     c = make_constellation(order)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, n, seed=order)
     assert lambda_hat(0.0, blk, c) == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_per_sample_equals_the_row_major_formula(order):
+    """The (J, n) table shifted by mu * min_j d gives the bits of the plain
+    (n, J) log-sum-exp shifted by its row max, across a chunk boundary."""
+    c = make_constellation(order)
+    blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.5, c, (1 << 17) + 5,
+                                  seed=order)
+    sq = np.abs(blk.x[:, None]
+                - np.sqrt(blk.rho) * blk.h_hat[:, None] * c.points[None, :]) ** 2
+    ev = _LogMgfEvaluator(blk, c)
+    for mu in (-32.0, -1.0, -1e-4, 0.0):
+        a = mu * sq
+        top = a.max(axis=1)
+        want = top + np.log(np.exp(a - top[:, None]).sum(axis=1) / order)
+        assert np.array_equal(ev.per_sample(mu), want), mu
 
 
 def test_lambda_matches_brute_force():

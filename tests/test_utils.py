@@ -44,6 +44,27 @@ def test_compensated_mean_matches_fsum():
     assert got == pytest.approx(want, rel=0, abs=1e-6)
 
 
+def _looped_compensated_mean(x):
+    """One np.sum per 4096-chunk, combined by a Neumaier loop over arrays."""
+    total = np.zeros(x.shape[:-1])
+    comp = np.zeros(x.shape[:-1])
+    for start in range(0, x.shape[-1], 4096):
+        s = x[..., start:start + 4096].sum(axis=-1)
+        t = total + s
+        big = np.abs(total) >= np.abs(s)
+        comp += np.where(big, (total - t) + s, (s - t) + total)
+        total = t
+    return (total + comp) / x.shape[-1]
+
+
+@pytest.mark.parametrize("shape", [(10_001,), (50_000,), (1_000_000,),
+                                   (1 << 20,), (3, 20_481)])
+def test_compensated_mean_equals_the_chunk_loop(shape):
+    x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
+    x *= 1e3
+    assert np.array_equal(compensated_mean(x), _looped_compensated_mean(x))
+
+
 def test_compensated_mean_small_input_is_plain_mean():
     x = np.array([1.0, 2.0, 4.0])
     assert float(compensated_mean(x)) == float(np.mean(x))
