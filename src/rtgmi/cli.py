@@ -453,10 +453,25 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-# flags that take a value (all but the boolean ones)
-_VALUE_FLAGS = {"--config"} | {
-    _flag(key) for schema in SCHEMAS.values()
-    for key, spec in schema.items() if spec.parse is not _parse_bool}
+def _takes_value(command, token):
+    """Whether `token` names a value flag of `command` as argparse reads it.
+
+    That is an exact option string, else the unique option string the token
+    is a prefix of (`--snr` for `--snr-db`).  Ambiguous prefixes and unknown
+    tokens are left for argparse to reject.
+    """
+    schema = SCHEMAS.get(command)
+    if schema is None or not token.startswith("--"):
+        return False
+    value_flag = {"--help": False, "--config": True}
+    value_flag.update((_flag(key), spec.parse is not _parse_bool)
+                      for key, spec in schema.items())
+    if token not in value_flag:
+        matches = [flag for flag in value_flag if flag.startswith(token)]
+        if len(matches) != 1:
+            return False
+        token = matches[0]
+    return value_flag[token]
 
 
 def _attach_negative_values(argv):
@@ -464,11 +479,13 @@ def _attach_negative_values(argv):
 
     argparse takes a token that starts with '-' for an option unless it is a
     plain negative number, so a negative grid would need the '=' form.  A
-    token of '-' and a digit or '.' after a value flag is that flag's value.
+    token of '-' and a digit or '.' after a value flag (or an abbreviation
+    argparse accepts for one) is that flag's value.
     """
+    command = argv[0] if argv else None
     out = []
     for token in argv:
-        if out and out[-1] in _VALUE_FLAGS and len(token) > 1 \
+        if out and _takes_value(command, out[-1]) and len(token) > 1 \
                 and token[0] == "-" and token[1] in "0123456789.":
             out[-1] += "=" + token
         else:

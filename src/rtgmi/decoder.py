@@ -81,10 +81,10 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     best_idx = -1
     best = math.inf
     second = math.inf
-    rows = np.arange(n)
+    offsets = np.arange(n) * const.order      # flat index of (k, symbol 0)
     for start in range(0, m_total, _ROW_CHUNK):
         chunk = codebook.symbols[start:start + _ROW_CHUNK]
-        picked = corr[rows[None, :], chunk]
+        picked = np.take(corr, chunk + offsets)
         d = np.maximum(base - 2.0 * _candidate_scores(picked), 0.0)
         if keep_all:
             all_metrics[start:start + len(d)] = d

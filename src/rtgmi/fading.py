@@ -39,6 +39,27 @@ class FadingModel:
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    # (n, factor) of the most recent path length, set by _factor
+    _cached_factor = None
+
+    def _factor(self, n: int) -> np.ndarray:
+        """The covariance factor at path length n, computed once per n.
+
+        The instance keeps the factor of the most recent length only, so
+        repeated draws at one length factor once and memory stays at one
+        factor per model.  A factorization that raises caches nothing.
+        """
+        cached = self._cached_factor
+        if cached is not None and cached[0] == n:
+            return cached[1]
+        factor = self._factorize(n)
+        factor.flags.writeable = False
+        object.__setattr__(self, "_cached_factor", (n, factor))
+        return factor
+
+    def _factorize(self, n: int) -> np.ndarray:
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Ar1Fading(FadingModel):
@@ -73,9 +94,11 @@ class ClarkeFading(FadingModel):
     `normalized_doppler` is the maximum Doppler shift in cycles per symbol.
     Paths up to CHOLESKY_MAX_N samples are synthesized exactly by a Cholesky
     factor of the Toeplitz autocorrelation matrix (tiny diagonal jitter keeps
-    the numerically band-limited matrix factorizable); longer paths use a
-    seeded equal-power ray sum with `ray_count` rays, whose autocorrelation
-    converges to the same Bessel law as the ray count grows.
+    the numerically band-limited matrix factorizable).  The factor is
+    computed once per path length and reused by the instance for every
+    further path of that length.  Longer paths use a seeded equal-power ray
+    sum with `ray_count` rays, whose autocorrelation converges to the same
+    Bessel law as the ray count grows.
     """
 
     normalized_doppler: float
@@ -91,12 +114,14 @@ class ClarkeFading(FadingModel):
     def autocorrelation(self, lag: int) -> complex:
         return complex(float(j0(2.0 * math.pi * self.normalized_doppler * abs(int(lag)))))
 
+    def _factorize(self, n):
+        r = np.array([self.autocorrelation(t).real for t in range(n)])
+        cov = scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(n)
+        return scipy.linalg.cholesky(cov, lower=True)
+
     def _sample(self, n, rng):
         if n <= CHOLESKY_MAX_N:
-            r = np.array([self.autocorrelation(t).real for t in range(n)])
-            cov = scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(n)
-            factor = scipy.linalg.cholesky(cov, lower=True)
-            return factor @ complex_normal(rng, n)
+            return self._factor(n) @ complex_normal(rng, n)
         # equal-power rays: arrival angles uniform => Bessel autocorrelation
         angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
         phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
@@ -119,7 +144,10 @@ class TabulatedFading(FadingModel):
     Path synthesis extends the table by zero correlation beyond the maximum
     lag, which makes the covariance banded; the banded extension is not
     guaranteed positive semidefinite for every table, and synthesis raises a
-    ValueError when its factorization fails.
+    ValueError when its factorization fails.  The banded Cholesky factor is
+    computed once per path length and reused by the instance for every
+    further path of that length; a failed factorization is not kept, so
+    every call at that length raises again.
     """
 
     lags: tuple = field()
@@ -172,7 +200,7 @@ class TabulatedFading(FadingModel):
         v = self._dense_row[abs(t)]
         return complex(v if t >= 0 else np.conj(v))
 
-    def _sample(self, n, rng):
+    def _factorize(self, n):
         band = min(self.lags[-1], n - 1)
         # lower banded storage: ab[d, j] = cov[j + d, j] = r(d), zero beyond table
         ab = np.zeros((band + 1, n), dtype=complex)
@@ -180,14 +208,17 @@ class TabulatedFading(FadingModel):
             ab[d, :] = self._dense_row[d]
         ab[0, :] += _PSD_JITTER
         try:
-            fac = scipy.linalg.cholesky_banded(ab, lower=True)
+            return scipy.linalg.cholesky_banded(ab, lower=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 "zero-extended tabulated autocorrelation is not positive "
                 "semidefinite at this path length") from exc
+
+    def _sample(self, n, rng):
+        fac = self._factor(n)
         w = complex_normal(rng, n)
         out = np.zeros(n, dtype=complex)
-        for d in range(band + 1):  # h = L @ w with L lower-banded
+        for d in range(len(fac)):  # h = L @ w with L lower-banded
             out[d:] += fac[d, :n - d] * w[:n - d]
         return out
 

@@ -383,14 +383,25 @@ def test_missing_table_file_exits_2_and_names_the_key(tmp_path, capsys):
     assert "cannot read table" in capsys.readouterr().err
 
 
-def test_negative_grid_is_accepted_as_its_own_token(tmp_path, capsys):
+def _assert_split_grid_matches_joined(tmp_path, capsys, flag):
+    """`flag -10:2:0` gives the stdout, report, CSV and SVG of the
+    `--snr-db=-10:2:0` form."""
     base = ["sweep", "--constellation", "bpsk", "--samples", "2000",
             "--format", "both", "--plot"]
     d1, d2 = tmp_path / "joined", tmp_path / "split"
     assert main(base + ["--snr-db=-10:2:0", "--output-dir", str(d1)]) == 0
     joined = capsys.readouterr().out
-    assert main(base + ["--snr-db", "-10:2:0", "--output-dir", str(d2)]) == 0
+    assert main(base + [flag, "-10:2:0", "--output-dir", str(d2)]) == 0
     assert capsys.readouterr().out == joined
     assert joined.startswith("sweep: 6 points")
     for name in ("report.json", "sweep.csv", "sweep.svg"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_negative_grid_is_accepted_as_its_own_token(tmp_path, capsys):
+    _assert_split_grid_matches_joined(tmp_path, capsys, "--snr-db")
+
+
+def test_abbreviated_flag_takes_a_negative_grid(tmp_path, capsys):
+    # argparse accepts the unique prefix `--snr` for `--snr-db`
+    _assert_split_grid_matches_joined(tmp_path, capsys, "--snr")

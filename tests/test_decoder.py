@@ -70,6 +70,29 @@ def test_decode_agrees_with_per_candidate_metric():
     assert out.correct == (out.chosen_message == sent)
 
 
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_decode_metrics_equal_the_row_gather_formula(order):
+    # 2 * 1024 + 3 candidates cross two chunk boundaries; the oracle gathers
+    # corr[k, symbol] by (row, column) pairs over the whole codebook at once
+    c = make_constellation(order)
+    size, n = 2 * 1024 + 3, 96
+    book = generate_codebook(c, size, n, seed=order)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order + 1)
+    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[1500]] \
+        + blk.residual_noise
+    out = decode(book, blk, sent_message=1500)
+
+    base = np.mean(np.abs(blk.x) ** 2) + blk.rho * np.mean(np.abs(blk.h_hat) ** 2)
+    corr = np.real((np.sqrt(blk.rho) * np.conj(blk.x) * blk.h_hat)[:, None]
+                   * c.points[None, :])
+    scores = corr[np.arange(n)[None, :], book.symbols].mean(axis=1)
+    expected = np.maximum(base - 2.0 * scores, 0.0)
+    assert np.array_equal(out.metrics, expected)
+    assert out.chosen_message == int(np.argmin(expected))
+    assert out.chosen_metric == expected.min()
+    assert out.runner_up_metric == np.sort(expected)[1]
+
+
 def test_decode_tie_breaks_to_lowest_index():
     c = make_constellation(4)
     rng = np.random.default_rng(2)

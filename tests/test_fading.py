@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
                           TabulatedFading, generate_path)
 from rtgmi.utils import complex_normal
@@ -120,16 +121,67 @@ def test_clarke_large_n_ray_synthesis():
     assert r1.real == pytest.approx(m.autocorrelation(1).real, abs=0.12)
 
 
+def _bartlett():
+    return TabulatedFading(lags=(0, 1, 2, 3, 4),
+                           values=(1.0, 0.75, 0.5, 0.25, 0.0))
+
+
 def test_tabulated_bartlett_sampling():
     # triangular autocorrelation has compact support, so the zero extension
     # used by the banded factorization is exact
-    lags = (0, 1, 2, 3, 4)
-    vals = (1.0, 0.75, 0.5, 0.25, 0.0)
-    m = TabulatedFading(lags=lags, values=vals)
-    h = generate_path(m, 150_000, seed=6).samples
+    h = generate_path(_bartlett(), 150_000, seed=6).samples
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.03)
     assert empirical_autocorr(h, 1).real == pytest.approx(0.75, abs=0.03)
     assert empirical_autocorr(h, 3).real == pytest.approx(0.25, abs=0.03)
+
+
+_FACTORIZED_MODELS = [
+    pytest.param(lambda: ClarkeFading(0.01), "cholesky", id="clarke"),
+    pytest.param(_bartlett, "cholesky_banded", id="tabulated"),
+]
+
+
+@pytest.mark.parametrize("make, _", _FACTORIZED_MODELS)
+def test_reused_model_draws_the_paths_of_a_fresh_one(make, _):
+    # the factor kept from the last length must never serve another length
+    reused = make()
+    for seed, n in enumerate((768, 8, 768, 768, 8)):
+        assert np.array_equal(generate_path(reused, n, seed).samples,
+                              generate_path(make(), n, seed).samples), (seed, n)
+
+
+@pytest.mark.parametrize("make, routine", _FACTORIZED_MODELS)
+def test_one_factorization_per_path_length(make, routine, monkeypatch):
+    calls = []
+    inner = getattr(fading.scipy.linalg, routine)
+
+    def counted(*args, **kwargs):
+        calls.append(routine)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fading.scipy.linalg, routine, counted)
+    model = make()
+    paths = [generate_path(model, 64, seed).samples for seed in range(20)]
+    assert len(calls) == 1
+    assert len({p.tobytes() for p in paths}) == 20
+    generate_path(model, 65, seed=0)
+    generate_path(model, 65, seed=1)
+    assert len(calls) == 2
+
+
+def test_failed_banded_factorization_raises_on_every_call():
+    # PSD over the table's span, but the zero-extended tridiagonal Toeplitz
+    # matrix has eigenvalue 1 + 1.2 cos(k pi / (n + 1)) < 0 for long paths
+    model = TabulatedFading(lags=(0, 1), values=(1.0, 0.6))
+    for seed in range(3):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            generate_path(model, 50, seed)
+    assert np.array_equal(
+        generate_path(model, 2, seed=4).samples,
+        generate_path(TabulatedFading(lags=(0, 1), values=(1.0, 0.6)), 2,
+                      seed=4).samples)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        generate_path(model, 50, seed=5)
 
 
 def test_tabulated_contract_errors():
