@@ -188,38 +188,3 @@ def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
         l_average=l_avg,
         convergence_gap=gap,
     )
-
-
-@dataclass(frozen=True)
-class RateBudget:
-    rate_fraction: float            # (1 - loss) / (1 - loss/2)
-    per_psc_rate_targets: np.ndarray
-    per_psc_error_budget: float
-    overall_target: float           # (1 - loss) * rt_estimate
-    total_error_budget: float
-
-
-def rate_budget(rt_estimate: float, gmi_per_psc, rate_loss: float,
-                error_target: float) -> RateBudget:
-    """Split an overall rate-loss/error budget across the subchannels.
-
-    Giving up a fraction `rate_loss` of the limiting rate overall leaves each
-    subchannel a fraction (1 - rate_loss) / (1 - rate_loss / 2) of its own
-    achievable rate; the error budget divides evenly so the per-subchannel
-    shares sum to `error_target`.
-    """
-    if not 0.0 < rate_loss < 1.0:
-        raise ValueError("rate loss must be in (0, 1)")
-    if not 0.0 < error_target < 1.0:
-        raise ValueError("error target must be in (0, 1)")
-    gmis = np.asarray(gmi_per_psc, dtype=float)
-    if gmis.ndim != 1 or len(gmis) < 1:
-        raise ValueError("need a non-empty per-subchannel rate vector")
-    fraction = (1.0 - rate_loss) / (1.0 - rate_loss / 2.0)
-    return RateBudget(
-        rate_fraction=fraction,
-        per_psc_rate_targets=fraction * gmis,
-        per_psc_error_budget=error_target / len(gmis),
-        overall_target=(1.0 - rate_loss) * rt_estimate,
-        total_error_budget=error_target,
-    )

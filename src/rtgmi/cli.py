@@ -79,6 +79,14 @@ def _parse_format(text):
     return text
 
 
+def _parse_finite(text):
+    """A float that is neither nan nor infinite (an SNR in dB)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_grid(text):
     """START:STEP:STOP inclusive grid, all in dB."""
     parts = str(text).split(":")
@@ -86,10 +94,11 @@ def _parse_grid(text):
         raise ConfigurationError(
             f"snr_db grid must be START:STEP:STOP, got {text!r}")
     try:
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_parse_finite(p) for p in parts)
     except ValueError:
         raise ConfigurationError(
-            f"snr_db grid must be numeric START:STEP:STOP, got {text!r}") from None
+            f"bad value for snr_db: {text!r}, START:STEP:STOP must be "
+            f"finite numbers") from None
     if step <= 0 or stop < start:
         raise ConfigurationError("snr_db grid needs step > 0 and stop >= start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -122,14 +131,14 @@ SCHEMAS = {
     "capacity": {
         **_COMMON,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(float, required=True),
+        "snr_db": Param(_parse_finite, required=True),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
         "quadrature": Param(_parse_bool, default=False),
     },
     "gmi": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(float, required=True),
+        "snr_db": Param(_parse_finite, required=True),
         "K": Param(int, default=100_000, help="block length"),
         "curve_points": Param(int, default=33),
         "mu_min": Param(float, default=DEFAULT_MU_RANGE[0]),
@@ -138,7 +147,7 @@ SCHEMAS = {
     "ladder": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(float, required=True),
+        "snr_db": Param(_parse_finite, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
@@ -146,7 +155,7 @@ SCHEMAS = {
     "simulate": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(float, required=True),
+        "snr_db": Param(_parse_finite, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "K": Param(int, required=True, help="codeword length"),
         "rate_fraction": Param(float, required=True),

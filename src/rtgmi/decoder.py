@@ -17,7 +17,6 @@ import numpy as np
 from .psk import Codebook, PscBlock, PskConstellation
 from .utils import binomial_halfwidth, compensated_mean, complex_normal
 
-FULL_METRICS_LIMIT = 1 << 16
 _ROW_CHUNK = 1024
 _TRIAL_CHUNK = 4096
 _MAX_TILT = 64.0
@@ -27,7 +26,7 @@ _TILT_BISECTIONS = 60
 @dataclass
 class DecodeOutcome:
     chosen_message: int
-    metrics: np.ndarray          # all candidates, or just [winner, runner-up]
+    metrics: np.ndarray          # every candidate's metric, by message index
     correct: bool                # None when the sent message is unknown
     chosen_metric: float
     runner_up_metric: float
@@ -62,8 +61,8 @@ def _candidate_scores(picked: np.ndarray) -> np.ndarray:
 def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutcome:
     """Exhaustive minimum-metric decoding with lowest-index tie-breaking.
 
-    All candidate metrics are reported up to FULL_METRICS_LIMIT codewords;
-    past that only the winner and runner-up values are kept.
+    Every candidate's metric is reported; the runner-up is the second
+    smallest of them (a tie with the winner included), inf for one codeword.
     """
     if codebook.block_length != block.block_length:
         raise ValueError("codebook block length must match the block")
@@ -76,27 +75,16 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     u = np.sqrt(block.rho) * np.conj(block.x) * block.h_hat
     corr = np.real(u[:, None] * const.points[None, :])   # (n, J)
 
-    keep_all = m_total <= FULL_METRICS_LIMIT
-    all_metrics = np.empty(m_total) if keep_all else None
-    best_idx = -1
-    best = math.inf
-    second = math.inf
+    metrics = np.empty(m_total)
     offsets = np.arange(n) * const.order      # flat index of (k, symbol 0)
     for start in range(0, m_total, _ROW_CHUNK):
         chunk = codebook.symbols[start:start + _ROW_CHUNK]
         picked = np.take(corr, chunk + offsets)
-        d = np.maximum(base - 2.0 * _candidate_scores(picked), 0.0)
-        if keep_all:
-            all_metrics[start:start + len(d)] = d
-        j = int(np.argmin(d))
-        if d[j] < best:
-            rest = np.delete(d, j)
-            second = min(best, float(rest.min()) if len(rest) else math.inf)
-            best = float(d[j])
-            best_idx = start + j
-        else:
-            second = min(second, float(d[j]))
-    metrics = all_metrics if keep_all else np.array([best, second])
+        metrics[start:start + len(chunk)] = np.maximum(
+            base - 2.0 * _candidate_scores(picked), 0.0)
+    best_idx = int(np.argmin(metrics))      # first minimum: lowest index wins
+    best = float(metrics[best_idx])
+    second = float(np.partition(metrics, 1)[1]) if m_total > 1 else math.inf
     correct = None if sent_message is None else bool(best_idx == int(sent_message))
     return DecodeOutcome(chosen_message=best_idx, metrics=metrics, correct=correct,
                          chosen_metric=best, runner_up_metric=second)

@@ -32,10 +32,6 @@ class FadingModel:
         """E{h[k + lag] * conj(h[k])}; conjugate-symmetric in the lag."""
         raise NotImplementedError
 
-    def autocorrelation_at(self, lags) -> np.ndarray:
-        return np.array([self.autocorrelation(int(t)) for t in np.asarray(lags).ravel()],
-                        dtype=complex)
-
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
@@ -223,19 +219,7 @@ class TabulatedFading(FadingModel):
         return out
 
 
-@dataclass(frozen=True)
-class FadingPath:
-    """A generated realization together with its provenance."""
-
-    samples: np.ndarray
-    model: FadingModel
-    seed: int
-
-    def __len__(self):
-        return len(self.samples)
-
-
-def generate_path(model: FadingModel, n: int, seed: int) -> FadingPath:
+def generate_path(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """Draw n consecutive samples of the fading process.
 
     Parameters
@@ -252,5 +236,4 @@ def generate_path(model: FadingModel, n: int, seed: int) -> FadingPath:
     if n < 1:
         raise ValueError("path length must be positive")
     rng = np.random.default_rng(int(seed))
-    samples = model._sample(int(n), rng)
-    return FadingPath(samples=samples, model=model, seed=int(seed))
+    return model._sample(int(n), rng)

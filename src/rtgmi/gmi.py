@@ -121,6 +121,8 @@ def gmi(block: PscBlock, constellation: PskConstellation,
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (lo < hi < 0.0):
         raise ValueError("mu range must satisfy lo < hi < 0")
+    if curve_points < 1:
+        raise ValueError(f"curve_points must be >= 1, got {curve_points}")
     ev = _LogMgfEvaluator(block, constellation)
 
     grid = -np.logspace(math.log10(-hi), math.log10(-lo), curve_points)
@@ -157,9 +159,3 @@ def gmi(block: PscBlock, constellation: PskConstellation,
         g_at_minus_one_ci=1.96 * se_m1,
         clamped=clamped,
     )
-
-
-def gmi_lower_bound_check(report: GmiReport, capacity: float,
-                          tol: float = 0.0) -> bool:
-    """True iff the estimated rate is no further than tol + CI below capacity."""
-    return report.gmi >= capacity - tol - report.ci_halfwidth

@@ -138,8 +138,8 @@ def synthesize_block_at_rho(model: FadingModel, rho: float,
         raise ValueError("rho must be non-negative")
     if block_length < 1:
         raise ValueError("block length must be positive")
-    h_hat = generate_path(model, block_length, derive_seed(seed, 1)).samples
-    residual = generate_path(model, block_length, derive_seed(seed, 2)).samples
+    h_hat = generate_path(model, block_length, derive_seed(seed, 1))
+    residual = generate_path(model, block_length, derive_seed(seed, 2))
     rng = np.random.default_rng(derive_seed(seed, 3))
     s = rng.integers(0, constellation.order, size=block_length)
     x = np.sqrt(rho) * h_hat * constellation.points[s] + residual

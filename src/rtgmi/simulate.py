@@ -82,17 +82,14 @@ class RtReport:
     n_trials: int
     genie: bool
 
-    def summary_rows(self):
-        for l in range(self.config.interleave_depth):
-            yield (l, float(self.rho[l]), float(self.gmi_nats[l]),
-                   float(self.rate_targets[l]), float(self.per_psc_block_error[l]),
-                   bool(self.budget_met[l]))
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write("l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met\n")
-            for l, rho, g, rt, err, ok in self.summary_rows():
-                fh.write(f"{l},{rho!r},{g!r},{rt!r},{err!r},{ok}\n")
+            rows = zip(self.rho, self.gmi_nats, self.rate_targets,
+                       self.per_psc_block_error, self.budget_met)
+            for l, (rho, g, rt, err, ok) in enumerate(rows):
+                fh.write(f"{l},{float(rho)!r},{float(g)!r},{float(rt)!r},"
+                         f"{float(err)!r},{bool(ok)}\n")
 
     def to_json_dict(self):
         return {
@@ -178,7 +175,7 @@ def run(config: SchemeConfig) -> RtReport:
     for trial in range(config.n_trials):
         h = generate_path(config.model, total,
                           derive_seed(config.master_seed,
-                                      _STREAM_PATH * _STRIDE + trial)).samples
+                                      _STREAM_PATH * _STRIDE + trial))
         rng_noise = np.random.default_rng(
             derive_seed(config.master_seed, _STREAM_NOISE * _STRIDE + trial))
         z = (rng_noise.standard_normal((total, 2)) @ np.array([1.0, 1j])) \

@@ -5,9 +5,8 @@ import pytest
 
 from numpy.polynomial.hermite import hermgauss
 
-from rtgmi.capacity import (RateBudget, RateLadder, _log_likelihood_ratio_sum,
-                            psk_capacity, psk_capacity_quadrature, rate_budget,
-                            rate_ladder)
+from rtgmi.capacity import (RateLadder, _log_likelihood_ratio_sum,
+                            psk_capacity, psk_capacity_quadrature, rate_ladder)
 from rtgmi.fading import Ar1Fading
 from rtgmi.utils import complex_normal
 
@@ -211,25 +210,3 @@ def test_ladder_csv(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == 0.0
     assert float(first[2]) == 0.0
-
-
-def test_rate_budget_hand_values():
-    b = rate_budget(1.2, [0.4, 0.5, 0.6, 0.7], rate_loss=0.5, error_target=0.05)
-    assert isinstance(b, RateBudget)
-    assert b.rate_fraction == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert np.allclose(b.per_psc_rate_targets,
-                       (2.0 / 3.0) * np.array([0.4, 0.5, 0.6, 0.7]))
-    assert b.per_psc_error_budget == pytest.approx(0.0125, rel=1e-15)
-    assert b.overall_target == pytest.approx(0.6, rel=1e-15)
-    assert b.total_error_budget == 0.05
-
-
-def test_rate_budget_contracts():
-    with pytest.raises(ValueError):
-        rate_budget(1.0, [0.5], rate_loss=0.0, error_target=0.05)
-    with pytest.raises(ValueError):
-        rate_budget(1.0, [0.5], rate_loss=1.0, error_target=0.05)
-    with pytest.raises(ValueError):
-        rate_budget(1.0, [0.5], rate_loss=0.5, error_target=0.0)
-    with pytest.raises(ValueError):
-        rate_budget(1.0, [], rate_loss=0.5, error_target=0.05)

@@ -405,3 +405,35 @@ def test_negative_grid_is_accepted_as_its_own_token(tmp_path, capsys):
 def test_abbreviated_flag_takes_a_negative_grid(tmp_path, capsys):
     # argparse accepts the unique prefix `--snr` for `--snr-db`
     _assert_split_grid_matches_joined(tmp_path, capsys, "--snr")
+
+
+_REQUIRED_ARGV = {
+    "capacity": ["--constellation", "bpsk"],
+    "gmi": ["--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
+            "--K", "100"],
+    "ladder": ["--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
+               "--L", "3"],
+    "simulate": ["--model", "ar1", "--alpha", "0.9", "--constellation",
+                 "bpsk", "--L", "3", "--K", "8", "--rate-fraction", "0.3"],
+    "sweep": ["--constellation", "bpsk"],
+}
+# one non-finite value per part of the sweep grid
+_NONFINITE_GRID = {"nan": "nan:1:2", "inf": "0:inf:2", "-inf": "0:1:-inf"}
+
+
+@pytest.mark.parametrize("value", sorted(_NONFINITE_GRID))
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_nonfinite_snr_exits_2(tmp_path, capsys, command, value):
+    snr = _NONFINITE_GRID[value] if command == "sweep" else value
+    code = main([command, *_REQUIRED_ARGV[command], f"--snr-db={snr}",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad value for snr_db" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_gmi_curve_points_below_one_exits_2_and_names_the_key(tmp_path, capsys):
+    code = main(["gmi", *_REQUIRED_ARGV["gmi"], "--snr-db", "0",
+                 "--curve-points", "0", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "curve_points" in capsys.readouterr().err

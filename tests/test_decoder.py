@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rtgmi.decoder import (FULL_METRICS_LIMIT, decode, metric,
-                           pairwise_undercut_probability)
+from rtgmi.decoder import decode, metric, pairwise_undercut_probability
 from rtgmi.fading import Ar1Fading
 from rtgmi.psk import (Codebook, generate_codebook, make_constellation,
                        synthesize_block_at_rho)
@@ -116,15 +115,19 @@ def test_decode_without_sent_message():
     assert 0 <= out.chosen_message < 4
 
 
-def test_decode_truncates_metrics_past_limit():
+@pytest.mark.parametrize("size", [1, (1 << 16) + 8])
+def test_decode_reports_every_metric_and_the_runner_up(size):
+    # 2^16 + 8 rows, past the cap simulate puts on codebooks; a single
+    # codeword has no runner-up
     c = make_constellation(2)
-    book = generate_codebook(c, FULL_METRICS_LIMIT + 8, 4, seed=7)
+    book = generate_codebook(c, size, 4, seed=7)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 4, seed=8)
     out = decode(book, blk)
-    assert out.metrics.shape == (2,)
-    assert out.metrics[0] == out.chosen_metric
-    assert out.metrics[1] == out.runner_up_metric
-    assert out.chosen_metric <= out.runner_up_metric
+    assert out.metrics.shape == (size,)
+    assert out.chosen_message == int(np.argmin(out.metrics))
+    assert out.metrics[out.chosen_message] == out.chosen_metric
+    expected = np.sort(out.metrics)[1] if size > 1 else math.inf
+    assert out.runner_up_metric == expected
 
 
 def test_decode_block_length_mismatch():

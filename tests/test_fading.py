@@ -41,7 +41,7 @@ def test_ar1_rejects_bad_alpha():
 
 def test_ar1_path_is_stationary_from_first_sample():
     path = generate_path(Ar1Fading(0.95), 200, seed=4)
-    first = np.abs(np.array([generate_path(Ar1Fading(0.95), 1, seed=s).samples[0]
+    first = np.abs(np.array([generate_path(Ar1Fading(0.95), 1, seed=s)[0]
                              for s in range(4000)])) ** 2
     # the very first sample already has unit power, no burn-in transient
     assert float(first.mean()) == pytest.approx(1.0, abs=0.05)
@@ -50,7 +50,7 @@ def test_ar1_path_is_stationary_from_first_sample():
 
 def test_ar1_empirical_correlation():
     alpha = 0.9
-    h = generate_path(Ar1Fading(alpha), 200_000, seed=10).samples
+    h = generate_path(Ar1Fading(alpha), 200_000, seed=10)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.02)
     r1 = empirical_autocorr(h, 1)
     assert r1.real == pytest.approx(alpha, abs=0.02)
@@ -60,13 +60,13 @@ def test_ar1_empirical_correlation():
 
 
 def test_ar1_zero_alpha_is_white():
-    h = generate_path(Ar1Fading(0.0), 100_000, seed=3).samples
+    h = generate_path(Ar1Fading(0.0), 100_000, seed=3)
     assert abs(empirical_autocorr(h, 1)) < 0.02
 
 
 def test_ar1_prefix_stability():
-    a = generate_path(Ar1Fading(0.99), 100, seed=8).samples
-    b = generate_path(Ar1Fading(0.99), 5000, seed=8).samples
+    a = generate_path(Ar1Fading(0.99), 100, seed=8)
+    b = generate_path(Ar1Fading(0.99), 5000, seed=8)
     assert np.array_equal(a, b[:100])
 
 
@@ -80,7 +80,7 @@ def test_ar1_path_matches_plain_recursion(alpha):
     expected = [complex(w[0])]
     for k in range(1, n):
         expected.append(alpha * expected[-1] + scale * complex(w[k]))
-    path = generate_path(Ar1Fading(alpha), n, seed=21).samples
+    path = generate_path(Ar1Fading(alpha), n, seed=21)
     assert np.array_equal(path, expected)
 
 
@@ -104,7 +104,7 @@ def test_clarke_parameter_contracts():
 def test_clarke_small_n_sampling_matches_autocorrelation():
     # n below the cutoff goes through the exact covariance factorization
     m = ClarkeFading(0.05)
-    cols = np.array([generate_path(m, 8, seed=s).samples for s in range(6000)])
+    cols = np.array([generate_path(m, 8, seed=s) for s in range(6000)])
     var = float(np.mean(np.abs(cols) ** 2))
     assert var == pytest.approx(1.0, abs=0.04)
     r1 = complex(np.mean(np.conj(cols[:, 0]) * cols[:, 1]))
@@ -115,7 +115,7 @@ def test_clarke_small_n_sampling_matches_autocorrelation():
 def test_clarke_large_n_ray_synthesis():
     m = ClarkeFading(0.08, ray_count=256)
     n = CHOLESKY_MAX_N + 4000
-    h = generate_path(m, n, seed=77).samples
+    h = generate_path(m, n, seed=77)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.1)
     r1 = empirical_autocorr(h, 1)
     assert r1.real == pytest.approx(m.autocorrelation(1).real, abs=0.12)
@@ -129,7 +129,7 @@ def _bartlett():
 def test_tabulated_bartlett_sampling():
     # triangular autocorrelation has compact support, so the zero extension
     # used by the banded factorization is exact
-    h = generate_path(_bartlett(), 150_000, seed=6).samples
+    h = generate_path(_bartlett(), 150_000, seed=6)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.03)
     assert empirical_autocorr(h, 1).real == pytest.approx(0.75, abs=0.03)
     assert empirical_autocorr(h, 3).real == pytest.approx(0.25, abs=0.03)
@@ -146,8 +146,8 @@ def test_reused_model_draws_the_paths_of_a_fresh_one(make, _):
     # the factor kept from the last length must never serve another length
     reused = make()
     for seed, n in enumerate((768, 8, 768, 768, 8)):
-        assert np.array_equal(generate_path(reused, n, seed).samples,
-                              generate_path(make(), n, seed).samples), (seed, n)
+        assert np.array_equal(generate_path(reused, n, seed),
+                              generate_path(make(), n, seed)), (seed, n)
 
 
 @pytest.mark.parametrize("make, routine", _FACTORIZED_MODELS)
@@ -161,7 +161,7 @@ def test_one_factorization_per_path_length(make, routine, monkeypatch):
 
     monkeypatch.setattr(fading.scipy.linalg, routine, counted)
     model = make()
-    paths = [generate_path(model, 64, seed).samples for seed in range(20)]
+    paths = [generate_path(model, 64, seed) for seed in range(20)]
     assert len(calls) == 1
     assert len({p.tobytes() for p in paths}) == 20
     generate_path(model, 65, seed=0)
@@ -177,9 +177,9 @@ def test_failed_banded_factorization_raises_on_every_call():
         with pytest.raises(ValueError, match="not positive semidefinite"):
             generate_path(model, 50, seed)
     assert np.array_equal(
-        generate_path(model, 2, seed=4).samples,
+        generate_path(model, 2, seed=4),
         generate_path(TabulatedFading(lags=(0, 1), values=(1.0, 0.6)), 2,
-                      seed=4).samples)
+                      seed=4))
     with pytest.raises(ValueError, match="not positive semidefinite"):
         generate_path(model, 50, seed=5)
 
@@ -210,13 +210,13 @@ def test_tabulated_from_csv_roundtrip(tmp_path):
     p.write_text("lag,re,im\n0,1.0,0.0\n1,0.3,0.0\n2,0.09,0.0\n")
     m = TabulatedFading.from_csv(str(p))
     assert m.autocorrelation(2) == pytest.approx(0.09)
-    h = generate_path(m, 500, seed=1).samples
+    h = generate_path(m, 500, seed=1)
     assert len(h) == 500
 
 
 def test_generate_path_contracts():
     with pytest.raises(ValueError):
         generate_path(Ar1Fading(0.5), 0, seed=1)
-    a = generate_path(Ar1Fading(0.5), 16, seed=9).samples
-    b = generate_path(Ar1Fading(0.5), 16, seed=9).samples
+    a = generate_path(Ar1Fading(0.5), 16, seed=9)
+    b = generate_path(Ar1Fading(0.5), 16, seed=9)
     assert np.array_equal(a, b)

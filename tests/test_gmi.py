@@ -5,8 +5,7 @@ import pytest
 
 from rtgmi.errors import NumericalConsistencyError
 from rtgmi.fading import Ar1Fading
-from rtgmi.gmi import (GmiReport, _audit_convexity, _LogMgfEvaluator, gmi,
-                       gmi_lower_bound_check, lambda_hat)
+from rtgmi.gmi import _audit_convexity, _LogMgfEvaluator, gmi, lambda_hat
 from rtgmi.psk import make_constellation, synthesize_block_at_rho
 from rtgmi.utils import COMPENSATED_THRESHOLD
 
@@ -166,13 +165,3 @@ def test_curve_csv_format(tmp_path):
     mu0, lam0 = lines[1].split(",")
     assert float(mu0) == rep.lambda_curve[0, 0]
     assert float(lam0) == rep.lambda_curve[0, 1]
-
-
-def test_gmi_lower_bound_check():
-    rep = GmiReport(mu_star=-1.0, gmi=0.5, g_at_minus_one=0.5,
-                    lambda_curve=np.zeros((3, 2)), n_samples=10,
-                    ci_halfwidth=0.01, g_at_minus_one_ci=0.01, clamped=False)
-    # estimate may sit below the reference by at most tol + CI
-    assert gmi_lower_bound_check(rep, capacity=0.505)
-    assert not gmi_lower_bound_check(rep, capacity=0.55)
-    assert gmi_lower_bound_check(rep, capacity=0.55, tol=0.05)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from rtgmi.fading import Ar1Fading, ClarkeFading
-from rtgmi.prediction import (PredictorSpec, effective_snr,
+from rtgmi.prediction import (PredictorSpec, _normal_equations, effective_snr,
                               predictor_coefficients, rho_sequence,
                               schedule_lag_pattern, schedule_predictors,
                               solve_hermitian_toeplitz)
@@ -79,23 +79,22 @@ def test_noiseless_single_tap():
 
 
 def test_levinson_and_dense_routes_agree():
+    # evenly spaced patterns take the Levinson route, ragged ones the dense
+    # solve; either way the weights are those of the dense normal equations
     model = ClarkeFading(0.03)
-    for p in (1, 2, 4, 8, 16, 32):
-        spec = PredictorSpec(order=p, observation_snr=1.5,
-                             lag_pattern=tuple(range(1, p + 1)))
-        a = predictor_coefficients(model, spec, method="levinson")
-        b = predictor_coefficients(model, spec, method="dense")
-        rel = np.linalg.norm(a.coefficients - b.coefficients) \
-            / np.linalg.norm(b.coefficients)
-        assert rel <= 1e-10
-        assert a.error_variance == pytest.approx(b.error_variance, abs=1e-12)
-
-
-def test_levinson_route_rejects_ragged_pattern():
-    model = Ar1Fading(0.9)
-    spec = PredictorSpec(order=3, observation_snr=1.0, lag_pattern=(1, 2, 5))
-    with pytest.raises(ValueError):
-        predictor_coefficients(model, spec, method="levinson")
+    uniform = [tuple(range(1, p + 1)) for p in (1, 2, 4, 8, 16, 32)] \
+        + [schedule_lag_pattern(1, 3, 8)]                 # 1, 4, 7, ...
+    ragged = [(1, 2, 5), schedule_lag_pattern(2, 3, 8)]   # 1, 2, 4, 5, ...
+    for pattern in uniform + ragged:
+        spec = PredictorSpec(order=len(pattern), observation_snr=1.5,
+                             lag_pattern=pattern)
+        cov, cross = _normal_equations(model, spec)
+        dense = np.linalg.solve(cov, cross)
+        res = predictor_coefficients(model, spec)
+        rel = np.linalg.norm(res.coefficients - dense) / np.linalg.norm(dense)
+        assert rel <= 1e-10, pattern
+        assert res.error_variance == pytest.approx(
+            1.0 - float(np.real(np.vdot(cross, dense))), abs=1e-12), pattern
 
 
 def test_ragged_pattern_against_hand_built_normal_equations():

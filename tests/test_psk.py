@@ -44,7 +44,7 @@ def test_synthesis_identity_exact():
                          lag_pattern=(1, 2, 3, 4))
     pred = predictor_coefficients(model, spec)
     codeword = np.array([0, 1, 2, 3, 2, 1, 0, 3] * 8)
-    fading = generate_path(model, len(codeword) + 4, seed=5).samples
+    fading = generate_path(model, len(codeword) + 4, seed=5)
     blk = synthesize_psc_block(c, codeword, fading, pred, snr=2.0, seed=9)
     lhs = blk.x
     rhs = np.sqrt(blk.rho) * blk.h_hat * c.points[blk.s] + blk.residual_noise
@@ -61,7 +61,7 @@ def test_synthesis_noiseless_observations_reproduce_predictor():
     spec = PredictorSpec(order=2, observation_snr=math.inf, lag_pattern=(1, 3))
     pred = predictor_coefficients(model, spec)
     codeword = np.zeros(50, dtype=int)
-    fading = generate_path(model, 53, seed=31).samples
+    fading = generate_path(model, 53, seed=31)
     blk = synthesize_psc_block(c, codeword, fading, pred, snr=1.0, seed=8)
     t = np.arange(3, 53)
     raw = np.conj(pred.coefficients[0]) * fading[t - 1] \
@@ -75,7 +75,7 @@ def test_synthesis_contracts():
     model = Ar1Fading(0.9)
     spec = PredictorSpec(order=1, observation_snr=1.0, lag_pattern=(2,))
     pred = predictor_coefficients(model, spec)
-    fading = generate_path(model, 12, seed=1).samples
+    fading = generate_path(model, 12, seed=1)
     with pytest.raises(ValueError):
         synthesize_psc_block(c, np.zeros(12, dtype=int), fading, pred,
                              snr=1.0, seed=0)    # needs 12 + 2 samples
@@ -95,7 +95,7 @@ def test_synthesis_degenerate_predictor():
     pred = predictor_coefficients(model, spec)
     assert pred.error_variance == pytest.approx(1.0)
     codeword = np.array([1, 2, 3, 0, 1])
-    fading = generate_path(model, 7, seed=3).samples
+    fading = generate_path(model, 7, seed=3)
     blk = synthesize_psc_block(c, codeword, fading, pred, snr=1.0, seed=4)
     assert blk.rho == 0.0
     assert np.array_equal(blk.x, blk.residual_noise)
