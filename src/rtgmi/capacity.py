@@ -21,7 +21,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
-from .utils import complex_normal, derive_seed, log_mean_exp
+from .utils import block_step, complex_normal, derive_seed, log_mean_exp
 
 DEFAULT_MC_SAMPLES = 400_000
 QUADRATURE_NODES = 64
@@ -72,14 +72,20 @@ def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
         raise ValueError("need at least 2 samples")
     points = np.exp(2j * math.pi * np.arange(order) / order)
     rng = np.random.default_rng(int(seed))
+    step = block_step(order)
     total = 0.0
     total_sq = 0.0
     left = n_samples
     while left > 0:
+        # the draw per _MC_CHUNK fixes the stream and the order of the sums;
+        # the (J, m) table is built a cache-sized block of columns at a time
         m = min(left, _MC_CHUNK)
         h = complex_normal(rng, m)
         z = complex_normal(rng, m)
-        vals = _log_likelihood_ratio_sum(h, z, points, rho)
+        vals = np.empty(m)
+        for start in range(0, m, step):
+            cols = slice(start, start + step)
+            vals[cols] = _log_likelihood_ratio_sum(h[cols], z[cols], points, rho)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
         left -= m

@@ -45,7 +45,11 @@ _NAMED_CONSTELLATIONS = {"bpsk": 2, "qpsk": 4, "8psk": 8, "16psk": 16}
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); a ValueError where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a float") from None
 
 
 def _parse_bool(text):
@@ -80,10 +84,17 @@ def _parse_format(text):
 
 
 def _parse_finite(text):
-    """A float that is neither nan nor infinite (an SNR in dB)."""
+    """A float that is neither nan nor infinite."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _parse_db(text):
+    """An SNR in dB: finite, and finite in linear terms too."""
+    value = _parse_finite(text)
+    db_to_linear(value)
     return value
 
 
@@ -101,8 +112,14 @@ def _parse_grid(text):
             f"finite numbers") from None
     if step <= 0 or stop < start:
         raise ConfigurationError("snr_db grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigurationError(
+            f"bad value for snr_db: {text!r}, the point count overflows")
+    grid = [start + i * step for i in range(int(math.floor(steps + 1e-9)) + 1)]
+    for db in grid:
+        db_to_linear(db)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -131,14 +148,14 @@ SCHEMAS = {
     "capacity": {
         **_COMMON,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_finite, required=True),
+        "snr_db": Param(_parse_db, required=True),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
         "quadrature": Param(_parse_bool, default=False),
     },
     "gmi": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_finite, required=True),
+        "snr_db": Param(_parse_db, required=True),
         "K": Param(int, default=100_000, help="block length"),
         "curve_points": Param(int, default=33),
         "mu_min": Param(float, default=DEFAULT_MU_RANGE[0]),
@@ -147,7 +164,7 @@ SCHEMAS = {
     "ladder": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_finite, required=True),
+        "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
         "samples": Param(int, default=DEFAULT_MC_SAMPLES),
@@ -155,7 +172,7 @@ SCHEMAS = {
     "simulate": {
         **_COMMON, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_finite, required=True),
+        "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "K": Param(int, required=True, help="codeword length"),
         "rate_fraction": Param(float, required=True),

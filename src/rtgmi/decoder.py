@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psk import Codebook, PscBlock, PskConstellation
-from .utils import binomial_halfwidth, compensated_mean, complex_normal
+from .utils import (binomial_halfwidth, block_step, compensated_mean,
+                    complex_normal)
 
-_ROW_CHUNK = 1024
-_TRIAL_CHUNK = 4096
 _MAX_TILT = 64.0
 _TILT_BISECTIONS = 60
 
@@ -77,11 +76,11 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
 
     metrics = np.empty(m_total)
     offsets = np.arange(n) * const.order      # flat index of (k, symbol 0)
-    for start in range(0, m_total, _ROW_CHUNK):
-        chunk = codebook.symbols[start:start + _ROW_CHUNK]
-        picked = np.take(corr, chunk + offsets)
-        metrics[start:start + len(chunk)] = np.maximum(
-            base - 2.0 * _candidate_scores(picked), 0.0)
+    step = block_step(n)                      # whole candidates per block
+    for start in range(0, m_total, step):
+        rows = slice(start, start + step)
+        picked = np.take(corr, codebook.symbols[rows] + offsets)
+        metrics[rows] = np.maximum(base - 2.0 * _candidate_scores(picked), 0.0)
     best_idx = int(np.argmin(metrics))      # first minimum: lowest index wins
     best = float(metrics[best_idx])
     second = float(np.partition(metrics, 1)[1]) if m_total > 1 else math.inf
@@ -179,8 +178,11 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
     offsets = rows * constellation.order      # flat index of (k, symbol 0)
     # weight / bound = exp(-t K (score - sent_score)): at most 1 on every hit
     scaled = np.empty(n_trials)
-    for start in range(0, n_trials, _TRIAL_CHUNK):
-        m = min(n_trials - start, _TRIAL_CHUNK)
+    step = block_step(block_length)
+    for start in range(0, n_trials, step):
+        # rng.random fills rows in sequence, so the block size leaves the
+        # stream unchanged
+        m = min(n_trials - start, step)
         draws = rng.random((m, block_length))
         cand = np.tile(offsets, (m, 1))
         for edge in cdf[:, :-1].T:            # inverse-CDF symbol draw

@@ -21,14 +21,14 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import compensated_mean, golden_section_maximize, log_mean_exp
+from .utils import (block_step, compensated_mean, golden_section_maximize,
+                    log_mean_exp)
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 GOLDEN_TOL = 1e-6
 BOOTSTRAP_SEGMENTS = 64
 BOOTSTRAP_RESAMPLES = 200
 _CONVEXITY_TOL = 1e-10
-_EVAL_CHUNK = 1 << 17
 
 
 @dataclass
@@ -51,18 +51,25 @@ class GmiReport:
 
 class _LogMgfEvaluator:
     """Caches the (J, n) squared-distance table and its per-sample minimum;
-    evaluations are O(n*J) each."""
+    evaluations are O(n*J) each.  Both the table and each evaluation are
+    computed a block of columns at a time; every column is independent of
+    the others, so the block size does not change a bit."""
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
         self.order = constellation.order
         self.n = block.block_length
-        diff = block.x[None, :] \
-            - np.sqrt(block.rho) * block.h_hat * constellation.points[:, None]
-        self.sq = np.abs(diff) ** 2
-        self.dmin = self.sq.min(axis=0)
+        self.step = block_step(self.order)
+        ref = np.sqrt(block.rho) * block.h_hat
+        self.sq = np.empty((self.order, self.n))
+        self.dmin = np.empty(self.n)
+        for start in range(0, self.n, self.step):
+            cols = slice(start, start + self.step)
+            diff = block.x[cols] - ref[cols] * constellation.points[:, None]
+            self.sq[:, cols] = np.abs(diff) ** 2
+            self.dmin[cols] = self.sq[:, cols].min(axis=0)
 
     def per_sample(self, mu: float) -> np.ndarray:
-        """log((1/J) sum_j exp(mu * d[j, k])), max-shifted, evaluated in chunks.
+        """log((1/J) sum_j exp(mu * d[j, k])), max-shifted, evaluated in blocks.
 
         For mu <= 0 the largest mu * d[j, k] is mu * dmin[k]: rounding is
         monotone, so the shift needs no max over j.  The 1/J sits inside the
@@ -70,11 +77,10 @@ class _LogMgfEvaluator:
         J, so lam(0) = 0 whatever the summation order.
         """
         out = np.empty(self.n)
-        for start in range(0, self.n, _EVAL_CHUNK):
-            stop = start + _EVAL_CHUNK
-            out[start:stop] = log_mean_exp(mu * self.sq[:, start:stop],
-                                           mu * self.dmin[start:stop],
-                                           self.order)
+        for start in range(0, self.n, self.step):
+            cols = slice(start, start + self.step)
+            out[cols] = log_mean_exp(mu * self.sq[:, cols], mu * self.dmin[cols],
+                                     self.order)
         return out
 
     def lambda_at(self, mu: float) -> float:
@@ -141,13 +147,15 @@ def gmi(block: PscBlock, constellation: PskConstellation,
         mu_star, g_star = float(grid[i]), float(rates[i])
     if rates[i] > g_star:
         mu_star, g_star = float(grid[i]), float(rates[i])
-    g_m1 = ev.rate_at(-1.0)
+    # one pass at mu = -1 serves both g(-1) and its bootstrap
+    at_m1 = ev.per_sample(-1.0)
+    g_m1 = -1.0 - float(compensated_mean(at_m1))
     if g_m1 > g_star:            # -1 may sit outside the searched range
         mu_star, g_star = -1.0, g_m1
 
     rng = np.random.default_rng(int(seed))
     se_star = _segment_bootstrap_se(ev.per_sample(mu_star), rng)
-    se_m1 = _segment_bootstrap_se(ev.per_sample(-1.0), rng)
+    se_m1 = _segment_bootstrap_se(at_m1, rng)
     clamped = g_star < 0.0
     return GmiReport(
         mu_star=float(mu_star),

@@ -13,7 +13,9 @@ import numpy as np
 
 from .fading import FadingModel, generate_path
 from .prediction import PredictionResult, prediction_reference
-from .utils import complex_normal, derive_seed
+from .utils import block_step, complex_normal, derive_seed
+
+_LOW_WORD = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,53 @@ class Codebook:
 
 def generate_codebook(constellation: PskConstellation, size: int,
                       block_length: int, seed: int) -> Codebook:
+    """size x block_length symbols, equal to
+    np.random.default_rng(seed).integers(0, J, size=(size, block_length)).
+
+    The symbols are read from the PCG64 generator's raw 64-bit outputs, each
+    split into two 32-bit words (low half first), by numpy's bounded-integer
+    rule for J <= 2^32 (Lemire 2019): with m = word * J, the symbol is
+    m >> 32, and the word is rejected when m mod 2^32 < 2^32 mod J, which
+    never happens for a power-of-two J.  Words are drawn and written a block
+    at a time, so no temporary outgrows the cache.
+    """
     if size < 1 or block_length < 1:
         raise ValueError("codebook size and block length must be positive")
-    rng = np.random.default_rng(int(seed))
-    symbols = rng.integers(0, constellation.order, size=(size, block_length))
+    symbols = np.empty((size, block_length), dtype=np.int64)
+    _fill_bounded(np.random.PCG64(int(seed)), constellation.order,
+                  symbols.reshape(-1))
     return Codebook(constellation=constellation, symbols=symbols, seed=int(seed))
+
+
+def _fill_bounded(bitgen: np.random.PCG64, order: int, out: np.ndarray):
+    """Fill the int64 vector `out` with uniform integers in [0, order).
+
+    Each block of `out` is computed in place, viewed as uint64: the next
+    words, times J, shifted down 32 bits.  A block takes as many words as it
+    has room for and keeps the accepted ones, so the next block starts right
+    after them.
+    """
+    reject_below = (1 << 32) % order
+    step = block_step(1)
+    dest = out.view(np.uint64)
+    spare = None                  # high half of the last raw output, unused
+    filled = 0
+    while filled < len(dest):
+        block = dest[filled:filled + step]
+        lead = 0 if spare is None else 1
+        if lead:
+            block[0] = spare
+        words = bitgen.random_raw((len(block) - lead + 1) // 2).view(np.uint32)
+        block[lead:] = words[:len(block) - lead]
+        spare = words[-1] if len(words) > len(block) - lead else None
+        block *= np.uint64(order)
+        n = len(block)
+        if reject_below:
+            keep = (block & _LOW_WORD) >= reject_below
+            n = int(np.count_nonzero(keep))
+            block[:n] = block[keep]
+        block[:n] >>= np.uint64(32)
+        filled += n
 
 
 @dataclass

@@ -14,10 +14,19 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 COMPENSATED_THRESHOLD = 10_000
 _CHUNK = 4096
 
+# elements per block of a streamed kernel: 256 KiB of float64, so a block and
+# its few temporaries fit a 2 MiB per-core L2 cache
+BLOCK_ELEMENTS = 1 << 15
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Per-stream seed: master_seed XOR (index * golden-ratio stride), mod 2^64."""
     return (int(master_seed) ^ ((int(index) * SEED_STRIDE) & _MASK64)) & _MASK64
+
+
+def block_step(width: int) -> int:
+    """Rows (or columns) of `width` elements that make one block."""
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -27,7 +36,10 @@ def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     a length-n draw coincide with a length-n' draw from a same-state generator.
     """
     z = rng.standard_normal((n, 2))
-    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    # numpy divides a complex array by a real scalar as a product with the
+    # reciprocal, so scaling the real pairs by 1/sqrt(2) gives the same bits
+    z *= 1.0 / math.sqrt(2.0)
+    return z.view(np.complex128).reshape(n)
 
 
 def compensated_mean(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -38,12 +50,12 @@ def compensated_mean(values: np.ndarray, axis: int = -1) -> np.ndarray:
     compensation term, keeping rounding error independent of length.
     """
     v = np.asarray(values, dtype=np.float64)
-    v = np.moveaxis(v, axis, -1)
-    n = v.shape[-1]
+    n = v.shape[axis]
     if n == 0:
         raise ValueError("mean of empty axis")
     if n <= COMPENSATED_THRESHOLD:
-        return np.mean(v, axis=-1)
+        return np.mean(v, axis=axis)
+    v = np.moveaxis(v, axis, -1)
     full = n - n % _CHUNK
     # an empty tail sums to 0.0, which leaves the compensated total unchanged
     sums = np.concatenate(

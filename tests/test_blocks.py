@@ -1,0 +1,51 @@
+"""Every blocked kernel gives the same bits whatever the block size.
+
+The kernels stream blocks of utils.BLOCK_ELEMENTS elements, in whole rows or
+columns of their tables.  Sizes of 1 and 7 elements give one row or column
+per block, or a few; 1000 gives a few dozen; the default, one block here.
+"""
+
+import numpy as np
+import pytest
+
+from rtgmi import utils
+from rtgmi.capacity import psk_capacity
+from rtgmi.decoder import decode, pairwise_undercut_probability
+from rtgmi.fading import Ar1Fading
+from rtgmi.gmi import _LogMgfEvaluator
+from rtgmi.psk import generate_codebook, make_constellation, synthesize_block_at_rho
+
+BLOCKS = (1, 7, 1000, utils.BLOCK_ELEMENTS)
+
+
+def _outputs():
+    three = make_constellation(3)
+    block = synthesize_block_at_rho(Ar1Fading(0.9), 1.3, three, 3001, seed=4)
+    ev = _LogMgfEvaluator(block, three)
+    book = generate_codebook(make_constellation(4), 2051, 12, seed=9)
+    sent = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, book.constellation,
+                                   12, seed=2)
+    undercut = pairwise_undercut_probability(three, 0.6, 5, 2001, seed=3)
+    cap = psk_capacity(3, 0.7, n_samples=3001, seed=6)
+    return {
+        "sq": ev.sq, "dmin": ev.dmin,
+        "per_sample": np.concatenate([ev.per_sample(mu)
+                                      for mu in (-3.1, -1.0, 0.0)]),
+        "codebook": book.symbols,
+        "metrics": decode(book, sent, sent_message=0).metrics,
+        "undercut": np.array([undercut.probability, undercut.ci_halfwidth]),
+        "capacity": np.array([cap.raw_nats, cap.ci]),
+    }
+
+
+@pytest.fixture(scope="module")
+def default_outputs():
+    return _outputs()
+
+
+@pytest.mark.parametrize("elements", BLOCKS)
+def test_block_size_leaves_every_bit(monkeypatch, default_outputs, elements):
+    monkeypatch.setattr(utils, "BLOCK_ELEMENTS", elements)
+    got = _outputs()
+    for name, want in default_outputs.items():
+        assert np.array_equal(got[name], want), name

@@ -437,3 +437,23 @@ def test_gmi_curve_points_below_one_exits_2_and_names_the_key(tmp_path, capsys):
                  "--curve-points", "0", "--output-dir", str(tmp_path)])
     assert code == 2
     assert "curve_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_snr_that_overflows_in_linear_terms_exits_2(tmp_path, capsys, command):
+    # 4000 dB is a finite float whose linear value, 1e400, is not
+    snr = "0:1000:4000" if command == "sweep" else "4000"
+    code = main([command, *_REQUIRED_ARGV[command], f"--snr-db={snr}",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad value for snr_db" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_grid_whose_point_count_overflows_exits_2(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        _parse_grid("-1e308:1:1e308")
+    code = main(["sweep", "--constellation", "bpsk",
+                 "--snr-db=-1e308:1:1e308", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad value for snr_db" in capsys.readouterr().err

@@ -5,8 +5,9 @@ import pytest
 
 from rtgmi.fading import Ar1Fading, generate_path
 from rtgmi.prediction import PredictorSpec, predictor_coefficients
-from rtgmi.psk import (PscBlock, generate_codebook, make_constellation,
-                       synthesize_block_at_rho, synthesize_psc_block)
+from rtgmi.psk import (PscBlock, PskConstellation, generate_codebook,
+                       make_constellation, synthesize_block_at_rho,
+                       synthesize_psc_block)
 
 
 def test_constellation_geometry():
@@ -35,6 +36,24 @@ def test_codebook_shape_determinism_and_range():
     assert a.size == 10 and a.block_length == 7
     with pytest.raises(ValueError):
         generate_codebook(c, 0, 7, seed=2)
+
+
+# 3 * 2^30 and 2^31 + 1 reject a quarter and almost half of the words
+@pytest.mark.parametrize("order", [*range(1, 18), 3 << 30, (1 << 31) + 1])
+def test_codebook_equals_generator_integers(order):
+    """The raw-word draw is numpy's own bounded-integer draw, bit for bit.
+
+    Only the order enters the draw, so the large orders, whose points no
+    array could hold, stand in with none.
+    """
+    c = PskConstellation(order=order, points=np.empty(0))
+    for size, length, seed in [(1, 1, 1 << 63), (3, 5, (1 << 63) + 7),
+                               (2051, 17, (1 << 64) - 1), (41, 801, 5)]:
+        book = generate_codebook(c, size, length, seed)
+        want = np.random.default_rng(seed).integers(0, order,
+                                                     size=(size, length))
+        assert book.symbols.dtype == want.dtype
+        assert np.array_equal(book.symbols, want), (size, length, seed)
 
 
 def test_synthesis_identity_exact():

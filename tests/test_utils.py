@@ -36,6 +36,14 @@ def test_complex_normal_prefix_stable():
     assert np.array_equal(a, b[:100])
 
 
+def test_complex_normal_is_the_complex_quotient():
+    # the one-pass scaling gives the bits of the complex division it replaced
+    z = np.random.default_rng(13).standard_normal((100_003, 2))
+    want = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    assert np.array_equal(complex_normal(np.random.default_rng(13), 100_003),
+                          want)
+
+
 def test_compensated_mean_matches_fsum():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(50_000) * 1e6
