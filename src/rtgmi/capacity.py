@@ -141,13 +141,6 @@ class RateLadder:
     l_average: float
     convergence_gap: float
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("l,rho_linear,capacity_nats,capacity_bits\n")
-            for l, (r, c) in enumerate(zip(self.rho, self.capacity_nats)):
-                fh.write(f"{l},{float(r)!r},{float(c)!r},"
-                         f"{float(c) * NATS_TO_BITS!r}\n")
-
 
 def _ladder_arrays(model, depth, snr, order, predictor_order, n_samples, seed,
                    stream_base):

@@ -4,7 +4,9 @@ Commands: capacity, gmi, ladder, simulate, sweep.  Parameters come from an
 optional flat key=value config file plus flags; flags win.  All SNR inputs
 are in dB at this layer and converted to linear internally.  Outputs are a
 versioned report.json, CSVs, and optional SVG plots, all deterministic for a
-fixed (config, seed) so reruns are byte-identical.
+fixed (config, seed) so reruns are byte-identical.  This module is the one
+that reads argv and writes every output file; the computing modules return
+values.
 
 Every parameter is declared once, in SCHEMAS: its config-file key (snr_db)
 is also its flag (--snr-db), and both go through the same parser.
@@ -18,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +45,7 @@ COMMANDS = {
     "sweep": "capacity over an SNR grid",
 }
 _NAMED_CONSTELLATIONS = {"bpsk": 2, "qpsk": 4, "8psk": 8, "16psk": 16}
+MAX_GRID_POINTS = 10_001   # 0.01 dB steps over 100 dB
 
 
 def db_to_linear(db: float) -> float:
@@ -112,11 +116,13 @@ def _parse_grid(text):
             f"finite numbers") from None
     if step <= 0 or stop < start:
         raise ConfigurationError("snr_db grid needs step > 0 and stop >= start")
-    steps = (stop - start) / step
-    if not math.isfinite(steps):
+    # floor(span) + 1 points; a span that overflows (inf) is too many too
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
         raise ConfigurationError(
-            f"bad value for snr_db: {text!r}, the point count overflows")
-    grid = [start + i * step for i in range(int(math.floor(steps + 1e-9)) + 1)]
+            f"bad value for snr_db: {text!r}, more than {MAX_GRID_POINTS} "
+            f"points")
+    grid = [start + i * step for i in range(int(span) + 1)]
     for db in grid:
         db_to_linear(db)
     return grid
@@ -236,30 +242,30 @@ def merge_parameters(command: str, file_values: dict, flag_values: dict) -> dict
     return params
 
 
+# each model's one parameter key, and the model built from its value
+_MODELS = {"ar1": ("alpha", Ar1Fading), "clarke": ("doppler", ClarkeFading),
+           "tabulated": ("table", TabulatedFading.from_csv)}
+
+
 def build_model(params):
     name = str(params["model"]).strip().lower()
-    given = {k for k in ("alpha", "doppler", "table") if params.get(k) is not None}
-    wanted = {"ar1": {"alpha"}, "clarke": {"doppler"}, "tabulated": {"table"}}
-    if name not in wanted:
+    if name not in _MODELS:
         raise ConfigurationError(
             f"model must be ar1, clarke, or tabulated, got {params['model']!r}")
-    missing = wanted[name] - given
-    extra = given - wanted[name]
-    if missing:
+    key, make = _MODELS[name]
+    if params.get(key) is None:
         raise ConfigurationError(
-            f"missing required key for model {name}: {sorted(missing)[0]}")
+            f"missing required key for model {name}: {key}")
+    extra = sorted(other for other, _ in _MODELS.values()
+                   if other != key and params.get(other) is not None)
     if extra:
         raise ConfigurationError(
-            f"key {sorted(extra)[0]!r} does not apply to model {name}")
-    if name == "ar1":
-        return Ar1Fading(float(params["alpha"]))
-    if name == "clarke":
-        return ClarkeFading(float(params["doppler"]))
+            f"key {extra[0]!r} does not apply to model {name}")
     try:
-        return TabulatedFading.from_csv(params["table"])
+        return make(params[key])
     except OSError as exc:
         raise ConfigurationError(
-            f"cannot read table {params['table']}: {exc}") from None
+            f"cannot read table {params[key]}: {exc}") from None
 
 
 def _prepare_output_dir(path):
@@ -273,10 +279,30 @@ def _prepare_output_dir(path):
         raise OSError(f"output directory {path!r} is not writable: {exc}")
 
 
+def _write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _plain(value):
+    """numpy arrays as lists and numpy scalars as Python ones, for json."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True,
+                            default=_plain) + "\n")
+
+
+def _csv(header, rows):
+    """A header line, then one line of comma-joined cell reprs per row.
+
+    Cells are Python ints, floats and bools; repr keeps every float's bits.
+    """
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -284,7 +310,7 @@ class _Outputs:
     """What one command emits: report.json, <stem>.csv, <stem>.svg, a line."""
     stem: str
     payload: dict
-    write_csv: callable    # path -> None
+    csv: str
     plot: LinePlot         # None: the command draws nothing
     summary: str
 
@@ -296,9 +322,9 @@ def _emit(params, out: _Outputs):
         _write_json(os.path.join(params["output_dir"], "report.json"),
                     out.payload)
     if params["format"] in ("csv", "both"):
-        out.write_csv(path + ".csv")
+        _write(path + ".csv", out.csv)
     if params["plot"] and out.plot is not None:
-        out.plot.save(path + ".svg")
+        _write(path + ".svg", out.plot.render())
     print(out.summary)
 
 
@@ -314,15 +340,7 @@ def _model_keys(params):
     return {key: params[key] for key in _MODEL_KEYS if params[key] is not None}
 
 
-def _capacity_csv(points):
-    """Writer of one CSV row per (snr_db, rho, CapacityEstimate)."""
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            fh.write("snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats\n")
-            for snr_db, rho, est in points:
-                fh.write(f"{snr_db!r},{rho!r},{est.nats!r},"
-                         f"{est.bits!r},{est.ci!r}\n")
-    return write
+_CAPACITY_COLUMNS = "snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats"
 
 
 def _run_capacity(params):
@@ -341,8 +359,9 @@ def _run_capacity(params):
     if params["quadrature"]:
         payload["quadrature_nats"] = psk_capacity_quadrature(
             params["constellation"], rho)
+    row = (params["snr_db"], rho, est.nats, est.bits, est.ci)
     return _Outputs(
-        "capacity", payload, _capacity_csv([(params["snr_db"], rho, est)]),
+        "capacity", payload, _csv(_CAPACITY_COLUMNS, [row]),
         None, f"capacity: {est.bits:.6f} bits/symbol "
               f"+/- {est.ci * NATS_TO_BITS:.6f} (95% CI)")
 
@@ -374,7 +393,8 @@ def _run_gmi(params):
                     xlabel="mu", ylabel="lambda_hat (nats)")
     plot.add("lambda_hat", report.lambda_curve[:, 0], report.lambda_curve[:, 1])
     return _Outputs(
-        "lambda_curve", payload, report.curve_to_csv, plot,
+        "lambda_curve", payload,
+        _csv("mu,lambda_hat", report.lambda_curve.tolist()), plot,
         f"gmi: {report.gmi * NATS_TO_BITS:.6f} bits/symbol "
         f"+/- {report.ci_halfwidth * NATS_TO_BITS:.6f} (95% CI), "
         f"mu* = {report.mu_star:.4f}")
@@ -392,9 +412,9 @@ def _run_ladder(params):
         "interleave_depth": params["L"],
         "predictor_order": params["predictor_order"],
         "samples": params["samples"],
-        "rho_linear": [float(v) for v in ladder.rho],
-        "capacity_nats": [float(v) for v in ladder.capacity_nats],
-        "capacity_ci_nats": [float(v) for v in ladder.capacity_ci],
+        "rho_linear": ladder.rho,
+        "capacity_nats": ladder.capacity_nats,
+        "capacity_ci_nats": ladder.capacity_ci,
         "l_average_nats": ladder.l_average,
         "l_average_bits": ladder.l_average * NATS_TO_BITS,
         "rt_estimate_nats": ladder.l_average,
@@ -402,10 +422,13 @@ def _run_ladder(params):
     }
     plot = LinePlot(title="per-subchannel rate ladder",
                     xlabel="subchannel index", ylabel="rate (bits/symbol)")
-    plot.add("capacity", np.arange(params["L"]),
-             ladder.capacity_nats * NATS_TO_BITS)
+    bits = ladder.capacity_nats * NATS_TO_BITS
+    plot.add("capacity", np.arange(params["L"]), bits)
+    rows = zip(range(params["L"]), ladder.rho.tolist(),
+               ladder.capacity_nats.tolist(), bits.tolist())
     return _Outputs(
-        "ladder", payload, ladder.to_csv, plot,
+        "ladder", payload,
+        _csv("l,rho_linear,capacity_nats,capacity_bits", rows), plot,
         f"ladder: l_average {ladder.l_average * NATS_TO_BITS:.6f} bits/symbol "
         f"+/- {float(ladder.capacity_ci.max()) * NATS_TO_BITS:.6f} (95% CI), "
         f"convergence gap {ladder.convergence_gap * NATS_TO_BITS:.6f}")
@@ -433,37 +456,62 @@ def _run_simulate(params):
     plot.add("block error", ls, report.per_psc_block_error[1:])
     budget = config.error_target / config.interleave_depth
     plot.add("budget", ls, np.full(len(ls), budget))
+    payload = {
+        "schema_version": 1,
+        "interleave_depth": config.interleave_depth,
+        "block_length": config.block_length,
+        "constellation_order": config.constellation_order,
+        "snr_linear": config.snr,
+        "rate_fraction": config.rate_fraction,
+        "genie": report.genie,
+        "n_trials": report.n_trials,
+        "rho_linear": report.rho,
+        "gmi_nats": report.gmi_nats,
+        "rate_target_nats": report.rate_targets,
+        "codebook_sizes": report.codebook_sizes,
+        "per_psc_block_error": report.per_psc_block_error,
+        "per_psc_ci": report.per_psc_ci,
+        "overall_error": report.overall_error,
+        "overall_ci": report.overall_ci,
+        "achieved_rate_nats": report.achieved_rate,
+        "budget_met": report.budget_met,
+        "propagation_events": report.propagation_events,
+    }
+    rows = zip(range(config.interleave_depth), report.rho.tolist(),
+               report.gmi_nats.tolist(), report.rate_targets.tolist(),
+               report.per_psc_block_error.tolist(), report.budget_met)
     return _Outputs(
-        "simulate", report.to_json_dict(), report.to_csv, plot,
+        "simulate", payload,
+        _csv("l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met",
+             rows), plot,
         f"simulate: achieved {report.achieved_rate * NATS_TO_BITS:.6f} "
         f"bits/symbol, overall block error {report.overall_error:.4f} "
         f"+/- {report.overall_ci:.4f} (95% CI)")
 
 
 def _run_sweep(params):
-    points = []
+    rows = []
     for i, snr_db in enumerate(params["snr_db"]):
         rho = db_to_linear(snr_db)
         est = psk_capacity(params["constellation"], rho, params["samples"],
                            derive_seed(params["seed"], i))
-        points.append((snr_db, rho, est))
-    ests = [est for _, _, est in points]
-    bits = [est.bits for est in ests]
+        rows.append((snr_db, rho, est.nats, est.bits, est.ci))
+    _, _, nats, bits, cis = zip(*rows)
     payload = {
         **_report_head("sweep", params),
         "samples": params["samples"],
-        "capacity_nats": [est.nats for est in ests],
+        "capacity_nats": nats,
         "capacity_bits": bits,
-        "ci_nats": [est.ci for est in ests],
+        "ci_nats": cis,
     }
     plot = LinePlot(title="capacity vs SNR",
                     xlabel="SNR (dB)", ylabel="capacity (bits/symbol)")
     plot.add("capacity", params["snr_db"], bits)
-    max_ci = max(est.ci for est in ests) * NATS_TO_BITS
     return _Outputs(
-        "sweep", payload, _capacity_csv(points), plot,
-        f"sweep: {len(points)} points, capacity {min(bits):.6f}.."
-        f"{max(bits):.6f} bits/symbol, max CI +/- {max_ci:.6f}")
+        "sweep", payload, _csv(_CAPACITY_COLUMNS, rows), plot,
+        f"sweep: {len(rows)} points, capacity {min(bits):.6f}.."
+        f"{max(bits):.6f} bits/symbol, max CI +/- "
+        f"{max(cis) * NATS_TO_BITS:.6f}")
 
 
 _RUNNERS = {
@@ -473,50 +521,6 @@ _RUNNERS = {
     "simulate": _run_simulate,
     "sweep": _run_sweep,
 }
-
-
-def _flag(key):
-    return "--" + key.replace("_", "-")
-
-
-def _takes_value(command, token):
-    """Whether `token` names a value flag of `command` as argparse reads it.
-
-    That is an exact option string, else the unique option string the token
-    is a prefix of (`--snr` for `--snr-db`).  Ambiguous prefixes and unknown
-    tokens are left for argparse to reject.
-    """
-    schema = SCHEMAS.get(command)
-    if schema is None or not token.startswith("--"):
-        return False
-    value_flag = {"--help": False, "--config": True}
-    value_flag.update((_flag(key), spec.parse is not _parse_bool)
-                      for key, spec in schema.items())
-    if token not in value_flag:
-        matches = [flag for flag in value_flag if flag.startswith(token)]
-        if len(matches) != 1:
-            return False
-        token = matches[0]
-    return value_flag[token]
-
-
-def _attach_negative_values(argv):
-    """Write `--snr-db -10:2:0` as `--snr-db=-10:2:0`.
-
-    argparse takes a token that starts with '-' for an option unless it is a
-    plain negative number, so a negative grid would need the '=' form.  A
-    token of '-' and a digit or '.' after a value flag (or an abbreviation
-    argparse accepts for one) is that flag's value.
-    """
-    command = argv[0] if argv else None
-    out = []
-    for token in argv:
-        if out and _takes_value(command, out[-1]) and len(token) > 1 \
-                and token[0] == "-" and token[1] in "0123456789.":
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def build_parser():
@@ -532,9 +536,16 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
         sub = subs.add_parser(command, help=COMMANDS[command])
+        # argparse reads a token after a value flag as a new option if it
+        # starts with '-' and is not a plain negative number.  Widening its
+        # negative-number pattern to "'-' then a digit or '.'" lets a
+        # negative grid follow a flag (--snr-db -10:2:0).  The attribute is
+        # private to argparse; test_cli's negative-grid tests fail if a
+        # Python release changes it.
+        sub._negative_number_matcher = re.compile(r"^-[\d.]")
         sub.add_argument("--config", help="flat key=value file")
         for key, spec in schema.items():
-            flag = _flag(key)
+            flag = "--" + key.replace("_", "-")
             if spec.parse is _parse_bool:
                 sub.add_argument(flag, dest=key, action="store_const",
                                  const="true", help=spec.help)
@@ -554,8 +565,7 @@ def _fail(exc, code):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
         params = merge_parameters(args.command, file_values, _flag_values(args))

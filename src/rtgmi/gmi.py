@@ -42,12 +42,6 @@ class GmiReport:
     g_at_minus_one_ci: float      # 95% half-width for the mu = -1 value
     clamped: bool
 
-    def curve_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("mu,lambda_hat\n")
-            for mu, lam in self.lambda_curve:
-                fh.write(f"{float(mu)!r},{float(lam)!r}\n")
-
 
 class _LogMgfEvaluator:
     """Caches the (J, n) squared-distance table and its per-sample minimum;

@@ -44,7 +44,6 @@ class Codebook:
 
     constellation: PskConstellation
     symbols: np.ndarray
-    seed: int
 
     @property
     def size(self) -> int:
@@ -72,7 +71,7 @@ def generate_codebook(constellation: PskConstellation, size: int,
     symbols = np.empty((size, block_length), dtype=np.int64)
     _fill_bounded(np.random.PCG64(int(seed)), constellation.order,
                   symbols.reshape(-1))
-    return Codebook(constellation=constellation, symbols=symbols, seed=int(seed))
+    return Codebook(constellation=constellation, symbols=symbols)
 
 
 def _fill_bounded(bitgen: np.random.PCG64, order: int, out: np.ndarray):

@@ -21,7 +21,7 @@ from .gmi import gmi
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors)
 from .psk import PscBlock, generate_codebook, make_constellation, synthesize_block_at_rho
-from .utils import binomial_halfwidth, derive_seed
+from .utils import binomial_halfwidth, complex_normal, derive_seed
 
 MAX_CODEBOOK_SIZE = 1 << 16
 _STREAM_GMI = 1
@@ -69,7 +69,6 @@ class RtReport:
     config: SchemeConfig
     rho: np.ndarray
     gmi_nats: np.ndarray
-    gmi_ci: np.ndarray
     rate_targets: np.ndarray       # rate_fraction * gmi, nats/symbol
     codebook_sizes: np.ndarray
     per_psc_block_error: np.ndarray
@@ -82,45 +81,12 @@ class RtReport:
     n_trials: int
     genie: bool
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met\n")
-            rows = zip(self.rho, self.gmi_nats, self.rate_targets,
-                       self.per_psc_block_error, self.budget_met)
-            for l, (rho, g, rt, err, ok) in enumerate(rows):
-                fh.write(f"{l},{float(rho)!r},{float(g)!r},{float(rt)!r},"
-                         f"{float(err)!r},{bool(ok)}\n")
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "interleave_depth": self.config.interleave_depth,
-            "block_length": self.config.block_length,
-            "constellation_order": self.config.constellation_order,
-            "snr_linear": self.config.snr,
-            "rate_fraction": self.config.rate_fraction,
-            "genie": self.genie,
-            "n_trials": self.n_trials,
-            "rho_linear": [float(v) for v in self.rho],
-            "gmi_nats": [float(v) for v in self.gmi_nats],
-            "rate_target_nats": [float(v) for v in self.rate_targets],
-            "codebook_sizes": [int(v) for v in self.codebook_sizes],
-            "per_psc_block_error": [float(v) for v in self.per_psc_block_error],
-            "per_psc_ci": [float(v) for v in self.per_psc_ci],
-            "overall_error": self.overall_error,
-            "overall_ci": self.overall_ci,
-            "achieved_rate_nats": self.achieved_rate,
-            "budget_met": [bool(v) for v in self.budget_met],
-            "propagation_events": self.propagation_events,
-        }
-
 
 def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
     """Per-subchannel GMI estimates and codebook sizes round(exp(f*g*K))."""
     const = make_constellation(config.constellation_order)
     white = Ar1Fading(0.0)
     gmis = np.zeros(config.interleave_depth)
-    cis = np.zeros(config.interleave_depth)
     sizes = np.zeros(config.interleave_depth, dtype=np.int64)
     for l in range(1, config.interleave_depth):
         block = synthesize_block_at_rho(
@@ -129,7 +95,6 @@ def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
         report = gmi(block, const,
                      seed=derive_seed(config.master_seed, _STREAM_GMI * _STRIDE + 512 + l))
         gmis[l] = report.gmi
-        cis[l] = report.ci_halfwidth
         target = config.rate_fraction * report.gmi * config.block_length
         if target > 60.0:  # round(exp(...)) would overflow long before the cap test
             sizes[l] = np.iinfo(np.int64).max
@@ -142,7 +107,7 @@ def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
             f"codebook size exceeds {MAX_CODEBOOK_SIZE} for subchannels "
             f"{oversized}; exhaustive decoding is infeasible, reduce "
             f"block_length or rate_fraction")
-    return gmis, cis, sizes
+    return gmis, sizes
 
 
 def run(config: SchemeConfig) -> RtReport:
@@ -161,7 +126,7 @@ def run(config: SchemeConfig) -> RtReport:
     rhos = np.zeros(depth)
     for l in range(1, depth):
         rhos[l] = predictors[l].effective_snr
-    gmis, gmi_cis, sizes = _size_codebooks(config, rhos)
+    gmis, sizes = _size_codebooks(config, rhos)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
     warm_slots = int(math.ceil(max_offset / depth))
@@ -178,8 +143,7 @@ def run(config: SchemeConfig) -> RtReport:
                                       _STREAM_PATH * _STRIDE + trial))
         rng_noise = np.random.default_rng(
             derive_seed(config.master_seed, _STREAM_NOISE * _STRIDE + trial))
-        z = (rng_noise.standard_normal((total, 2)) @ np.array([1.0, 1j])) \
-            / math.sqrt(2.0)
+        z = complex_normal(rng_noise, total)
         rng_msg = np.random.default_rng(
             derive_seed(config.master_seed, _STREAM_MSG * _STRIDE + trial))
 
@@ -198,20 +162,18 @@ def run(config: SchemeConfig) -> RtReport:
 
         x_phys = sqrt_snr * h * const.points[s_true] + z
 
-        # decision-directed feedback symbols; warm-up and pilots are known
-        s_fb = s_true.copy()
-        known = np.zeros(total, dtype=bool)
-        known[:warm_slots * depth] = True
-        known[np.arange(warm_slots + n_k) * depth] = True
+        # fading observations, NaN until a time's symbol is decided; the
+        # warm-up and pilot symbols are known
+        obs = np.full(total, np.nan + 0j)
+        known = np.r_[np.arange(warm_slots * depth),
+                      np.arange(warm_slots + n_k) * depth]
+        obs[known] = x_phys[known] * np.conj(const.points[s_true[known]]) \
+            / sqrt_snr
 
         trial_errs = np.zeros(depth, dtype=bool)
         for l in range(1, depth):
             pred = predictors[l]
             times = data_slots * depth + l
-            obs_times = known.nonzero()[0]
-            obs = np.full(total, np.nan + 0j)
-            obs[obs_times] = x_phys[obs_times] \
-                * np.conj(const.points[s_fb[obs_times]]) / sqrt_snr
             _, h_ref = prediction_reference(pred, obs, times)
             if h_ref is None:
                 h_ref = np.zeros(n_k, dtype=complex)
@@ -225,8 +187,9 @@ def run(config: SchemeConfig) -> RtReport:
             outcome = decode(books[l], block, sent_message=int(sent[l]))
             trial_errs[l] = not outcome.correct
             decoded = books[l].symbols[outcome.chosen_message]
-            s_fb[times] = s_true[times] if config.genie else decoded
-            known[times] = True
+            fed_back = codeword if config.genie else decoded
+            obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
+                / sqrt_snr
 
         err_counts += trial_errs
         if trial_errs.any():
@@ -242,7 +205,7 @@ def run(config: SchemeConfig) -> RtReport:
     rate_targets = config.rate_fraction * gmis
     achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
     report = RtReport(
-        config=config, rho=rhos, gmi_nats=gmis, gmi_ci=gmi_cis,
+        config=config, rho=rhos, gmi_nats=gmis,
         rate_targets=rate_targets, codebook_sizes=sizes,
         per_psc_block_error=per_err, per_psc_ci=per_ci,
         overall_error=float(overall),

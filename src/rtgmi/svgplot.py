@@ -133,7 +133,3 @@ class LinePlot:
                          f'{MARGIN_T + ph / 2})">{escape(self.ylabel)}</text>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.render())

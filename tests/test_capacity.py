@@ -196,17 +196,3 @@ def test_ladder_convergence_gap_definition():
     assert full.convergence_gap == pytest.approx(
         abs(full.l_average - half.l_average), abs=0.02)
     assert full.convergence_gap >= 0.0
-
-
-def test_ladder_csv(tmp_path):
-    rep = rate_ladder(Ar1Fading(0.9), 3, 1.0, 2, predictor_order=4,
-                      n_samples=2000, seed=8)
-    path = tmp_path / "ladder.csv"
-    rep.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,rho_linear,capacity_nats,capacity_bits"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 0.0
-    assert float(first[2]) == 0.0

@@ -5,12 +5,16 @@ import pytest
 
 from rtgmi import cli
 from rtgmi.capacity import CapacityEstimate
-from rtgmi.cli import (SCHEMAS, _flag_values, _parse_bool,
+from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
                        _parse_constellation, _parse_grid, build_model,
                        build_parser, db_to_linear, main, merge_parameters,
                        read_config_file)
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading, ClarkeFading
+from rtgmi.gmi import gmi
+from rtgmi.psk import make_constellation, synthesize_block_at_rho
+from rtgmi.simulate import SchemeConfig, run
+from rtgmi.utils import derive_seed
 
 
 def test_db_conversion():
@@ -232,6 +236,84 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "simulate.csv").exists()
 
 
+def test_ladder_csv(tmp_path, capsys):
+    assert main(["ladder", "--model", "ar1", "--alpha", "0.9",
+                 "--constellation", "bpsk", "--snr-db", "0", "--L", "3",
+                 "--predictor-order", "4", "--samples", "2000", "--seed", "8",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "ladder.csv").read_text().splitlines()
+    assert lines[0] == "l,rho_linear,capacity_nats,capacity_bits"
+    assert len(lines) == 4
+    first = lines[1].split(",")
+    assert first[0] == "0"
+    assert float(first[1]) == 0.0
+    assert float(first[2]) == 0.0
+
+
+def test_gmi_curve_csv_format(tmp_path, capsys):
+    assert main(["gmi", "--model", "ar1", "--alpha", "0",
+                 "--constellation", "bpsk", "--snr-db", "0", "--K", "5000",
+                 "--seed", "15", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # the report the command computes, from the same seeds
+    c = make_constellation(2)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 5000,
+                                  derive_seed(15, 1))
+    rep = gmi(blk, c, seed=derive_seed(15, 2))
+    lines = (tmp_path / "lambda_curve.csv").read_text().splitlines()
+    assert lines[0] == "mu,lambda_hat"
+    assert len(lines) == 1 + len(rep.lambda_curve)
+    mu0, lam0 = lines[1].split(",")
+    assert float(mu0) == rep.lambda_curve[0, 0]
+    assert float(lam0) == rep.lambda_curve[0, 1]
+
+
+_SMALL_SIMULATE = ["simulate", "--model", "ar1", "--alpha", "0.95",
+                   "--constellation", "bpsk", "--snr-db", "3", "--L", "3",
+                   "--K", "24", "--rate-fraction", "0.4",
+                   "--predictor-order", "8", "--gmi-K", "20000",
+                   "--seed", "11"]
+
+
+def test_simulate_csv_and_json_outputs(tmp_path, capsys):
+    assert main(_SMALL_SIMULATE + ["--trials", "40",
+                                   "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rep = run(SchemeConfig(model=Ar1Fading(0.95), interleave_depth=3,
+                           block_length=24, constellation_order=2,
+                           snr=db_to_linear(3.0), rate_fraction=0.4,
+                           n_trials=40, master_seed=11, predictor_order=8,
+                           gmi_block_length=20_000))
+    lines = (tmp_path / "simulate.csv").read_text().splitlines()
+    assert lines[0] == "l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met"
+    assert len(lines) == 1 + rep.config.interleave_depth
+    cells = lines[1].split(",")
+    assert cells[0] == "0" and float(cells[1]) == 0.0
+
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["schema_version"] == 1
+    for key in ("rho_linear", "gmi_nats", "rate_target_nats", "codebook_sizes",
+                "per_psc_block_error", "per_psc_ci", "overall_error",
+                "overall_ci", "achieved_rate_nats", "budget_met",
+                "propagation_events", "snr_linear", "genie", "n_trials"):
+        assert key in payload, key
+    assert payload["per_psc_block_error"] == list(rep.per_psc_block_error)
+    assert all(isinstance(v, bool) for v in payload["budget_met"])
+
+
+def test_simulate_report_is_plain_json(tmp_path, capsys):
+    # numpy arrays and scalars reach report.json as plain JSON lists,
+    # integers and booleans, not as text or floats
+    assert main(_SMALL_SIMULATE + ["--trials", "5",
+                                   "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert isinstance(payload["codebook_sizes"][1], int)
+    assert all(type(v) is int for v in payload["codebook_sizes"])
+    assert all(type(v) is float for v in payload["per_psc_ci"])
+
+
 def test_sweep_command_grid_and_monotone(tmp_path, capsys):
     assert main(["sweep", "--constellation", "qpsk", "--snr-db", "0:2:10",
                  "--samples", "30000", "--seed", "5",
@@ -432,6 +514,24 @@ def test_nonfinite_snr_exits_2(tmp_path, capsys, command, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *_REQUIRED_ARGV["simulate"], "--snr-db", "0", "--genie",
+      "-3"], "unrecognized arguments: -3"),
+    (["capacity", "--config", "-1.cfg"], "cannot read config file -1.cfg"),
+    (["sweep", "--s", "-10:2:0"], "ambiguous option"),
+])
+def test_argv_edge_cases_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # a dash-digit token is a value only where a flag takes one, and an
+    # ambiguous abbreviation stays an error
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:     # argparse's own usage errors
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_gmi_curve_points_below_one_exits_2_and_names_the_key(tmp_path, capsys):
     code = main(["gmi", *_REQUIRED_ARGV["gmi"], "--snr-db", "0",
                  "--curve-points", "0", "--output-dir", str(tmp_path)])
@@ -455,5 +555,16 @@ def test_grid_whose_point_count_overflows_exits_2(tmp_path, capsys):
         _parse_grid("-1e308:1:1e308")
     code = main(["sweep", "--constellation", "bpsk",
                  "--snr-db=-1e308:1:1e308", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad value for snr_db" in capsys.readouterr().err
+
+
+def test_grid_of_too_many_points_exits_2(tmp_path, capsys):
+    assert len(_parse_grid("0:0.01:100")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigurationError, match="bad value for snr_db"):
+        _parse_grid("0:1e-6:1")    # 1 000 001 points
+    # about 1e300 points: rejected before any list is built
+    code = main(["sweep", "--constellation", "bpsk", "--snr-db=0:1e-300:1",
+                 "--output-dir", str(tmp_path)])
     assert code == 2
     assert "bad value for snr_db" in capsys.readouterr().err

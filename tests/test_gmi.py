@@ -151,17 +151,3 @@ def test_gmi_determinism():
     assert a.gmi == b.gmi
     assert a.mu_star == b.mu_star
     assert a.ci_halfwidth == b.ci_halfwidth
-
-
-def test_curve_csv_format(tmp_path):
-    c = make_constellation(2)
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 5000, seed=14)
-    rep = gmi(blk, c, seed=15)
-    path = tmp_path / "curve.csv"
-    rep.curve_to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mu,lambda_hat"
-    assert len(lines) == 1 + len(rep.lambda_curve)
-    mu0, lam0 = lines[1].split(",")
-    assert float(mu0) == rep.lambda_curve[0, 0]
-    assert float(lam0) == rep.lambda_curve[0, 1]

@@ -1,13 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading
 from rtgmi.prediction import rho_sequence
-from rtgmi.simulate import (MAX_CODEBOOK_SIZE, RtReport, SchemeConfig,
-                            budget_check, run)
+from rtgmi.simulate import MAX_CODEBOOK_SIZE, SchemeConfig, budget_check, run
 
 
 def small_config(**kw):
@@ -116,31 +113,3 @@ def test_budget_check_hand_values():
         budget_check(rep, 0.0, 3)
     with pytest.raises(ValueError):
         budget_check(rep, 0.05, 0)
-
-
-def test_csv_and_json_outputs(tmp_path):
-    rep = run(small_config())
-    csv_path = tmp_path / "sim.csv"
-    rep.to_csv(str(csv_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met"
-    assert len(lines) == 1 + rep.config.interleave_depth
-    cells = lines[1].split(",")
-    assert cells[0] == "0" and float(cells[1]) == 0.0
-
-    payload = json.loads(json.dumps(rep.to_json_dict()))
-    assert payload["schema_version"] == 1
-    for key in ("rho_linear", "gmi_nats", "rate_target_nats", "codebook_sizes",
-                "per_psc_block_error", "per_psc_ci", "overall_error",
-                "overall_ci", "achieved_rate_nats", "budget_met",
-                "propagation_events", "snr_linear", "genie", "n_trials"):
-        assert key in payload, key
-    assert payload["per_psc_block_error"] == list(rep.per_psc_block_error)
-    assert all(isinstance(v, bool) for v in payload["budget_met"])
-
-
-def test_report_roundtrip_is_plain_json(tmp_path):
-    rep = run(small_config(n_trials=5))
-    d = rep.to_json_dict()
-    json.dumps(d)  # must not choke on numpy scalars
-    assert isinstance(d["codebook_sizes"][1], int)
