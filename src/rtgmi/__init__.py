@@ -19,7 +19,7 @@ from .psk import (Codebook, PscBlock, PskConstellation, generate_codebook,
                   make_constellation, synthesize_block_at_rho,
                   synthesize_psc_block)
 from .simulate import RtReport, SchemeConfig, budget_check, run
-from .utils import complex_normal, compensated_mean, derive_seed
+from .utils import complex_normal, derive_seed
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "GmiReport", "NumericalConsistencyError", "PredictionResult",
     "PredictorSpec", "PscBlock", "PskConstellation",
     "RateLadder", "RtReport", "SchemeConfig", "TabulatedFading",
-    "UndercutEstimate", "budget_check", "complex_normal", "compensated_mean",
+    "UndercutEstimate", "budget_check", "complex_normal",
     "decode", "derive_seed", "effective_snr", "generate_codebook",
     "generate_path", "gmi", "lambda_hat",
     "make_constellation", "metric", "pairwise_undercut_probability",

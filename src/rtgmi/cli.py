@@ -463,8 +463,8 @@ def _run_simulate(params):
         "constellation_order": config.constellation_order,
         "snr_linear": config.snr,
         "rate_fraction": config.rate_fraction,
-        "genie": report.genie,
-        "n_trials": report.n_trials,
+        "genie": config.genie,
+        "n_trials": config.n_trials,
         "rho_linear": report.rho,
         "gmi_nats": report.gmi_nats,
         "rate_target_nats": report.rate_targets,

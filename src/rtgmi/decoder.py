@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psk import Codebook, PscBlock, PskConstellation
-from .utils import (binomial_halfwidth, block_step, compensated_mean,
-                    complex_normal)
+from .utils import binomial_halfwidth, block_step, complex_normal
 
 _MAX_TILT = 64.0
 _TILT_BISECTIONS = 60
@@ -53,10 +52,6 @@ def metric(constellation: PskConstellation, codeword: np.ndarray,
     return math.fsum(sq.tolist()) / len(sq)
 
 
-def _candidate_scores(picked: np.ndarray) -> np.ndarray:
-    return np.asarray(compensated_mean(picked, axis=-1))
-
-
 def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutcome:
     """Exhaustive minimum-metric decoding with lowest-index tie-breaking.
 
@@ -69,8 +64,8 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     n = block.block_length
     m_total = codebook.size
     # |x - sqrt(rho) h theta|^2 = |x|^2 + rho |h|^2 - 2 Re{conj(x) sqrt(rho) h theta}
-    base = float(compensated_mean(np.abs(block.x) ** 2)) \
-        + block.rho * float(compensated_mean(np.abs(block.h_hat) ** 2))
+    base = float(np.mean(np.abs(block.x) ** 2)) \
+        + block.rho * float(np.mean(np.abs(block.h_hat) ** 2))
     u = np.sqrt(block.rho) * np.conj(block.x) * block.h_hat
     corr = np.real(u[:, None] * const.points[None, :])   # (n, J)
 
@@ -80,7 +75,7 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     for start in range(0, m_total, step):
         rows = slice(start, start + step)
         picked = np.take(corr, codebook.symbols[rows] + offsets)
-        metrics[rows] = np.maximum(base - 2.0 * _candidate_scores(picked), 0.0)
+        metrics[rows] = np.maximum(base - 2.0 * picked.mean(axis=-1), 0.0)
     best_idx = int(np.argmin(metrics))      # first minimum: lowest index wins
     best = float(metrics[best_idx])
     second = float(np.partition(metrics, 1)[1]) if m_total > 1 else math.inf
@@ -170,7 +165,7 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
     u = np.sqrt(rho) * np.conj(x) * h_hat
     corr = np.real(u[:, None] * constellation.points[None, :])
     rows = np.arange(block_length)
-    sent_score = float(_candidate_scores(corr[rows, s][None, :])[0])
+    sent_score = float(corr[rows, s].mean())
 
     t = _tilt_for_score(corr, sent_score)
     q, log_mgf = _tilted_law(corr, t)
@@ -187,7 +182,7 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
         cand = np.tile(offsets, (m, 1))
         for edge in cdf[:, :-1].T:            # inverse-CDF symbol draw
             cand += draws >= edge
-        scores = _candidate_scores(np.take(corr, cand))
+        scores = np.take(corr, cand).mean(axis=-1)
         # larger correlation score means smaller distance metric
         hit = np.where(scores > sent_score, 1.0,
                        np.where(scores == sent_score, 0.5, 0.0))

@@ -117,7 +117,10 @@ class ClarkeFading(FadingModel):
 
     def _sample(self, n, rng):
         if n <= CHOLESKY_MAX_N:
-            return self._factor(n) @ complex_normal(rng, n)
+            # the factor is real: one real product on the (n, 2) float view
+            # of w, instead of numpy casting the factor to complex each call
+            w = complex_normal(rng, n).view(np.float64).reshape(n, 2)
+            return (self._factor(n) @ w).view(np.complex128).reshape(n)
         # equal-power rays: arrival angles uniform => Bessel autocorrelation
         angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
         phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import (block_step, compensated_mean, golden_section_maximize,
-                    log_mean_exp)
+from .utils import block_step, golden_section_maximize, log_mean_exp
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 GOLDEN_TOL = 1e-6
@@ -47,7 +46,8 @@ class _LogMgfEvaluator:
     """Caches the (J, n) squared-distance table and its per-sample minimum;
     evaluations are O(n*J) each.  Both the table and each evaluation are
     computed a block of columns at a time; every column is independent of
-    the others, so the block size does not change a bit."""
+    the others, so the block size does not change a bit (but for a block of
+    one column at J >= 8, see utils.log_mean_exp)."""
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
         self.order = constellation.order
@@ -80,7 +80,7 @@ class _LogMgfEvaluator:
     def lambda_at(self, mu: float) -> float:
         if mu > 0.0:
             raise ValueError("the log-MGF is evaluated at mu <= 0 only")
-        return float(compensated_mean(self.per_sample(mu)))
+        return float(np.mean(self.per_sample(mu)))
 
     def rate_at(self, mu: float) -> float:
         return mu - self.lambda_at(mu)
@@ -143,7 +143,7 @@ def gmi(block: PscBlock, constellation: PskConstellation,
         mu_star, g_star = float(grid[i]), float(rates[i])
     # one pass at mu = -1 serves both g(-1) and its bootstrap
     at_m1 = ev.per_sample(-1.0)
-    g_m1 = -1.0 - float(compensated_mean(at_m1))
+    g_m1 = -1.0 - float(np.mean(at_m1))
     if g_m1 > g_star:            # -1 may sit outside the searched range
         mu_star, g_star = -1.0, g_m1
 

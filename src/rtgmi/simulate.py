@@ -78,8 +78,6 @@ class RtReport:
     achieved_rate: float
     budget_met: list
     propagation_events: int
-    n_trials: int
-    genie: bool
 
 
 def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
@@ -123,9 +121,7 @@ def run(config: SchemeConfig) -> RtReport:
     const = make_constellation(config.constellation_order)
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
-    rhos = np.zeros(depth)
-    for l in range(1, depth):
-        rhos[l] = predictors[l].effective_snr
+    rhos = np.array([0.0] + [p.effective_snr for p in predictors[1:]])
     gmis, sizes = _size_codebooks(config, rhos)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
@@ -204,18 +200,17 @@ def run(config: SchemeConfig) -> RtReport:
     overall = overall_count / n
     rate_targets = config.rate_fraction * gmis
     achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
-    report = RtReport(
+    budget = config.error_target / depth
+    return RtReport(
         config=config, rho=rhos, gmi_nats=gmis,
         rate_targets=rate_targets, codebook_sizes=sizes,
         per_psc_block_error=per_err, per_psc_ci=per_ci,
         overall_error=float(overall),
         overall_ci=binomial_halfwidth(float(overall), n),
         achieved_rate=achieved,
-        budget_met=[], propagation_events=int(propagation),
-        n_trials=n, genie=config.genie,
+        budget_met=[bool(p <= budget + ci) for p, ci in zip(per_err, per_ci)],
+        propagation_events=int(propagation),
     )
-    report.budget_met = budget_check(report, config.error_target, depth)
-    return report
 
 
 def budget_check(report: RtReport, error_target: float,
@@ -231,7 +226,5 @@ def budget_check(report: RtReport, error_target: float,
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
     budget = error_target / interleave_depth
-    out = []
-    for p, ci in zip(report.per_psc_block_error, report.per_psc_ci):
-        out.append(bool(p <= budget + ci))
-    return out
+    return [bool(p <= budget + ci)
+            for p, ci in zip(report.per_psc_block_error, report.per_psc_ci)]

@@ -55,12 +55,20 @@ def trapezoid_capacity_bpsk(rho, nt=121, nz=101):
     return math.log(2.0) - expect
 
 
+def symbol_sum(e):
+    """Sum over the trailing (symbol) axis, adding the symbols in index order."""
+    acc = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        acc += e[..., j]
+    return acc
+
+
 def row_major_llr_sum(h, z, points, rho):
     """The log-likelihood-ratio sum on an (n, J) table, max-shifted per row."""
     shift = np.sqrt(rho) * h[:, None] * (points[0] - points[None, :]) + z[:, None]
     expo = (np.abs(z) ** 2)[:, None] - np.abs(shift) ** 2
     top = expo.max(axis=1)
-    return top + np.log(np.exp(expo - top[:, None]).sum(axis=1))
+    return top + np.log(symbol_sum(np.exp(expo - top[:, None])))
 
 
 def row_major_quadrature(order, rho, nodes):
@@ -77,7 +85,7 @@ def row_major_quadrature(order, rho, nodes):
             + grid[None, :, None]
         expo = z_sq[None, :, None] - np.abs(shift) ** 2
         top = expo.max(axis=2)
-        inner = top + np.log(np.exp(expo - top[:, :, None]).sum(axis=2))
+        inner = top + np.log(symbol_sum(np.exp(expo - top[:, :, None])))
         expect += float(np.dot(w2[start:start + 64], inner @ w2))
     return math.log(order) - expect
 

@@ -112,6 +112,14 @@ def test_clarke_small_n_sampling_matches_autocorrelation():
     assert abs(r1.imag) < 0.05
 
 
+def test_clarke_small_n_path_is_the_factor_times_the_draw():
+    # the real product on the float view equals numpy's complex product
+    m = ClarkeFading(0.05)
+    n = 300
+    want = m._factor(n) @ complex_normal(np.random.default_rng(4), n)
+    assert np.allclose(generate_path(m, n, seed=4), want, rtol=0, atol=1e-12)
+
+
 def test_clarke_large_n_ray_synthesis():
     m = ClarkeFading(0.08, ray_count=256)
     n = CHOLESKY_MAX_N + 4000

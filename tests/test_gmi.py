@@ -7,7 +7,6 @@ from rtgmi.errors import NumericalConsistencyError
 from rtgmi.fading import Ar1Fading
 from rtgmi.gmi import _audit_convexity, _LogMgfEvaluator, gmi, lambda_hat
 from rtgmi.psk import make_constellation, synthesize_block_at_rho
-from rtgmi.utils import COMPENSATED_THRESHOLD
 
 
 def brute_force_lambda(mu, block, constellation):
@@ -35,9 +34,9 @@ def test_lambda_at_zero_is_exactly_zero():
 
 
 @pytest.mark.parametrize("order", [2, 4, 8])
-@pytest.mark.parametrize("n", [COMPENSATED_THRESHOLD, 2 * COMPENSATED_THRESHOLD + 1])
-def test_lambda_at_zero_is_exact_on_both_mean_branches(order, n):
-    """lam(0) = 0 bit for bit through np.mean and through the compensated sum."""
+@pytest.mark.parametrize("n", [10_000, 20_001])
+def test_lambda_at_zero_is_exact_at_every_length(order, n):
+    """lam(0) = 0 bit for bit at an even and an odd block length."""
     c = make_constellation(order)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, n, seed=order)
     assert lambda_hat(0.0, blk, c) == 0.0
@@ -46,7 +45,8 @@ def test_lambda_at_zero_is_exact_on_both_mean_branches(order, n):
 @pytest.mark.parametrize("order", [2, 4, 8])
 def test_per_sample_equals_the_row_major_formula(order):
     """The (J, n) table shifted by mu * min_j d gives the bits of the plain
-    (n, J) log-sum-exp shifted by its row max, across a chunk boundary."""
+    (n, J) log-sum-exp shifted by its row max and summed over the symbols in
+    index order, across a block boundary."""
     c = make_constellation(order)
     blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.5, c, (1 << 17) + 5,
                                   seed=order)
@@ -56,8 +56,22 @@ def test_per_sample_equals_the_row_major_formula(order):
     for mu in (-32.0, -1.0, -1e-4, 0.0):
         a = mu * sq
         top = a.max(axis=1)
-        want = top + np.log(np.exp(a - top[:, None]).sum(axis=1) / order)
+        e = np.exp(a - top[:, None])
+        acc = e[:, 0].copy()
+        for j in range(1, order):
+            acc += e[:, j]
+        want = top + np.log(acc / order)
         assert np.array_equal(ev.per_sample(mu), want), mu
+
+
+@pytest.mark.parametrize("mu", [-8.0, -1.0, -1e-3])
+def test_lambda_is_the_correctly_rounded_mean(mu):
+    """np.mean's pairwise sum of 10^6 terms is within 1e-13 of math.fsum."""
+    c = make_constellation(4)
+    blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.0, c, 1_000_000, seed=5)
+    ev = _LogMgfEvaluator(blk, c)
+    want = math.fsum(ev.per_sample(mu).tolist()) / ev.n
+    assert ev.lambda_at(mu) == pytest.approx(want, rel=1e-13)
 
 
 def test_lambda_matches_brute_force():

@@ -50,31 +50,31 @@ DIGESTS = {
     },
     'gmi_ar1': {
         'lambda_curve.csv':
-            '68f088f188da7fd795c8637384dc74ede26b4d4ea87148ec78a1300a92fa5b2b',
+            '461d5979a470b5f545ad174bbab24fab57447193e6b43838ba2cf91d493ee6c9',
         'lambda_curve.svg':
             '46f35d7eccdffbf4c2aeb58e87f2060b382780cca7cd7a77fce4ecf044324131',
         'report.json':
-            '98a2369dbcab1a5844756023ab7885fa1715a1a86b1896c6662f3e1b54513368',
+            'd69647509ac338cd593bec6ff6981874e88cdba0839368f1ffb270ee8527ccbb',
         'stdout':
             'ec4fb273296414023cf3a380d38d5883427f6b531d3c2d628740c289f56c8a1a',
     },
     'gmi_clarke': {
         'lambda_curve.csv':
-            '06510c28a1e1cd3fb38c1e60ed68c9f70ad33470dd611ccb97711166ec2e49cc',
+            '198234a156bbd1ed69fc84a7742ad46ea1b46ecca9aef2117bed5c879c4c908b',
         'lambda_curve.svg':
             'df265717753678919cda824e25f5ae5ac2d97c864cb7c935bf5d6e6e5fff3fc9',
         'report.json':
-            '3585ec371c3d8edc4c65cf4833004af63797290a1eb0871e7e4b5446b4ad2576',
+            '56d6aa44b1ae8434f5840ab06b42faaa692d5c465558101b55288398829f10fc',
         'stdout':
             'cb06572cdd6fd022958bd5f634f70259d4d85f277be99fde6ad13d648d246951',
     },
     'gmi_tabulated': {
         'lambda_curve.csv':
-            'f47478cff26ccfb6da6e01cb2cb1ce067558f6579c1511cb72b5ee4c5c764012',
+            '868ed84d2dfe0d264803acab491ef1e332a6c70ff75bb4eb34cec562c23ef53e',
         'lambda_curve.svg':
             'b8d45f9347e7b4d316f3fc6ba4df6309f47029aefed5bc3e5ecec1b7fcf86732',
         'report.json':
-            '9e34a51f5cb48913dcf5e7a74bd0b50307a08ffbd4bc1b701d8f70a8f6f25125',
+            '49be5d4856243e8ece5c00bd3debcfb58abc6092882fc68eff7537f0ed257879',
         'stdout':
             'a1393f53629b33cad3c08a45b3d8389268fbfde43786308f8d928b6d9b020ee9',
     },
@@ -110,11 +110,11 @@ DIGESTS = {
     },
     'sweep': {
         'report.json':
-            'f1f5206b01bcf681ce326f69b9b7a340671fd76fa9671d40d0708d2406cdba5d',
+            '67a65697f235f7b17c1073818d1e5273c774b685d667234ab298b8f9787a335d',
         'stdout':
             'ddf901df17d870eb69e805139516d85a4ff15541cb6b601ead153b348423830e',
         'sweep.csv':
-            'b4f1065144c9f0f711e208208f167e06b55c5c528b42739fbdfa43213b2320e1',
+            '9bcb6d5526633c0a2e34351b185ab6e06bbd2aba490f2ad279ec40556d4e77f7',
         'sweep.svg':
             '1df32753298989db857c754795ebc63f71f726b3d3d191f8ccf8bd7313b0ce82',
     },

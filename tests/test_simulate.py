@@ -64,9 +64,8 @@ def test_report_accounting_identities():
     assert rep.per_psc_block_error[0] == 0.0
     assert rep.rate_targets[0] == 0.0
     assert rep.codebook_sizes[0] == 0
-    assert rep.n_trials == rep.config.n_trials
     assert 0.0 <= rep.overall_error <= 1.0
-    assert rep.propagation_events <= round(rep.overall_error * rep.n_trials)
+    assert rep.propagation_events <= round(rep.overall_error * rep.config.n_trials)
 
 
 def test_rho_matches_schedule():
@@ -84,7 +83,7 @@ def test_first_data_subchannel_ignores_feedback_mode():
     dd = run(small_config(n_trials=120, rate_fraction=0.9))
     gn = run(small_config(n_trials=120, rate_fraction=0.9, genie=True))
     assert dd.per_psc_block_error[1] == gn.per_psc_block_error[1]
-    assert gn.genie and not dd.genie
+    assert gn.config.genie and not dd.config.genie
 
 
 def test_genie_no_worse_overall():
@@ -99,7 +98,7 @@ def test_propagation_counter():
     # multi-subchannel error trials are the norm
     rep = run(small_config(block_length=16, rate_fraction=1.2, n_trials=60))
     assert rep.overall_error > 0.5
-    assert 1 <= rep.propagation_events <= round(rep.overall_error * rep.n_trials)
+    assert 1 <= rep.propagation_events <= round(rep.overall_error * rep.config.n_trials)
 
 
 def test_budget_check_hand_values():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtgmi.utils import (binomial_halfwidth, compensated_mean, complex_normal,
-                         derive_seed, golden_section_maximize)
+from rtgmi.utils import (binomial_halfwidth, complex_normal, derive_seed,
+                         golden_section_maximize)
 
 
 def test_derive_seed_range_and_determinism():
@@ -42,48 +42,6 @@ def test_complex_normal_is_the_complex_quotient():
     want = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     assert np.array_equal(complex_normal(np.random.default_rng(13), 100_003),
                           want)
-
-
-def test_compensated_mean_matches_fsum():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(50_000) * 1e6
-    want = math.fsum(x.tolist()) / len(x)
-    got = float(compensated_mean(x))
-    assert got == pytest.approx(want, rel=0, abs=1e-6)
-
-
-def _looped_compensated_mean(x):
-    """One np.sum per 4096-chunk, combined by a Neumaier loop over arrays."""
-    total = np.zeros(x.shape[:-1])
-    comp = np.zeros(x.shape[:-1])
-    for start in range(0, x.shape[-1], 4096):
-        s = x[..., start:start + 4096].sum(axis=-1)
-        t = total + s
-        big = np.abs(total) >= np.abs(s)
-        comp += np.where(big, (total - t) + s, (s - t) + total)
-        total = t
-    return (total + comp) / x.shape[-1]
-
-
-@pytest.mark.parametrize("shape", [(10_001,), (50_000,), (1_000_000,),
-                                   (1 << 20,), (3, 20_481)])
-def test_compensated_mean_equals_the_chunk_loop(shape):
-    x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
-    x *= 1e3
-    assert np.array_equal(compensated_mean(x), _looped_compensated_mean(x))
-
-
-def test_compensated_mean_small_input_is_plain_mean():
-    x = np.array([1.0, 2.0, 4.0])
-    assert float(compensated_mean(x)) == float(np.mean(x))
-
-
-def test_compensated_mean_axis():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 20_000))
-    got = compensated_mean(x, axis=-1)
-    want = x.mean(axis=-1)
-    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_golden_section_quadratic():
