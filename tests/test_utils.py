@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtgmi.utils import (binomial_halfwidth, complex_normal, derive_seed,
-                         golden_section_maximize)
+                         golden_section_maximize, log_mean_exp)
 
 
 def test_derive_seed_range_and_determinism():
@@ -42,6 +42,27 @@ def test_complex_normal_is_the_complex_quotient():
     want = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     assert np.array_equal(complex_normal(np.random.default_rng(13), 100_003),
                           want)
+
+
+@pytest.mark.parametrize("rows", [2, 4, 8, 16])
+def test_log_mean_exp_adds_the_rows_in_index_order(rows):
+    # on a table of several columns numpy adds the rows one after another
+    a = np.random.default_rng(rows).standard_normal((rows, 1001)) * 30.0
+    top = a.max(axis=0)
+    e = np.exp(a - top)
+    acc = e[0].copy()
+    for j in range(1, rows):
+        acc += e[j]
+    assert np.array_equal(log_mean_exp(a, top, rows), top + np.log(acc / rows))
+
+
+def test_log_mean_exp_does_not_overflow():
+    # exp(800) overflows a float64; shifting by the column maximum does not
+    a = np.array([[800.0, -900.0], [800.0 - math.log(3.0), -900.0]])
+    got = log_mean_exp(a, a.max(axis=0), 2)
+    assert np.all(np.isfinite(got))
+    assert got == pytest.approx([800.0 + math.log(2.0 / 3.0), -900.0],
+                                rel=1e-15)
 
 
 def test_golden_section_quadratic():
