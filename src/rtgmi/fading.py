@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztbtrs
 from scipy.special import j0
 
-from .utils import complex_normal
+from .utils import block_step, complex_normal
 
 # exact Cholesky synthesis above this length is too expensive (O(n^3) time,
 # O(n^2) memory); longer Clarke paths switch to a ray-sum approximation
@@ -71,16 +72,29 @@ class Ar1Fading(FadingModel):
         return complex(self.alpha ** abs(int(lag)))
 
     def _sample(self, n, rng):
-        w = complex_normal(rng, n)
+        h = complex_normal(rng, n)
         if self.alpha == 0.0:
-            return w
-        x = math.sqrt(1.0 - self.alpha ** 2) * w
-        x[0] = w[0]  # stationary start: h[0] ~ CN(0, 1)
-        # the recursion as a unit lower-bidiagonal solve: h[k] - a*h[k-1] = x[k]
-        ab = np.empty((2, n))
+            return h
+        # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1)
+        h[1:] *= math.sqrt(1.0 - self.alpha ** 2)
+        # the recursion as a unit lower-bidiagonal solve, h[k] - a*h[k-1] =
+        # x[k], in place a block at a time; each block's first right-hand
+        # side takes a*h[k-1] from the block before, the very product and sum
+        # a whole-path solve forms there, so the bits do not depend on the
+        # block size
+        step = block_step(2)
+        ab = np.empty((min(step, n), 2), dtype=complex).T  # Fortran order
         ab[0] = 1.0
         ab[1] = -self.alpha
-        return scipy.linalg.solve_banded((1, 0), ab, x, check_finite=False)
+        for start in range(0, n, step):
+            x = h[start:start + step]
+            if start:
+                x[0] += self.alpha * h[start - 1]
+            _, info = ztbtrs(ab[:, :len(x)], x.reshape(-1, 1), uplo="L",
+                             diag="U", overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"ztbtrs returned info = {info}")
+        return h
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ import numpy as np
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # elements per block of a streamed kernel: 256 KiB of float64, so a block and
 # its few temporaries fit a 2 MiB per-core L2 cache
 BLOCK_ELEMENTS = 1 << 15
@@ -38,50 +36,28 @@ def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return z.view(np.complex128).reshape(n)
 
 
+def sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... over axis 0, in row order at every width.
+
+    numpy adds the rows of a table one after another, except that it sums
+    a table of one element per row pairwise, which rounds differently from
+    eight rows on; accumulate adds in row order there too.
+    """
+    if a.size == len(a):
+        return np.add.accumulate(a)[-1]
+    return a.sum(axis=0)
+
+
 def log_mean_exp(a: np.ndarray, top: np.ndarray, count: int = 1) -> np.ndarray:
     """top + log((1/count) sum_j exp(a[j] - top)), the sum over axis 0.
 
     `top` is the column maximum of `a` (or anything that bounds it), so the
     exponentials cannot overflow.  The symbol axis comes first because
-    numpy reduces a short trailing axis slowly.  numpy adds the rows in
-    index order, except that it sums a single column pairwise, which may
-    round differently from eight rows on.  A count of 1 divides exactly.
+    numpy reduces a short trailing axis slowly.  The rows are added in index
+    order (sum_rows), so a column's bits do not depend on how many columns
+    share its table.  A count of 1 divides exactly.
     """
-    return top + np.log(np.exp(a - top).sum(axis=0) / count)
-
-
-def golden_section_maximize(fun, lo: float, hi: float, tol: float = 1e-6):
-    """Maximize a unimodal function on [lo, hi] to bracket width <= tol.
-
-    Returns (x_best, f(x_best)) at the best evaluated interior point, so the
-    reported value is an actual function evaluation, never an interpolation.
-    """
-    a, b = float(lo), float(hi)
-    if not b > a:
-        raise ValueError("need lo < hi")
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, fun(x)
-    n_steps = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
-    c = b - INV_PHI * h
-    d = a + INV_PHI * h
-    yc = fun(c)
-    yd = fun(d)
-    for _ in range(n_steps - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = INV_PHI * h
-            c = b - INV_PHI * h
-            yc = fun(c)
-        else:
-            a, c, yc = c, d, yd
-            h = INV_PHI * h
-            d = a + INV_PHI * h
-            yd = fun(d)
-    if yc > yd:
-        return c, yc
-    return d, yd
+    return top + np.log(sum_rows(np.exp(a - top)) / count)
 
 
 def binomial_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
                           TabulatedFading, generate_path)
-from rtgmi.utils import complex_normal
+from rtgmi.utils import block_step, complex_normal
 
 
 def bessel_j0_series(x: float, terms: int = 48) -> float:
@@ -82,6 +84,39 @@ def test_ar1_path_matches_plain_recursion(alpha):
         expected.append(alpha * expected[-1] + scale * complex(w[k]))
     path = generate_path(Ar1Fading(alpha), n, seed=21)
     assert np.array_equal(path, expected)
+
+
+def solve_banded_ar1_path(alpha, n, seed):
+    """The whole-path solve: h[k] - alpha*h[k-1] = x[k] as one banded system."""
+    w = complex_normal(np.random.default_rng(seed), n)
+    x = math.sqrt(1.0 - alpha ** 2) * w
+    x[0] = w[0]
+    ab = np.empty((2, n))
+    ab[0] = 1.0
+    ab[1] = -alpha
+    return scipy.linalg.solve_banded((1, 0), ab, x, check_finite=False)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
+@pytest.mark.parametrize("steps, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                          (2, 1)])
+def test_ar1_path_matches_the_whole_path_solve(alpha, steps, extra):
+    # n = 1, step - 1, step, step + 1 and 2 step + 1: one, two and three
+    # blocks of the in-place solve
+    n = steps * block_step(2) + extra
+    path = generate_path(Ar1Fading(alpha), n, seed=23)
+    assert np.array_equal(path, solve_banded_ar1_path(alpha, n, 23))
+
+
+def test_ar1_path_allocates_little_beyond_its_output():
+    n = 2 ** 20
+    tracemalloc.start()
+    try:
+        generate_path(Ar1Fading(0.99), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * n
 
 
 def test_clarke_autocorrelation_vs_series_oracle():

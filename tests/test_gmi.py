@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from rtgmi.errors import NumericalConsistencyError
-from rtgmi.fading import Ar1Fading
-from rtgmi.gmi import _audit_convexity, _LogMgfEvaluator, gmi, lambda_hat
+from rtgmi.fading import Ar1Fading, ClarkeFading
+from rtgmi.gmi import (DEFAULT_MU_RANGE, _audit_convexity, _LogMgfEvaluator,
+                       gmi, lambda_hat)
 from rtgmi.psk import make_constellation, synthesize_block_at_rho
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def brute_force_lambda(mu, block, constellation):
@@ -25,6 +28,81 @@ def brute_force_lambda(mu, block, constellation):
             acc += math.exp(mu * d)
         terms.append(math.log(acc))
     return math.fsum(terms) / len(terms) - math.log(J)
+
+
+def golden_section_maximize(fun, lo: float, hi: float, tol: float = 1e-6):
+    """Maximize a unimodal function on [lo, hi] to bracket width <= tol.
+
+    Returns (x_best, f(x_best)) at the best evaluated interior point, so the
+    reported value is an actual function evaluation, never an interpolation.
+    The slow oracle for gmi's Newton search: about 30 evaluations of
+    lambda for a bracket of 1e-6.
+    """
+    a, b = float(lo), float(hi)
+    if not b > a:
+        raise ValueError("need lo < hi")
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, fun(x)
+    n_steps = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
+    c = b - INV_PHI * h
+    d = a + INV_PHI * h
+    yc = fun(c)
+    yd = fun(d)
+    for _ in range(n_steps - 1):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h = INV_PHI * h
+            c = b - INV_PHI * h
+            yc = fun(c)
+        else:
+            a, c, yc = c, d, yd
+            h = INV_PHI * h
+            d = a + INV_PHI * h
+            yd = fun(d)
+    if yc > yd:
+        return c, yc
+    return d, yd
+
+
+def golden_section_gmi(ev):
+    """(mu*, g*) by gmi's 33-point grid argmax, golden-section search in its
+    bracket and the same two overrides: the best grid point and mu = -1."""
+    lo, hi = DEFAULT_MU_RANGE
+    grid = np.sort(-np.logspace(math.log10(-hi), math.log10(-lo), 33))
+    rates = np.array([m - ev.lambda_at(m) for m in grid])
+    i = int(np.argmax(rates))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if b - a > 1e-6:
+        mu, g = golden_section_maximize(lambda m: m - ev.lambda_at(m), a, b)
+    else:
+        mu, g = float(grid[i]), float(rates[i])
+    if rates[i] > g:
+        mu, g = float(grid[i]), float(rates[i])
+    g_m1 = -1.0 - ev.lambda_at(-1.0)
+    if g_m1 > g:
+        mu, g = -1.0, g_m1
+    return mu, g
+
+
+def test_golden_section_quadratic():
+    x, f = golden_section_maximize(lambda t: -(t - 0.3) ** 2, -4.0, 2.0,
+                                   tol=1e-9)
+    assert x == pytest.approx(0.3, abs=1e-6)
+    assert f == pytest.approx(0.0, abs=1e-12)
+
+
+def test_golden_section_returns_an_evaluated_point():
+    calls = []
+
+    def fun(t):
+        calls.append(t)
+        return -abs(t - 1.5)
+
+    x, f = golden_section_maximize(fun, 0.0, 4.0, tol=1e-7)
+    assert x in calls
+    assert f == -abs(x - 1.5)
 
 
 def test_lambda_at_zero_is_exactly_zero():
@@ -62,6 +140,7 @@ def test_per_sample_equals_the_row_major_formula(order):
             acc += e[:, j]
         want = top + np.log(acc / order)
         assert np.array_equal(ev.per_sample(mu), want), mu
+        assert np.array_equal(ev.moments(mu)[0], want), mu
 
 
 @pytest.mark.parametrize("mu", [-8.0, -1.0, -1e-3])
@@ -80,6 +159,29 @@ def test_lambda_matches_brute_force():
     for mu in (-0.1, -0.5, -1.0, -2.0):
         assert lambda_hat(mu, blk, c) == pytest.approx(
             brute_force_lambda(mu, blk, c), rel=1e-11, abs=1e-12)
+
+
+def test_moments_match_brute_force():
+    """lam' and lam'' as the softmax-weighted mean and variance of the
+    distances, by explicit loops."""
+    c = make_constellation(4)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.5, c, 400, seed=7)
+    ev = _LogMgfEvaluator(blk, c)
+    root = math.sqrt(blk.rho)
+    for mu in (-0.1, -1.0, -2.0):
+        slopes, curvatures = [], []
+        for k in range(blk.block_length):
+            d = [abs(blk.x[k] - root * blk.h_hat[k] * p) ** 2 for p in c.points]
+            w = [math.exp(mu * dj) for dj in d]
+            mean = sum(wj * dj for wj, dj in zip(w, d)) / sum(w)
+            slopes.append(mean)
+            curvatures.append(sum(wj * (dj - mean) ** 2
+                                  for wj, dj in zip(w, d)) / sum(w))
+        _, slope, curvature = ev.moments(mu)
+        assert slope == pytest.approx(math.fsum(slopes) / len(slopes),
+                                      rel=1e-12)
+        assert curvature == pytest.approx(
+            math.fsum(curvatures) / len(curvatures), rel=1e-11)
 
 
 def test_lambda_rejects_positive_mu():
@@ -165,3 +267,53 @@ def test_gmi_determinism():
     assert a.gmi == b.gmi
     assert a.mu_star == b.mu_star
     assert a.ci_halfwidth == b.ci_halfwidth
+
+
+ORACLE_MODELS = {"white": Ar1Fading(0.0), "ar1": Ar1Fading(0.9),
+                 "clarke": ClarkeFading(0.05)}
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_newton_search_agrees_with_golden_section(model, rho, order):
+    """Newton's mu* and g* against the golden-section oracle.
+
+    At rho = 0 every candidate distance is the same, lam'' = 0 and the rate
+    is linear in mu: the maximum sits on the end of the range, at mu = -32
+    or, clamped, at -1e-4 (both happen here).  Where g is so flat that
+    rounding hides its differences, the oracle's comparisons stop resolving
+    mu; then Newton's point must be the more stationary one.
+    """
+    c = make_constellation(order)
+    blk = synthesize_block_at_rho(ORACLE_MODELS[model], rho, c, 3000,
+                                  seed=order)
+    ev = _LogMgfEvaluator(blk, c)
+    mu_o, g_o = golden_section_gmi(ev)
+    rep = gmi(blk, c, seed=1)
+    g_n = rep.mu_star - ev.lambda_at(rep.mu_star)
+    assert rep.gmi == max(g_n, 0.0)
+    assert g_n >= g_o - 1e-12
+    if abs(rep.mu_star - mu_o) > 2e-6:
+        assert g_n == pytest.approx(g_o, rel=1e-15)
+        assert abs(1.0 - ev.moments(rep.mu_star)[1]) \
+            < abs(1.0 - ev.moments(mu_o)[1])
+
+
+def test_gmi_passes_over_a_long_block(monkeypatch):
+    """33 curve points plus mu = -1 in plain passes, a few moment passes,
+    and the bootstrap reuses the passes it needs."""
+    calls = {"per_sample": 0, "moments": 0}
+    for name in calls:
+        inner = getattr(_LogMgfEvaluator, name, None)
+
+        def counted(self, mu, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(self, mu)
+
+        monkeypatch.setattr(_LogMgfEvaluator, name, counted, raising=False)
+    c = make_constellation(4)
+    blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, 100_000, seed=5)
+    gmi(blk, c, seed=6)
+    assert calls["per_sample"] <= 33 + 1
+    assert calls["moments"] <= 8

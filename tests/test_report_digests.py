@@ -54,7 +54,7 @@ DIGESTS = {
         'lambda_curve.svg':
             '46f35d7eccdffbf4c2aeb58e87f2060b382780cca7cd7a77fce4ecf044324131',
         'report.json':
-            'd69647509ac338cd593bec6ff6981874e88cdba0839368f1ffb270ee8527ccbb',
+            'fd840649d79edcdbeeaf6c8063f0472bddd7d22c469480cb0e48aa71bd224ed6',
         'stdout':
             'ec4fb273296414023cf3a380d38d5883427f6b531d3c2d628740c289f56c8a1a',
     },
@@ -64,7 +64,7 @@ DIGESTS = {
         'lambda_curve.svg':
             'df265717753678919cda824e25f5ae5ac2d97c864cb7c935bf5d6e6e5fff3fc9',
         'report.json':
-            '56d6aa44b1ae8434f5840ab06b42faaa692d5c465558101b55288398829f10fc',
+            '5f1f729d57796718e231aa62f256108669a310e5b40ba873d2059346db607d75',
         'stdout':
             'cb06572cdd6fd022958bd5f634f70259d4d85f277be99fde6ad13d648d246951',
     },
@@ -74,7 +74,7 @@ DIGESTS = {
         'lambda_curve.svg':
             'b8d45f9347e7b4d316f3fc6ba4df6309f47029aefed5bc3e5ecec1b7fcf86732',
         'report.json':
-            '49be5d4856243e8ece5c00bd3debcfb58abc6092882fc68eff7537f0ed257879',
+            '7e1996216e9eb6bd427634cc5b8e7a093c6c92328a18a65ded1bb3f68e94969c',
         'stdout':
             'a1393f53629b33cad3c08a45b3d8389268fbfde43786308f8d928b6d9b020ee9',
     },
@@ -90,9 +90,9 @@ DIGESTS = {
     },
     'simulate_decision_directed': {
         'report.json':
-            'b83049565eb6b5ef1501ebc89b90e4d2411683a35e094555e0701702f3b37756',
+            'e943a4e7445f2832ff0df2a854478747e8116db02e0c4019590e66dfb3e6550e',
         'simulate.csv':
-            'bfa1c69ba652c160c0894c8df989cf4c6d6131db2c8427bb542be1f391edc747',
+            '9d2a9bf1e315f8883b29a944300434458a75ad620dc1744dbf11104911595be3',
         'simulate.svg':
             '7749e29707cc41c36685caf22675cd85bac87afb33114372cc58a2ef48ff701b',
         'stdout':
@@ -100,9 +100,9 @@ DIGESTS = {
     },
     'simulate_genie': {
         'report.json':
-            '0b09445945a495bb9a26663630f43d417a209615b8f87c3260fb7a9092c9818b',
+            'd02cf25646d83849e7660e33eaed6ac6812de3a6d8d3a1fc1d74042cd795cf6b',
         'simulate.csv':
-            '800572f53fe996f41166d577ef6119d84b7176c20955c061fed7d950111b817f',
+            '7a95e32257215c29feb770077722d4ead7e2da35d7211ba0825c0669ea49c3fe',
         'simulate.svg':
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtgmi.utils import (binomial_halfwidth, complex_normal, derive_seed,
-                         golden_section_maximize, log_mean_exp)
+                         log_mean_exp)
 
 
 def test_derive_seed_range_and_determinism():
@@ -44,16 +44,21 @@ def test_complex_normal_is_the_complex_quotient():
                           want)
 
 
+@pytest.mark.parametrize("width", [1, 2, 1001])
 @pytest.mark.parametrize("rows", [2, 4, 8, 16])
-def test_log_mean_exp_adds_the_rows_in_index_order(rows):
-    # on a table of several columns numpy adds the rows one after another
+def test_log_mean_exp_adds_the_rows_in_index_order(rows, width):
+    # numpy adds the rows of a wider table one after another, but would sum
+    # a single column pairwise from eight rows on; the table goes in blocks
+    # of `width` columns
     a = np.random.default_rng(rows).standard_normal((rows, 1001)) * 30.0
     top = a.max(axis=0)
     e = np.exp(a - top)
     acc = e[0].copy()
     for j in range(1, rows):
         acc += e[j]
-    assert np.array_equal(log_mean_exp(a, top, rows), top + np.log(acc / rows))
+    got = np.concatenate([log_mean_exp(a[:, k:k + width], top[k:k + width],
+                                       rows) for k in range(0, 1001, width)])
+    assert np.array_equal(got, top + np.log(acc / rows))
 
 
 def test_log_mean_exp_does_not_overflow():
@@ -63,25 +68,6 @@ def test_log_mean_exp_does_not_overflow():
     assert np.all(np.isfinite(got))
     assert got == pytest.approx([800.0 + math.log(2.0 / 3.0), -900.0],
                                 rel=1e-15)
-
-
-def test_golden_section_quadratic():
-    x, f = golden_section_maximize(lambda t: -(t - 0.3) ** 2, -4.0, 2.0,
-                                   tol=1e-9)
-    assert x == pytest.approx(0.3, abs=1e-6)
-    assert f == pytest.approx(0.0, abs=1e-12)
-
-
-def test_golden_section_returns_an_evaluated_point():
-    calls = []
-
-    def fun(t):
-        calls.append(t)
-        return -abs(t - 1.5)
-
-    x, f = golden_section_maximize(fun, 0.0, 4.0, tol=1e-7)
-    assert x in calls
-    assert f == -abs(x - 1.5)
 
 
 def test_binomial_halfwidth_hand_values():
