@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psk import Codebook, PscBlock, PskConstellation
+from .psk import Codebook, PscBlock, PskConstellation, codebook_blocks
 from .utils import binomial_halfwidth, block_step, complex_normal
 
 _MAX_TILT = 64.0
@@ -61,24 +61,62 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     if codebook.block_length != block.block_length:
         raise ValueError("codebook block length must match the block")
     const = codebook.constellation
-    n = block.block_length
-    m_total = codebook.size
-    # |x - sqrt(rho) h theta|^2 = |x|^2 + rho |h|^2 - 2 Re{conj(x) sqrt(rho) h theta}
-    base = float(np.mean(np.abs(block.x) ** 2)) \
-        + block.rho * float(np.mean(np.abs(block.h_hat) ** 2))
-    u = np.sqrt(block.rho) * np.conj(block.x) * block.h_hat
-    corr = np.real(u[:, None] * const.points[None, :])   # (n, J)
-
-    metrics = np.empty(m_total)
-    offsets = np.arange(n) * const.order      # flat index of (k, symbol 0)
-    step = block_step(n)                      # whole candidates per block
-    for start in range(0, m_total, step):
+    symbols = codebook.symbols
+    if symbols.min() < 0 or symbols.max() >= const.order:
+        raise ValueError("codebook contains indices outside the constellation")
+    scorer = _Scorer(const, block)
+    metrics = np.empty(codebook.size)
+    step = block_step(block.block_length)     # whole candidates per block
+    for start in range(0, codebook.size, step):
         rows = slice(start, start + step)
-        picked = np.take(corr, codebook.symbols[rows] + offsets)
-        metrics[rows] = np.maximum(base - 2.0 * picked.mean(axis=-1), 0.0)
+        scorer.score(symbols[rows] + scorer.offsets, metrics[rows])
+    return _outcome(metrics, sent_message)
+
+
+def decode_seeded(constellation: PskConstellation, size: int, seed: int,
+                  block: PscBlock, sent_message=None) -> DecodeOutcome:
+    """decode(generate_codebook(constellation, size, block.block_length,
+    seed), block, sent_message), field for field, without storing the
+    codebook.
+
+    Each block of rows is drawn by psk.codebook_blocks into one reused
+    buffer and scored while it is in cache.
+    """
+    scorer = _Scorer(constellation, block)
+    metrics = np.empty(size)
+    for start, rows in codebook_blocks(constellation, size,
+                                       block.block_length, seed):
+        rows += scorer.offsets
+        scorer.score(rows, metrics[start:start + len(rows)])
+    return _outcome(metrics, sent_message)
+
+
+class _Scorer:
+    """Candidate metrics of one block, from its (K, J) correlation table.
+
+    |x - sqrt(rho) h theta|^2 = |x|^2 + rho |h|^2 - 2 Re{conj(x) sqrt(rho) h theta},
+    so a candidate's metric is base - 2 * (mean of its table entries).
+    """
+
+    def __init__(self, constellation: PskConstellation, block: PscBlock):
+        self.base = float(np.mean(np.abs(block.x) ** 2)) \
+            + block.rho * float(np.mean(np.abs(block.h_hat) ** 2))
+        u = np.sqrt(block.rho) * np.conj(block.x) * block.h_hat
+        self.corr = np.real(u[:, None] * constellation.points[None, :])
+        # flat table index of (k, symbol 0)
+        self.offsets = np.arange(block.block_length) * constellation.order
+
+    def score(self, entries: np.ndarray, out: np.ndarray):
+        """Write the metrics of candidates whose rows of flat table indices
+        (symbol + k * J) are `entries` into `out`."""
+        picked = np.take(self.corr, entries)
+        np.maximum(self.base - 2.0 * picked.mean(axis=-1), 0.0, out=out)
+
+
+def _outcome(metrics: np.ndarray, sent_message) -> DecodeOutcome:
     best_idx = int(np.argmin(metrics))      # first minimum: lowest index wins
     best = float(metrics[best_idx])
-    second = float(np.partition(metrics, 1)[1]) if m_total > 1 else math.inf
+    second = float(np.partition(metrics, 1)[1]) if len(metrics) > 1 else math.inf
     correct = None if sent_message is None else bool(best_idx == int(sent_message))
     return DecodeOutcome(chosen_message=best_idx, metrics=metrics, correct=correct,
                          chosen_metric=best, runner_up_metric=second)

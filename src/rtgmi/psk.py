@@ -59,50 +59,122 @@ def generate_codebook(constellation: PskConstellation, size: int,
     """size x block_length symbols, equal to
     np.random.default_rng(seed).integers(0, J, size=(size, block_length)).
 
-    The symbols are read from the PCG64 generator's raw 64-bit outputs, each
-    split into two 32-bit words (low half first), by numpy's bounded-integer
-    rule for J <= 2^32 (Lemire 2019): with m = word * J, the symbol is
-    m >> 32, and the word is rejected when m mod 2^32 < 2^32 mod J, which
-    never happens for a power-of-two J.  Words are drawn and written a block
-    at a time, so no temporary outgrows the cache.
+    The symbols come from a _SymbolStream on PCG64(seed), row after row.
     """
     if size < 1 or block_length < 1:
         raise ValueError("codebook size and block length must be positive")
     symbols = np.empty((size, block_length), dtype=np.int64)
-    _fill_bounded(np.random.PCG64(int(seed)), constellation.order,
-                  symbols.reshape(-1))
+    _SymbolStream(constellation.order, np.random.PCG64(int(seed))).fill(
+        symbols.reshape(-1))
     return Codebook(constellation=constellation, symbols=symbols)
 
 
-def _fill_bounded(bitgen: np.random.PCG64, order: int, out: np.ndarray):
-    """Fill the int64 vector `out` with uniform integers in [0, order).
+def codebook_blocks(constellation: PskConstellation, size: int,
+                    block_length: int, seed: int):
+    """The rows of generate_codebook(...).symbols, a block at a time.
 
-    Each block of `out` is computed in place, viewed as uint64: the next
-    words, times J, shifted down 32 bits.  A block takes as many words as it
-    has room for and keeps the accepted ones, so the next block starts right
-    after them.
+    Yields (start, rows) for consecutive blocks of whole rows, as many as
+    fit one utils.BLOCK_ELEMENTS block, so a caller can use each block while
+    it is in cache.  Every block is drawn into the same buffer, which the
+    caller may overwrite: a block is valid until the next one is drawn.
     """
-    reject_below = (1 << 32) % order
-    step = block_step(1)
-    dest = out.view(np.uint64)
-    spare = None                  # high half of the last raw output, unused
-    filled = 0
-    while filled < len(dest):
-        block = dest[filled:filled + step]
+    if size < 1 or block_length < 1:
+        raise ValueError("codebook size and block length must be positive")
+    stream = _SymbolStream(constellation.order, np.random.PCG64(int(seed)))
+    step = min(block_step(block_length), size)
+    buffer = np.empty((step, block_length), dtype=np.int64)
+    for start in range(0, size, step):
+        rows = buffer[:min(step, size - start)]
+        stream.fill(rows.reshape(-1))
+        yield start, rows
+
+
+def codebook_row(constellation: PskConstellation, block_length: int,
+                 seed: int, row: int) -> np.ndarray:
+    """generate_codebook(constellation, size, block_length, seed).symbols[row]
+    for any size > row, drawn without storing the codebook.
+
+    For a power-of-two J every symbol takes one 32-bit word, so the generator
+    jumps straight to the row's first word; any other J rejects words, and
+    the rows before this one are drawn and dropped.
+    """
+    if block_length < 1 or row < 0:
+        raise ValueError("need a positive block length and a row >= 0")
+    bitgen = np.random.PCG64(int(seed))
+    stream = _SymbolStream(constellation.order, bitgen)
+    skip = int(row) * block_length
+    if stream.word_per_symbol:
+        bitgen.advance(skip // 2)
+        skip %= 2                # an odd start drops the low half
+    dropped = np.empty(min(skip, block_step(1)), dtype=np.int64)
+    while skip:
+        n = min(skip, len(dropped))
+        stream.fill(dropped[:n])
+        skip -= n
+    symbols = np.empty(block_length, dtype=np.int64)
+    stream.fill(symbols)
+    return symbols
+
+
+class _SymbolStream:
+    """Uniform integers in [0, order), in the order that
+    np.random.Generator(bitgen).integers(0, order, ...) draws them.
+
+    The generator's raw 64-bit outputs are split into two 32-bit words, low
+    half first, and a word becomes a symbol by numpy's bounded-integer rule
+    for J <= 2^32 (Lemire 2019): with m = word * J, the symbol is m >> 32,
+    and the word is rejected when m mod 2^32 < 2^32 mod J.  For J = 2^b no
+    word is rejected and the symbol is word >> (32 - b).  A fill draws only
+    as many words as it has room for, so all the stream carries from one
+    fill to the next is the unused high half of the last raw output.
+    """
+
+    def __init__(self, order: int, bitgen: np.random.PCG64):
+        order = int(order)
+        if not 1 <= order <= 1 << 32:
+            # numpy draws larger ranges from 64-bit words; the 32-bit rule
+            # would reject every word
+            raise ValueError("codebooks need a constellation order in [1, 2^32]")
+        self._order = np.uint64(order)
+        self._bitgen = bitgen
+        self._reject_below = (1 << 32) % order
+        self._shift = np.uint32(33 - order.bit_length())   # 32 - b for J = 2^b
+        self._spare = None
+
+    @property
+    def word_per_symbol(self) -> bool:
+        return not self._reject_below
+
+    def fill(self, out: np.ndarray):
+        """Write the next len(out) symbols into the int64 vector `out`."""
+        step = block_step(1)
+        filled = 0
+        while filled < len(out):
+            filled += self._fill_block(out[filled:filled + step])
+
+    def _fill_block(self, block: np.ndarray) -> int:
+        """Draw len(block) words and write the symbols of those accepted to
+        the front of `block`; return how many there are."""
+        spare = self._spare
         lead = 0 if spare is None else 1
+        n = len(block) - lead
+        words = self._bitgen.random_raw((n + 1) // 2).view(np.uint32)
+        self._spare = words[n] if len(words) > n else None
+        if self.word_per_symbol:
+            if lead:
+                block[0] = spare >> self._shift
+            np.right_shift(words[:n], self._shift, out=block[lead:])
+            return len(block)
+        dest = block.view(np.uint64)
         if lead:
-            block[0] = spare
-        words = bitgen.random_raw((len(block) - lead + 1) // 2).view(np.uint32)
-        block[lead:] = words[:len(block) - lead]
-        spare = words[-1] if len(words) > len(block) - lead else None
-        block *= np.uint64(order)
-        n = len(block)
-        if reject_below:
-            keep = (block & _LOW_WORD) >= reject_below
-            n = int(np.count_nonzero(keep))
-            block[:n] = block[keep]
-        block[:n] >>= np.uint64(32)
-        filled += n
+            dest[0] = spare
+        dest[lead:] = words[:n]
+        dest *= self._order
+        keep = (dest & _LOW_WORD) >= self._reject_below
+        kept = int(np.count_nonzero(keep))
+        dest[:kept] = dest[keep]
+        dest[:kept] >>= np.uint64(32)
+        return kept
 
 
 @dataclass

@@ -5,8 +5,10 @@ known pilots and each data subchannel l is decoded in turn, predicting its
 fading from noisy observations at the times of already-decoded subchannels
 (using the decoded symbols, so decision errors pollute later predictions
 unless genie mode substitutes the true symbols).  Codebooks are sized from a
-per-subchannel achievable-rate estimate; decoding is exhaustive, which is
-what caps the codebook size.
+per-subchannel achievable-rate estimate.  A codebook is never stored: it is
+streamed from its seed through the decoder, and only the sent and the
+decoded rows are drawn on their own, so exhaustive decoding time is all that
+caps the codebook size.
 """
 
 import math
@@ -14,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import decode
+# perfbench/tracing.py wraps decode and generate_codebook here; run calls neither
+from .decoder import decode, decode_seeded  # noqa: F401
 from .errors import ConfigurationError
 from .fading import Ar1Fading, FadingModel, generate_path
 from .gmi import gmi
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors)
-from .psk import PscBlock, generate_codebook, make_constellation, synthesize_block_at_rho
+from .psk import (PscBlock, codebook_row, generate_codebook,  # noqa: F401
+                  make_constellation, synthesize_block_at_rho)
 from .utils import binomial_halfwidth, complex_normal, derive_seed
 
 MAX_CODEBOOK_SIZE = 1 << 16
@@ -145,16 +149,16 @@ def run(config: SchemeConfig) -> RtReport:
 
         # true symbol indices: pilots everywhere, then per-subchannel codewords
         s_true = np.zeros(total, dtype=np.int64)
-        books = [None] * depth
+        book_seeds = [derive_seed(config.master_seed,
+                                  _STREAM_BOOK * _STRIDE + trial * depth + l)
+                      for l in range(depth)]
         sent = np.zeros(depth, dtype=np.int64)
+        codewords = [None] * depth
         data_slots = warm_slots + np.arange(n_k)
         for l in range(1, depth):
-            books[l] = generate_codebook(
-                const, int(sizes[l]), n_k,
-                derive_seed(config.master_seed,
-                            _STREAM_BOOK * _STRIDE + trial * depth + l))
             sent[l] = rng_msg.integers(0, sizes[l])
-            s_true[data_slots * depth + l] = books[l].symbols[sent[l]]
+            codewords[l] = codebook_row(const, n_k, book_seeds[l], sent[l])
+            s_true[data_slots * depth + l] = codewords[l]
 
         x_phys = sqrt_snr * h * const.points[s_true] + z
 
@@ -175,15 +179,19 @@ def run(config: SchemeConfig) -> RtReport:
                 h_ref = np.zeros(n_k, dtype=complex)
             x_block = x_phys[times] \
                 / math.sqrt(1.0 + config.snr * pred.error_variance)
-            codeword = books[l].symbols[sent[l]]
+            codeword = codewords[l]
             block = PscBlock(
                 x=x_block, h_hat=h_ref, s=codeword, rho=float(rhos[l]),
                 residual_noise=x_block - np.sqrt(rhos[l]) * h_ref
                 * const.points[codeword])
-            outcome = decode(books[l], block, sent_message=int(sent[l]))
+            outcome = decode_seeded(const, int(sizes[l]), book_seeds[l], block,
+                                    sent_message=int(sent[l]))
             trial_errs[l] = not outcome.correct
-            decoded = books[l].symbols[outcome.chosen_message]
-            fed_back = codeword if config.genie else decoded
+            if config.genie or outcome.correct:
+                fed_back = codeword
+            else:
+                fed_back = codebook_row(const, n_k, book_seeds[l],
+                                        outcome.chosen_message)
             obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
                 / sqrt_snr
 

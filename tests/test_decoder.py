@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from rtgmi.decoder import decode, metric, pairwise_undercut_probability
+from rtgmi.decoder import (decode, decode_seeded, metric,
+                           pairwise_undercut_probability)
 from rtgmi.fading import Ar1Fading
 from rtgmi.psk import (Codebook, generate_codebook, make_constellation,
                        synthesize_block_at_rho)
-from rtgmi.utils import complex_normal
+from rtgmi.utils import block_step, complex_normal
 
 
 def brute_force_metric(constellation, codeword, block):
@@ -90,6 +91,56 @@ def test_decode_metrics_equal_the_row_gather_formula(order):
     assert out.chosen_message == int(np.argmin(expected))
     assert out.chosen_metric == expected.min()
     assert out.runner_up_metric == np.sort(expected)[1]
+
+
+def _assert_same_outcome(got, want):
+    assert np.array_equal(got.metrics, want.metrics)
+    assert got.chosen_message == want.chosen_message
+    assert got.correct is want.correct
+    assert got.chosen_metric == want.chosen_metric
+    assert got.runner_up_metric == want.runner_up_metric
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8])
+def test_decode_seeded_equals_decode_of_the_stored_codebook(order):
+    # sizes of one row, one block, one block and a row, and two blocks and
+    # three rows; the sent row is the last one
+    c = make_constellation(order)
+    n = 96
+    step = block_step(n)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order)
+    for size in (1, step, step + 1, 2 * step + 3):
+        book = generate_codebook(c, size, n, seed=order + 10)
+        blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[-1]] \
+            + blk.residual_noise
+        for sent in (None, size - 1):
+            _assert_same_outcome(
+                decode_seeded(c, size, order + 10, blk, sent_message=sent),
+                decode(book, blk, sent_message=sent))
+
+
+def test_decode_seeded_ties_go_to_the_lowest_index():
+    # a one-symbol binary book has two distinct rows, so most rows tie
+    c = make_constellation(2)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 1, seed=4)
+    book = generate_codebook(c, 40, 1, seed=6)
+    want = decode(book, blk, sent_message=39)
+    got = decode_seeded(c, 40, 6, blk, sent_message=39)
+    _assert_same_outcome(got, want)
+    best = book.symbols[got.chosen_message, 0]
+    assert got.chosen_message == int(np.flatnonzero(book.symbols[:, 0] == best)[0])
+    assert got.runner_up_metric == got.chosen_metric
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_decode_rejects_symbols_outside_the_constellation(bad):
+    # a symbol of J in the first column would still index the table
+    c = make_constellation(4)
+    symbols = np.zeros((3, 5), dtype=np.int64)
+    symbols[1, 0] = bad
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 5, seed=1)
+    with pytest.raises(ValueError):
+        decode(Codebook(constellation=c, symbols=symbols), blk)
 
 
 def test_decode_tie_breaks_to_lowest_index():

@@ -5,9 +5,9 @@ import pytest
 
 from rtgmi.fading import Ar1Fading, generate_path
 from rtgmi.prediction import PredictorSpec, predictor_coefficients
-from rtgmi.psk import (PscBlock, PskConstellation, generate_codebook,
-                       make_constellation, synthesize_block_at_rho,
-                       synthesize_psc_block)
+from rtgmi.psk import (PscBlock, PskConstellation, codebook_row,
+                       generate_codebook, make_constellation,
+                       synthesize_block_at_rho, synthesize_psc_block)
 
 
 def test_constellation_geometry():
@@ -38,8 +38,12 @@ def test_codebook_shape_determinism_and_range():
         generate_codebook(c, 0, 7, seed=2)
 
 
-# 3 * 2^30 and 2^31 + 1 reject a quarter and almost half of the words
-@pytest.mark.parametrize("order", [*range(1, 18), 3 << 30, (1 << 31) + 1])
+# 3 * 2^30 and 2^31 + 1 reject a quarter and almost half of the words, and
+# 2^32 takes each word whole
+ORDERS = [*range(1, 18), 3 << 30, (1 << 31) + 1, 1 << 32]
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_codebook_equals_generator_integers(order):
     """The raw-word draw is numpy's own bounded-integer draw, bit for bit.
 
@@ -54,6 +58,36 @@ def test_codebook_equals_generator_integers(order):
                                                      size=(size, length))
         assert book.symbols.dtype == want.dtype
         assert np.array_equal(book.symbols, want), (size, length, seed)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_codebook_row_equals_the_stored_row(order):
+    # odd K makes every other row start in the high half of a 64-bit output
+    c = PskConstellation(order=order, points=np.empty(0))
+    for size, length, seed in [(1, 1, 3), (5, 1, 4), (6, 16, (1 << 64) - 1),
+                               (2051, 17, 11), (41, 800, 5)]:
+        book = generate_codebook(c, size, length, seed)
+        for row in sorted({0, size // 2, size - 1}):
+            assert np.array_equal(codebook_row(c, length, seed, row),
+                                  book.symbols[row]), (size, length, row)
+
+
+def test_codebook_row_contract():
+    c = make_constellation(4)
+    with pytest.raises(ValueError):
+        codebook_row(c, 0, seed=1, row=0)
+    with pytest.raises(ValueError):
+        codebook_row(c, 8, seed=1, row=-1)
+
+
+def test_codebooks_refuse_orders_past_32_bits():
+    # numpy draws such a range from 64-bit words, and the 32-bit rule would
+    # reject every word and never return
+    c = PskConstellation(order=(1 << 32) + 1, points=np.empty(0))
+    with pytest.raises(ValueError):
+        generate_codebook(c, 2, 2, seed=3)
+    with pytest.raises(ValueError):
+        codebook_row(c, 2, seed=3, row=1)
 
 
 def test_synthesis_identity_exact():

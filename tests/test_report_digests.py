@@ -6,6 +6,11 @@ numpy's rounding of exp and log, which may differ between numpy builds and
 CPUs (the digests were recorded with numpy 2.4 on x86-64 with AVX-512).
 After such an upgrade, re-record them from a run of the previous release;
 after a code change, a mismatch shows which report moved.
+
+The bits also depend on the BLAS thread count.  The digests were recorded
+with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1 (the
+benchmark's pin) the gmi_clarke report.json hashes differently, because the
+Cholesky factor of the Clarke covariance rounds differently on one thread.
 """
 
 import hashlib
@@ -20,6 +25,15 @@ _AR1 = ["--model", "ar1", "--alpha", "0.99"]
 _SIM = ["simulate", "--model", "ar1", "--alpha", "0.9", "--constellation",
         "bpsk", "--snr-db", "3", "--L", "3", "--K", "16", "--rate-fraction",
         "0.4", "--trials", "20", "--gmi-K", "20000", "--predictor-order", "8"]
+
+
+def _sim(**values):
+    """_SIM with the named options set to other values."""
+    argv = list(_SIM)
+    for option, value in values.items():
+        argv[argv.index(f"--{option}") + 1] = value
+    return argv
+
 
 RUNS = {
     "capacity": ["capacity", "--constellation", "bpsk", "--snr-db", "3",
@@ -37,6 +51,11 @@ RUNS = {
               "--samples", "10000"],
     "simulate_genie": _SIM + ["--genie", "--seed", "2026"],
     "simulate_decision_directed": _SIM + ["--seed", "2027"],
+    # a ternary alphabet takes the rejecting draw, and an odd K starts rows
+    # in the middle of a 64-bit word
+    "simulate_ternary": _sim(constellation="3") + ["--seed", "2028"],
+    "simulate_qpsk_odd_k": _sim(constellation="qpsk", K="15")
+    + ["--seed", "2029"],
 }
 
 DIGESTS = {
@@ -107,6 +126,26 @@ DIGESTS = {
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
             '9a9f1c4921ef148527a7715b339003d6eec3df6bcce940cf88d52d84e354d240',
+    },
+    'simulate_qpsk_odd_k': {
+        'report.json':
+            'fa572a1a92bd4c4816e588d81742cc41183c7bb6bf853beeac694aead92231e2',
+        'simulate.csv':
+            '42606dbde9a82c2f97df0dcfd834574b834c12e71f84e138302f18e495f21a96',
+        'simulate.svg':
+            '100f0b8a47abc62edfd87a72a2b632dbbc768b4a311c52f09c6fee58161e684c',
+        'stdout':
+            '8e0e74df1508d144e95169cf95c71ea7de2285829326a8e0700a754853b0eb8c',
+    },
+    'simulate_ternary': {
+        'report.json':
+            '38a0019d8d59b6038a89345d403e47d155df32d63ede8752be26d039b03f058c',
+        'simulate.csv':
+            '51e521f4be95e6d918fb9c9779b06582b6f2d0a6b45d6fede14a705a9eab7746',
+        'simulate.svg':
+            '80f4c34466a022c4d3fe4b3a3e42f37fea9c813dfa1e395e3d7abef98dd0ee79',
+        'stdout':
+            'c04b0b16e1d514142f7f9958ddf435e4b9f1dfc8ad04d595227afcfc762c4d00',
     },
     'sweep': {
         'report.json':
