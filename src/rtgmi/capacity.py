@@ -6,27 +6,39 @@ equiprobable J-ary PSK input, the mutual information in nats is
     I(J, rho) = log J - E log sum_j exp(|Z|^2 - |sqrt(rho) H (theta_0 -
                 theta_j) + Z|^2),
 
-estimated either by seeded Monte Carlo (with a standard-error CI) or by
-nested Gauss-Hermite quadrature over the four real Gaussian dimensions.  The
-quadrature route has no sampling noise and validates the Monte Carlo one.
-The module also assembles per-subchannel capacity ladders for interleaved
-training schedules.
+estimated either by seeded Monte Carlo over (H, Z) (with a standard-error
+CI) or by a radial quadrature rule: rotation invariance leaves t = |H|^2
+as the only channel variable, integrated by Gauss-Legendre panels, and the
+noise gets a 2-D Gauss-Hermite rule.  The rule has no sampling noise and
+matches the exact BPSK and QPSK capacities to 1e-10, so it validates the
+Monte Carlo route and gives the per-subchannel capacity ladders of
+interleaved training schedules exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
-from .utils import block_step, complex_normal, derive_seed, log_mean_exp
+from .utils import block_step, complex_normal, log_mean_exp
 
 DEFAULT_MC_SAMPLES = 400_000
 QUADRATURE_NODES = 64
 _MC_CHUNK = 1 << 16
 NATS_TO_BITS = 1.0 / math.log(2.0)
+
+# the radial rule's panel ends: where rho t crosses each _SNR_CUTS value and
+# where the nearest-neighbour SNR crosses each _PAIR_CUTS value, below _T_MAX
+# (Exp(1) puts e^-50 of its mass beyond)
+_SNR_CUTS = (0.1, 1.0, 4.0, 16.0, 64.0)
+_PAIR_CUTS = (8.0, 16.0, 32.0, 64.0)
+_T_MAX = 50.0
+_NEGLIGIBLE = 1e-20   # quadrature nodes of smaller weight are dropped
 
 
 @dataclass(frozen=True)
@@ -98,15 +110,74 @@ def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
                             clamped=bool(value != raw))
 
 
+@functools.lru_cache(maxsize=8)
+def _noise_rule(nodes):
+    """(z, weight): a 2-D Gauss-Hermite rule for CN(0, 1) noise, Im z >= 0.
+
+    Each real part is N(0, 1/2), so with physicists' Hermite nodes x and
+    weights w the expectation is sum w_a w_b f(x_a + i x_b) / pi.  The
+    integrand below is even under z -> conj(z), so the nodes with Im z < 0
+    fold onto their mirror images.  Products below _NEGLIGIBLE are dropped:
+    at 64 nodes they are 60% of the grid and weigh 2e-19 together.
+    """
+    x, w = hermgauss(nodes)
+    half = nodes // 2
+    w_im = 2.0 * w[half:]
+    if nodes % 2:
+        w_im[0] = w[half]  # the node on the real axis is its own mirror
+    z = (x[:, None] + 1j * x[half:]).ravel()
+    weight = (w[:, None] * w_im).ravel() / math.pi
+    keep = weight >= _NEGLIGIBLE
+    return _frozen(z[keep]), _frozen(weight[keep])
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre(nodes):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    g, w = leggauss(nodes)
+    return _frozen((g + 1.0) / 2.0), _frozen(w / 2.0)
+
+
+def _frozen(a):
+    """`a`, read-only: a cached table is shared by every caller."""
+    a.setflags(write=False)
+    return a
+
+
+def _radial_rule(order, rho, nodes):
+    """(t, weight) for E f(|H|^2): |H|^2 ~ Exp(1), e^-t in the weights.
+
+    The integrand bends where rho t, the SNR a draw sees, passes 1, and
+    decays where kappa rho t, the SNR between nearest neighbours, grows, so
+    Gauss-Legendre panels end where either reaches one of its cuts, and at
+    _T_MAX.
+    """
+    # kappa = |theta_0 - theta_1|^2 / 4, rounded so that a pair cut that
+    # equals an SNR cut (QPSK has three) is the same float and one edge
+    kappa = round(math.sin(math.pi / order) ** 2, 12)
+    cuts = {c / rho for c in _SNR_CUTS if c < _T_MAX * rho}
+    cuts |= {c / (kappa * rho) for c in _PAIR_CUTS if c < _T_MAX * kappa * rho}
+    edges = np.array([0.0] + sorted(cuts) + [_T_MAX])
+    g, w = _legendre(max(nodes // 4, 2))
+    width = np.diff(edges)[:, None]
+    t = (edges[:-1, None] + width * g).ravel()
+    weight = (width * w).ravel() * np.exp(-t)
+    keep = weight >= _NEGLIGIBLE
+    return t[keep], weight[keep]
+
+
 def psk_capacity_quadrature(order: int, rho: float,
                             nodes: int = QUADRATURE_NODES) -> float:
-    """Deterministic I(J, rho) by nested 2-D Gauss-Hermite quadrature.
+    """Deterministic I(J, rho) by a radial quadrature rule.
 
-    The outer rule integrates over Re/Im of the channel reference, the inner
-    one over Re/Im of the noise; `nodes` points per real dimension (>= 64 by
-    default).  Each real part is N(0, 1/2), so with physicists' Hermite nodes
-    t and weights w the expectation of f is sum w_i f(t_i) / sqrt(pi) per
-    dimension.
+    PSK and circular noise are rotation-invariant, so the reference enters
+    only through t = |H|^2 ~ Exp(1), and with a = sqrt(rho t) the exponent
+    of term j is -a^2 |d_j|^2 - 2 a Re(d_j conj Z), d_j = theta_0 - theta_j.
+    The rule is Gauss-Legendre panels in t (nodes // 4 per panel, _radial_rule)
+    times a 2-D Gauss-Hermite rule in Z (`nodes` per real dimension,
+    _noise_rule); both node tables are cached.  At the default it matches the
+    BPSK and QPSK references to 1e-10 for rho from 0.1 to 100, and 8-PSK
+    agrees with 128 nodes to 2e-9.
     """
     if order < 1:
         raise ValueError("constellation order must be >= 1")
@@ -114,22 +185,25 @@ def psk_capacity_quadrature(order: int, rho: float,
         raise ValueError("rho must be non-negative")
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    points = np.exp(2j * math.pi * np.arange(order) / order)
-    t, w = hermgauss(nodes)
-    h_grid = (t[:, None] + 1j * t[None, :]).ravel()
-    w2 = (w[:, None] * w[None, :]).ravel() / math.pi
-    z_grid = h_grid
-    z_sq = np.abs(z_grid) ** 2
-
-    expect = 0.0
-    for start in range(0, len(h_grid), 64):
-        h = h_grid[start:start + 64]
-        shift = np.sqrt(rho) * h[:, None] * (points[0] - points)[:, None, None] \
-            + z_grid
-        expo = z_sq - np.abs(shift) ** 2
-        inner = log_mean_exp(expo, expo.max(axis=0))
-        expect += float(np.dot(w2[start:start + 64], inner @ w2))
-    return math.log(order) - expect
+    if rho == 0.0:
+        return 0.0  # every symbol looks the same
+    z, z_weight = _noise_rule(nodes)
+    t, t_weight = _radial_rule(order, rho, nodes)
+    d = 1.0 - np.exp(2j * math.pi * np.arange(order) / order)
+    cross = -2.0 * (d[:, None] * z.conj()).real     # (J, noise nodes)
+    dist = -np.abs(d) ** 2
+    # the (J, t, noise) table goes a cache-sized block of t nodes at a time;
+    # each node's noise sum is a row sum, so no bit depends on the block size
+    step = block_step(order * len(z))
+    noise_mean = np.empty(len(t))
+    for start in range(0, len(t), step):
+        rows = slice(start, start + step)
+        a = np.sqrt(rho * t[rows])
+        expo = (a * a)[:, None] * dist[:, None, None] \
+            + a[:, None] * cross[:, None, :]
+        inner = log_mean_exp(expo, expo.max(axis=0))  # row j = 0 is exactly 0
+        noise_mean[rows] = (inner * z_weight).sum(axis=1)
+    return math.log(order) - float(np.sum(t_weight * noise_mean))
 
 
 @dataclass
@@ -137,45 +211,42 @@ class RateLadder:
     interleave_depth: int
     rho: np.ndarray
     capacity_nats: np.ndarray
-    capacity_ci: np.ndarray
     l_average: float
     convergence_gap: float
 
 
-def _ladder_arrays(model, depth, snr, order, predictor_order, n_samples, seed,
-                   stream_base):
+def _ladder_capacities(model, depth, snr, order, predictor_order, known):
+    """Effective SNRs and their quadrature capacities; `known` maps each rho
+    already integrated to its capacity, since rungs past the predictor order
+    repeat the same rho."""
     rhos = rho_sequence(model, depth, snr, predictor_order)
-    caps = np.zeros(depth)
-    cis = np.zeros(depth)
-    for l in range(depth):
-        if rhos[l] == 0.0:
-            continue  # pilot subchannel: capacity 0 by definition, no sampling
-        est = psk_capacity(order, float(rhos[l]), n_samples,
-                           derive_seed(seed, stream_base + l))
-        caps[l] = est.nats
-        cis[l] = est.ci
-    return rhos, caps, cis
+    for rho in rhos.tolist():
+        if rho not in known:
+            known[rho] = psk_capacity_quadrature(order, rho)
+    return rhos, np.array([known[rho] for rho in rhos.tolist()])
 
 
 def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
-                order: int, predictor_order: int = DEFAULT_PREDICTOR_ORDER,
-                n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> RateLadder:
+                order: int,
+                predictor_order: int = DEFAULT_PREDICTOR_ORDER) -> RateLadder:
     """Per-subchannel capacities under the interleaved training schedule.
 
-    l_average is the plain mean over the `interleave_depth` subchannels
-    (pilot included at zero) and doubles as the finite-depth estimate of the
-    scheme's limiting rate; convergence_gap compares it against the same
-    quantity at half the depth.
+    Each rung is psk_capacity_quadrature at the subchannel's effective SNR
+    (0 for the pilot), so the ladder carries no sampling noise.  l_average is
+    the plain mean over the `interleave_depth` subchannels (pilot included at
+    zero) and doubles as the finite-depth estimate of the scheme's limiting
+    rate; convergence_gap compares it against the same quantity at half the
+    depth.
     """
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
-    rhos, caps, cis = _ladder_arrays(model, interleave_depth, snr, order,
-                                     predictor_order, n_samples, seed, 0)
+    known = {}
+    rhos, caps = _ladder_capacities(model, interleave_depth, snr, order,
+                                    predictor_order, known)
     l_avg = float(caps.mean())
     if interleave_depth >= 2:
-        half = interleave_depth // 2
-        _, caps_half, _ = _ladder_arrays(model, half, snr, order,
-                                         predictor_order, n_samples, seed, 10_000)
+        _, caps_half = _ladder_capacities(model, interleave_depth // 2, snr,
+                                          order, predictor_order, known)
         gap = abs(l_avg - float(caps_half.mean()))
     else:
         gap = 0.0
@@ -183,7 +254,6 @@ def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
         interleave_depth=int(interleave_depth),
         rho=rhos,
         capacity_nats=caps,
-        capacity_ci=cis,
         l_average=l_avg,
         convergence_gap=gap,
     )

@@ -173,7 +173,9 @@ SCHEMAS = {
         "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
-        "samples": Param(int, default=DEFAULT_MC_SAMPLES),
+        # accepted for old command lines and config files: the ladder is
+        # computed by quadrature and draws no samples
+        "samples": Param(int, help="ignored: the ladder is exact"),
     },
     "simulate": {
         **_COMMON, **_MODEL_KEYS,
@@ -404,17 +406,15 @@ def _run_ladder(params):
     model = build_model(params)
     snr = db_to_linear(params["snr_db"])
     ladder = rate_ladder(model, params["L"], snr, params["constellation"],
-                         params["predictor_order"], params["samples"],
-                         params["seed"])
+                         params["predictor_order"])
     payload = {
         **_report_head("ladder", params), **_model_keys(params),
+        "schema_version": 2,
         "snr_linear": snr,
         "interleave_depth": params["L"],
         "predictor_order": params["predictor_order"],
-        "samples": params["samples"],
         "rho_linear": ladder.rho,
         "capacity_nats": ladder.capacity_nats,
-        "capacity_ci_nats": ladder.capacity_ci,
         "l_average_nats": ladder.l_average,
         "l_average_bits": ladder.l_average * NATS_TO_BITS,
         "rt_estimate_nats": ladder.l_average,
@@ -429,8 +429,7 @@ def _run_ladder(params):
     return _Outputs(
         "ladder", payload,
         _csv("l,rho_linear,capacity_nats,capacity_bits", rows), plot,
-        f"ladder: l_average {ladder.l_average * NATS_TO_BITS:.6f} bits/symbol "
-        f"+/- {float(ladder.capacity_ci.max()) * NATS_TO_BITS:.6f} (95% CI), "
+        f"ladder: l_average {ladder.l_average * NATS_TO_BITS:.6f} bits/symbol, "
         f"convergence gap {ladder.convergence_gap * NATS_TO_BITS:.6f}")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rtgmi import utils
-from rtgmi.capacity import psk_capacity
+from rtgmi.capacity import psk_capacity, psk_capacity_quadrature
 from rtgmi.decoder import decode, decode_seeded, pairwise_undercut_probability
 from rtgmi.fading import Ar1Fading, generate_path
 from rtgmi.gmi import _LogMgfEvaluator
@@ -51,6 +51,9 @@ def _outputs():
             out[f"moments {order} {mu}"] = np.append(values, [slope, curvature])
     cap = psk_capacity(8, 0.7, n_samples=3001, seed=6)
     out["capacity 8"] = np.array([cap.raw_nats, cap.ci])
+    for order in (3, 8):
+        out[f"quadrature {order}"] = psk_capacity_quadrature(order, 0.7,
+                                                             nodes=16)
     return out
 
 

@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rtgmi
 from rtgmi import cli
-from rtgmi.capacity import CapacityEstimate
+from rtgmi.capacity import CapacityEstimate, psk_capacity_quadrature
 from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
                        _parse_constellation, _parse_grid, build_model,
                        build_parser, db_to_linear, main, merge_parameters,
@@ -211,13 +216,50 @@ def test_ladder_command(tmp_path, capsys):
                  "--constellation", "qpsk", "--snr-db", "3", "--L", "4",
                  "--predictor-order", "8", "--samples", "2000",
                  "--output-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.startswith("ladder:")
+    out = capsys.readouterr().out
+    assert out.startswith("ladder:") and "CI" not in out
     payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["schema_version"] == 2
+    assert "samples" not in payload and "capacity_ci_nats" not in payload
     assert len(payload["rho_linear"]) == 4
     assert payload["rho_linear"][0] == 0.0
     assert payload["l_average_nats"] >= 0.0
+    for rho, cap in zip(payload["rho_linear"], payload["capacity_nats"]):
+        assert cap == psk_capacity_quadrature(4, rho)
     lines = (tmp_path / "ladder.csv").read_text().splitlines()
     assert lines[0] == "l,rho_linear,capacity_nats,capacity_bits"
+
+
+def test_ladder_ignores_samples(tmp_path, capsys):
+    # the ladder draws no samples, but old command lines still pass --samples
+    base = ["ladder", "--model", "ar1", "--alpha", "0.9", "--constellation",
+            "bpsk", "--snr-db", "0", "--L", "3", "--predictor-order", "4"]
+    outputs = []
+    for extra in ([], ["--samples", "2000"], ["--samples", "7"]):
+        out = tmp_path / str(len(outputs))
+        assert main(base + extra + ["--output-dir", str(out)]) == 0
+        outputs.append((capsys.readouterr().out,
+                        (out / "report.json").read_bytes(),
+                        (out / "ladder.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert "ignored" in subs.choices["ladder"].format_help()
+
+
+def test_importing_the_cli_builds_no_quadrature_tables():
+    # setup cost: scipy.integrate serves only the tests' oracles, and the
+    # capacity node tables are built on first use
+    src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, rtgmi.cli\n"
+            "from rtgmi.capacity import _legendre, _noise_rule\n"
+            "print('scipy.integrate' in sys.modules,"
+            " _noise_rule.cache_info().currsize,"
+            " _legendre.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "0", "0"]
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -63,7 +63,7 @@ DIGESTS = {
         'capacity.csv':
             '5b074b43a3b35dc01e7413ec608412cc35dae067fa3ab8d37f6a6e6c5185d3e9',
         'report.json':
-            '6737fb781e18bc6e99aa7d9bf2426aadc23a990dcb2b0d8af1a3e698fd0aa4fd',
+            'e41407db784c726331029260eea4f92847a4e947c1e167008858d1a3aa5c62d0',
         'stdout':
             '8b6e6b31ec58e33fd523edd3d11ea6f78b9698a98a5205fc2d999794ec7b2b1c',
     },
@@ -99,13 +99,13 @@ DIGESTS = {
     },
     'ladder': {
         'ladder.csv':
-            'a3d85a64efd7b719fecf2f996bcef6f753bf6954c71db73b936e23b08e4d4545',
+            'eac39314e4b89a68619673b2c201b163a72d42df6a85ed9d6d7af2526d1e6e78',
         'ladder.svg':
-            'c947be78878cabb69bd76a43652e60158e5921c8ddaf0b97d1de328f34fcbaa4',
+            'a85a5c129f6739850e9d4779b7e721f7266a64daacbe6a0f545636557009c319',
         'report.json':
-            'ce1ac08dcbb1906aac9cc8a81e117e4b465f73bbacd656d6077e470cbb0cc61c',
+            'bdaa8d7f3492c79cc5a108596d547f81b1d2b3ff0dba3a6b6a7d7f1aaef1342a',
         'stdout':
-            'b4b6b966c034abc339d35cf4a08b2bad1363154e4272e807c52e7e2c27bc44dd',
+            'b8e6e26c8655e731c7a57933900aaf170c127dd13607583792e02bf754633538',
     },
     'simulate_decision_directed': {
         'report.json':
