@@ -188,7 +188,10 @@ SCHEMAS = {
         "genie": Param(_parse_bool, default=False),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
         "error_target": Param(float, default=0.05),
-        "gmi_K": Param(int, default=100_000),
+        # accepted for old command lines and config files: codebooks are
+        # sized from the exact capacity and no GMI block is drawn
+        "gmi_K": Param(int, help="ignored: codebooks are sized from the "
+                                 "exact capacity"),
     },
     "sweep": {
         **_COMMON,
@@ -331,7 +334,7 @@ def _emit(params, out: _Outputs):
 
 
 def _report_head(command, params):
-    """Report keys shared by every command but simulate."""
+    """Report keys shared by every command."""
     return {"schema_version": 1, "command": command,
             "constellation_order": params["constellation"],
             "snr_db": params["snr_db"], "seed": params["seed"]}
@@ -409,7 +412,7 @@ def _run_ladder(params):
                          params["predictor_order"])
     payload = {
         **_report_head("ladder", params), **_model_keys(params),
-        "schema_version": 2,
+        "schema_version": 3,
         "snr_linear": snr,
         "interleave_depth": params["L"],
         "predictor_order": params["predictor_order"],
@@ -420,6 +423,7 @@ def _run_ladder(params):
         "rt_estimate_nats": ladder.l_average,
         "convergence_gap_nats": ladder.convergence_gap,
     }
+    del payload["seed"]  # nothing in the ladder is random; --seed is ignored
     plot = LinePlot(title="per-subchannel rate ladder",
                     xlabel="subchannel index", ylabel="rate (bits/symbol)")
     bits = ladder.capacity_nats * NATS_TO_BITS
@@ -446,7 +450,6 @@ def _run_simulate(params):
         predictor_order=params["predictor_order"],
         genie=params["genie"],
         error_target=params["error_target"],
-        gmi_block_length=params["gmi_K"],
     )
     report = run(config)
     ls = np.arange(1, config.interleave_depth)
@@ -456,10 +459,12 @@ def _run_simulate(params):
     budget = config.error_target / config.interleave_depth
     plot.add("budget", ls, np.full(len(ls), budget))
     payload = {
-        "schema_version": 1,
+        **_report_head("simulate", params), **_model_keys(params),
+        "schema_version": 2,
         "interleave_depth": config.interleave_depth,
         "block_length": config.block_length,
-        "constellation_order": config.constellation_order,
+        "predictor_order": config.predictor_order,
+        "error_target": config.error_target,
         "snr_linear": config.snr,
         "rate_fraction": config.rate_fraction,
         "genie": config.genie,

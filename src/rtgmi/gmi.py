@@ -8,10 +8,11 @@ random candidate symbol is
 
 a convex function with lam(0) = 0, estimated as a time average over one long
 block.  The reported rate is sup over mu < 0 of (mu - lam(mu)), located by a
-golden-section search; the value at mu = -1 is kept alongside because it
-equals the matched (capacity) rate of the memoryless channel with the same
-marginals.  Uncertainty comes from a 64-segment contiguous block bootstrap,
-which stays valid when the block is correlated.
+safeguarded Newton search on the zero of its derivative; the value at
+mu = -1 is kept alongside because it equals the matched (capacity) rate of
+the memoryless channel with the same marginals.  Uncertainty comes from a
+64-segment contiguous block bootstrap, which stays valid when the block is
+correlated.
 """
 
 import math

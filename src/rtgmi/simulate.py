@@ -4,8 +4,10 @@ Channel time is split into L interleaved subchannels; subchannel 0 carries
 known pilots and each data subchannel l is decoded in turn, predicting its
 fading from noisy observations at the times of already-decoded subchannels
 (using the decoded symbols, so decision errors pollute later predictions
-unless genie mode substitutes the true symbols).  Codebooks are sized from a
-per-subchannel achievable-rate estimate.  A codebook is never stored: it is
+unless genie mode substitutes the true symbols).  Each data subchannel's
+codebook is sized from its rate, the coherent PSK capacity at its effective
+SNR, computed exactly by quadrature; sizes therefore depend on the config
+alone, not on the master seed.  A codebook is never stored: it is
 streamed from its seed through the decoder, and only the sent and the
 decoded rows are drawn on their own, so exhaustive decoding time is all that
 caps the codebook size.
@@ -16,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracing.py wraps decode and generate_codebook here; run calls neither
+from .capacity import psk_capacity_quadrature
+# perfbench/tracing.py wraps decode, generate_codebook, gmi and
+# synthesize_block_at_rho here; run calls none of them
 from .decoder import decode, decode_seeded  # noqa: F401
 from .errors import ConfigurationError
-from .fading import Ar1Fading, FadingModel, generate_path
-from .gmi import gmi
+from .fading import FadingModel, generate_path
+from .gmi import gmi  # noqa: F401
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors)
 from .psk import (PscBlock, codebook_row, generate_codebook,  # noqa: F401
@@ -28,7 +32,6 @@ from .psk import (PscBlock, codebook_row, generate_codebook,  # noqa: F401
 from .utils import binomial_halfwidth, complex_normal, derive_seed
 
 MAX_CODEBOOK_SIZE = 1 << 16
-_STREAM_GMI = 1
 _STREAM_PATH = 2
 _STREAM_NOISE = 3
 _STREAM_BOOK = 4
@@ -43,13 +46,12 @@ class SchemeConfig:
     block_length: int              # K, symbols per subchannel codeword
     constellation_order: int       # J
     snr: float
-    rate_fraction: float           # codebook rate as a fraction of the GMI
+    rate_fraction: float           # codebook rate as a fraction of capacity
     n_trials: int
     master_seed: int
     predictor_order: int = DEFAULT_PREDICTOR_ORDER
     genie: bool = False
     error_target: float = 0.05     # overall budget, split evenly across PSCs
-    gmi_block_length: int = 100_000
 
     def __post_init__(self):
         if self.interleave_depth < 2:
@@ -73,7 +75,7 @@ class RtReport:
     config: SchemeConfig
     rho: np.ndarray
     gmi_nats: np.ndarray
-    rate_targets: np.ndarray       # rate_fraction * gmi, nats/symbol
+    rate_targets: np.ndarray       # rate_fraction * gmi_nats, nats/symbol
     codebook_sizes: np.ndarray
     per_psc_block_error: np.ndarray
     per_psc_ci: np.ndarray
@@ -85,19 +87,17 @@ class RtReport:
 
 
 def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
-    """Per-subchannel GMI estimates and codebook sizes round(exp(f*g*K))."""
-    const = make_constellation(config.constellation_order)
-    white = Ar1Fading(0.0)
-    gmis = np.zeros(config.interleave_depth)
+    """Per-subchannel rates C_J(rho_l) and codebook sizes round(exp(f*C*K)).
+
+    At effective SNR rho_l the nearest-neighbour metric is the matched
+    Gaussian likelihood, so its GMI is exactly the coherent capacity C_J(rho_l).
+    """
+    rates = np.zeros(config.interleave_depth)
     sizes = np.zeros(config.interleave_depth, dtype=np.int64)
     for l in range(1, config.interleave_depth):
-        block = synthesize_block_at_rho(
-            white, float(rhos[l]), const, config.gmi_block_length,
-            derive_seed(config.master_seed, _STREAM_GMI * _STRIDE + l))
-        report = gmi(block, const,
-                     seed=derive_seed(config.master_seed, _STREAM_GMI * _STRIDE + 512 + l))
-        gmis[l] = report.gmi
-        target = config.rate_fraction * report.gmi * config.block_length
+        rates[l] = psk_capacity_quadrature(config.constellation_order,
+                                           float(rhos[l]))
+        target = config.rate_fraction * rates[l] * config.block_length
         if target > 60.0:  # round(exp(...)) would overflow long before the cap test
             sizes[l] = np.iinfo(np.int64).max
         else:
@@ -109,7 +109,7 @@ def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
             f"codebook size exceeds {MAX_CODEBOOK_SIZE} for subchannels "
             f"{oversized}; exhaustive decoding is infeasible, reduce "
             f"block_length or rate_fraction")
-    return gmis, sizes
+    return rates, sizes
 
 
 def run(config: SchemeConfig) -> RtReport:
@@ -126,7 +126,7 @@ def run(config: SchemeConfig) -> RtReport:
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
     rhos = np.array([0.0] + [p.effective_snr for p in predictors[1:]])
-    gmis, sizes = _size_codebooks(config, rhos)
+    rates, sizes = _size_codebooks(config, rhos)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
     warm_slots = int(math.ceil(max_offset / depth))
@@ -206,19 +206,24 @@ def run(config: SchemeConfig) -> RtReport:
     per_err = err_counts / n
     per_ci = np.array([binomial_halfwidth(float(p), n) for p in per_err])
     overall = overall_count / n
-    rate_targets = config.rate_fraction * gmis
+    rate_targets = config.rate_fraction * rates
     achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
-    budget = config.error_target / depth
     return RtReport(
-        config=config, rho=rhos, gmi_nats=gmis,
+        config=config, rho=rhos, gmi_nats=rates,
         rate_targets=rate_targets, codebook_sizes=sizes,
         per_psc_block_error=per_err, per_psc_ci=per_ci,
         overall_error=float(overall),
         overall_ci=binomial_halfwidth(float(overall), n),
         achieved_rate=achieved,
-        budget_met=[bool(p <= budget + ci) for p, ci in zip(per_err, per_ci)],
+        budget_met=_within_budget(per_err, per_ci, config.error_target, depth),
         propagation_events=int(propagation),
     )
+
+
+def _within_budget(errors, cis, error_target, interleave_depth) -> list:
+    """The error budget: p <= error_target / interleave_depth + ci, per entry."""
+    budget = error_target / interleave_depth
+    return [bool(p <= budget + ci) for p, ci in zip(errors, cis)]
 
 
 def budget_check(report: RtReport, error_target: float,
@@ -233,6 +238,5 @@ def budget_check(report: RtReport, error_target: float,
         raise ValueError("error target must be in (0, 1)")
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
-    budget = error_target / interleave_depth
-    return [bool(p <= budget + ci)
-            for p, ci in zip(report.per_psc_block_error, report.per_psc_ci)]
+    return _within_budget(report.per_psc_block_error, report.per_psc_ci,
+                          error_target, interleave_depth)

@@ -279,12 +279,11 @@ def test_criterion_6_companion_budget_contrast():
     below = run(SchemeConfig(model=Ar1Fading(0.99), interleave_depth=3,
                              block_length=400, constellation_order=4,
                              snr=0.12, rate_fraction=0.25, n_trials=400,
-                             master_seed=2026, gmi_block_length=50_000,
-                             error_target=0.18))
+                             master_seed=2026, error_target=0.18))
     above = run(SchemeConfig(model=Ar1Fading(0.99), interleave_depth=3,
                              block_length=70, constellation_order=4,
                              snr=0.12, rate_fraction=1.5, n_trials=60,
-                             master_seed=2026, gmi_block_length=50_000))
+                             master_seed=2026))
     flags = budget_check(below, 0.18, 3)
     ok = (all(flags[1:])
           and all(below.per_psc_block_error[1:] <= 0.06)
@@ -323,7 +322,7 @@ def test_criterion_7_companion_propagation():
     """
     kw = dict(model=Ar1Fading(0.99), interleave_depth=3, block_length=240,
               constellation_order=4, snr=0.12, rate_fraction=0.5,
-              n_trials=600, master_seed=2026, gmi_block_length=50_000)
+              n_trials=600, master_seed=2026)
     dd = run(SchemeConfig(**kw))
     genie = run(SchemeConfig(**kw, genie=True))
     diff = dd.overall_error - genie.overall_error

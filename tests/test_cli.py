@@ -219,8 +219,9 @@ def test_ladder_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ladder:") and "CI" not in out
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert "samples" not in payload and "capacity_ci_nats" not in payload
+    assert "seed" not in payload
     assert len(payload["rho_linear"]) == 4
     assert payload["rho_linear"][0] == 0.0
     assert payload["l_average_nats"] >= 0.0
@@ -245,6 +246,21 @@ def test_ladder_ignores_samples(tmp_path, capsys):
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     assert "ignored" in subs.choices["ladder"].format_help()
+
+
+def test_ladder_output_does_not_depend_on_the_seed(tmp_path, capsys):
+    # nothing in the ladder is random; --seed stays accepted
+    base = ["ladder", "--model", "ar1", "--alpha", "0.9", "--constellation",
+            "qpsk", "--snr-db", "0", "--L", "3", "--predictor-order", "4",
+            "--plot"]
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(base + ["--seed", seed, "--output-dir", str(out)]) == 0
+        outputs.append((capsys.readouterr().out,
+                        *(p.read_bytes() for p in sorted(out.iterdir()))))
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_importing_the_cli_builds_no_quadrature_tables():
@@ -273,8 +289,18 @@ def test_simulate_command(tmp_path, capsys):
     text = (tmp_path / "report.json").read_text()
     assert text.endswith("\n")
     payload = json.loads(text)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert len(payload["per_psc_block_error"]) == 3
+    # the resolved config, enough to rerun it
+    assert {key: payload[key] for key in (
+        "command", "model", "alpha", "constellation_order", "snr_db", "seed",
+        "predictor_order", "error_target", "rate_fraction", "n_trials",
+        "interleave_depth", "block_length", "genie")} == {
+        "command": "simulate", "model": "ar1", "alpha": 0.9,
+        "constellation_order": 2, "snr_db": 3.0, "seed": 0,
+        "predictor_order": 8, "error_target": 0.05, "rate_fraction": 0.4,
+        "n_trials": 20, "interleave_depth": 3, "block_length": 16,
+        "genie": False}
     assert (tmp_path / "simulate.csv").exists()
 
 
@@ -325,8 +351,7 @@ def test_simulate_csv_and_json_outputs(tmp_path, capsys):
     rep = run(SchemeConfig(model=Ar1Fading(0.95), interleave_depth=3,
                            block_length=24, constellation_order=2,
                            snr=db_to_linear(3.0), rate_fraction=0.4,
-                           n_trials=40, master_seed=11, predictor_order=8,
-                           gmi_block_length=20_000))
+                           n_trials=40, master_seed=11, predictor_order=8))
     lines = (tmp_path / "simulate.csv").read_text().splitlines()
     assert lines[0] == "l,rho_linear,gmi_nats,rate_target_nats,block_error,budget_met"
     assert len(lines) == 1 + rep.config.interleave_depth
@@ -334,7 +359,7 @@ def test_simulate_csv_and_json_outputs(tmp_path, capsys):
     assert cells[0] == "0" and float(cells[1]) == 0.0
 
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     for key in ("rho_linear", "gmi_nats", "rate_target_nats", "codebook_sizes",
                 "per_psc_block_error", "per_psc_ci", "overall_error",
                 "overall_ci", "achieved_rate_nats", "budget_met",
@@ -342,6 +367,25 @@ def test_simulate_csv_and_json_outputs(tmp_path, capsys):
         assert key in payload, key
     assert payload["per_psc_block_error"] == list(rep.per_psc_block_error)
     assert all(isinstance(v, bool) for v in payload["budget_met"])
+
+
+def test_simulate_ignores_gmi_k(tmp_path, capsys):
+    # codebooks are sized from the exact capacity, but old command lines
+    # still pass --gmi-K
+    argv = [a for a in _SMALL_SIMULATE if a not in ("--gmi-K", "20000")]
+    assert len(argv) == len(_SMALL_SIMULATE) - 2
+    outputs = []
+    for extra in ([], ["--gmi-K", "7"]):
+        out = tmp_path / str(len(outputs))
+        assert main(argv + extra + ["--trials", "5", "--plot",
+                                    "--output-dir", str(out)]) == 0
+        outputs.append((capsys.readouterr().out,
+                        *(p.read_bytes() for p in sorted(out.iterdir()))))
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert "ignored" in subs.choices["simulate"].format_help()
 
 
 def test_simulate_report_is_plain_json(tmp_path, capsys):

@@ -103,49 +103,49 @@ DIGESTS = {
         'ladder.svg':
             'a85a5c129f6739850e9d4779b7e721f7266a64daacbe6a0f545636557009c319',
         'report.json':
-            'bdaa8d7f3492c79cc5a108596d547f81b1d2b3ff0dba3a6b6a7d7f1aaef1342a',
+            '766d83dc84cad94a120b31b2783a66bd3e283910ea8aa53f5ad0d3fde7235c52',
         'stdout':
             'b8e6e26c8655e731c7a57933900aaf170c127dd13607583792e02bf754633538',
     },
     'simulate_decision_directed': {
         'report.json':
-            'e943a4e7445f2832ff0df2a854478747e8116db02e0c4019590e66dfb3e6550e',
+            'd204e802c332f3ce0b1d9171acc91970d4807aacdb58ab275d71d42444b9c488',
         'simulate.csv':
-            '9d2a9bf1e315f8883b29a944300434458a75ad620dc1744dbf11104911595be3',
+            'e12f9e7f70a7c17feca76056e8d29b09beed5f6bb646b5b6d7d2d47c2fdbdf3b',
         'simulate.svg':
             '7749e29707cc41c36685caf22675cd85bac87afb33114372cc58a2ef48ff701b',
         'stdout':
-            '2558669257fbd22a1109e251a6df282e377859389d7593afbfc40725c36d7119',
+            'e86957b8d262cdddfe04ca1fe553b43642530a39f163e1c2026bc48e31f20634',
     },
     'simulate_genie': {
         'report.json':
-            'd02cf25646d83849e7660e33eaed6ac6812de3a6d8d3a1fc1d74042cd795cf6b',
+            '98504f9d4ccb9d89e5f4b206d042e03b21526ec516e2206615b390a134e6cbab',
         'simulate.csv':
-            '7a95e32257215c29feb770077722d4ead7e2da35d7211ba0825c0669ea49c3fe',
+            'eeb430da80a14bd0f0bc331b08a68eba7470168fef0204b879f9dc1fe0f60f43',
         'simulate.svg':
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
-            '9a9f1c4921ef148527a7715b339003d6eec3df6bcce940cf88d52d84e354d240',
+            '891bf00cbbc74dac7429e56776224b1e1636cf40f8198ab2eb7c19f51abb5b65',
     },
     'simulate_qpsk_odd_k': {
         'report.json':
-            'fa572a1a92bd4c4816e588d81742cc41183c7bb6bf853beeac694aead92231e2',
+            'b7c576310c88bc8c48d0cc75eec3bfed8bd975d112b409c5da01d92cc9ff9a5e',
         'simulate.csv':
-            '42606dbde9a82c2f97df0dcfd834574b834c12e71f84e138302f18e495f21a96',
+            '1c4a778ca179342588a02473cc2422bc029fca1b4c136d9a191bf192aa5edee8',
         'simulate.svg':
-            '100f0b8a47abc62edfd87a72a2b632dbbc768b4a311c52f09c6fee58161e684c',
+            '3451ded7ce660ab3b3b25444f4c7e6d5ea1267eac5fafdc62586623a24f08309',
         'stdout':
-            '8e0e74df1508d144e95169cf95c71ea7de2285829326a8e0700a754853b0eb8c',
+            '7b09606f30448ed0de3359df35b993b9c7b42f6afedf101f95ed5bb922b901f9',
     },
     'simulate_ternary': {
         'report.json':
-            '38a0019d8d59b6038a89345d403e47d155df32d63ede8752be26d039b03f058c',
+            '7324a09195c16a983123aa84169e8779bec1dac319c021098a0c8f71384c8b8c',
         'simulate.csv':
-            '51e521f4be95e6d918fb9c9779b06582b6f2d0a6b45d6fede14a705a9eab7746',
+            '502f9e2f81f01ff607e4a7537444f2ba3f1efe2748aebcce6e228afbc07bdbe7',
         'simulate.svg':
             '80f4c34466a022c4d3fe4b3a3e42f37fea9c813dfa1e395e3d7abef98dd0ee79',
         'stdout':
-            'c04b0b16e1d514142f7f9958ddf435e4b9f1dfc8ad04d595227afcfc762c4d00',
+            'a2763043eb8b01261c6f463a12e90b81f47327f5ee6875242983122ba97fd865',
     },
     'sweep': {
         'report.json':

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rtgmi.simulate
+from rtgmi.capacity import psk_capacity_quadrature
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading
 from rtgmi.prediction import rho_sequence
@@ -10,8 +12,7 @@ from rtgmi.simulate import MAX_CODEBOOK_SIZE, SchemeConfig, budget_check, run
 def small_config(**kw):
     base = dict(model=Ar1Fading(0.95), interleave_depth=3, block_length=24,
                 constellation_order=2, snr=2.0, rate_fraction=0.4,
-                n_trials=40, master_seed=11, predictor_order=8,
-                gmi_block_length=20_000)
+                n_trials=40, master_seed=11, predictor_order=8)
     base.update(kw)
     return SchemeConfig(**base)
 
@@ -36,11 +37,35 @@ def test_config_contracts():
 def test_codebook_cap_raises():
     cfg = SchemeConfig(model=Ar1Fading(0.99), interleave_depth=8,
                        block_length=512, constellation_order=4, snr=1.0,
-                       rate_fraction=0.5, n_trials=10, master_seed=0,
-                       gmi_block_length=20_000)
+                       rate_fraction=0.5, n_trials=10, master_seed=0)
     with pytest.raises(ConfigurationError, match="reduce"):
         run(cfg)
     assert MAX_CODEBOOK_SIZE == 65536
+
+
+def test_rates_are_the_exact_capacity():
+    cfg = small_config(constellation_order=4)
+    rep = run(cfg)
+    for l in range(1, cfg.interleave_depth):
+        assert rep.gmi_nats[l] == psk_capacity_quadrature(4, rep.rho[l])
+    assert rep.gmi_nats[0] == 0.0
+
+
+def test_codebook_sizes_do_not_depend_on_the_seed():
+    a = run(small_config(master_seed=11, n_trials=2))
+    b = run(small_config(master_seed=12, n_trials=2))
+    assert np.array_equal(a.codebook_sizes, b.codebook_sizes)
+    assert np.array_equal(a.gmi_nats, b.gmi_nats)
+
+
+def test_run_draws_no_gmi_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run sized a codebook by sampling")
+
+    monkeypatch.setattr(rtgmi.simulate, "gmi", refuse)
+    monkeypatch.setattr(rtgmi.simulate, "synthesize_block_at_rho", refuse)
+    rep = run(small_config(n_trials=3))
+    assert all(rep.codebook_sizes[1:] >= 1)
 
 
 def test_run_determinism():
