@@ -4,8 +4,15 @@ A block bundles what a decoder sees: received samples x, the unit-variance
 channel reference h_hat, the effective SNR rho, and (for bookkeeping) the
 transmitted symbol indices and the unit-variance residual noise, tied by the
 exact identity x[k] = sqrt(rho) * h_hat[k] * theta[s[k]] + residual[k].
+
+A codebook is i.i.d. uniform over the alphabet of J <= 256 symbols.  It is
+drawn as packed bytes (CodebookStream): one random byte carries the symbols
+of p consecutive positions, p = 4 for QPSK, so a symbol costs the generator
+2 bits rather than a 32-bit word, and the decoder scores candidates from
+the bytes without unpacking them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,8 +21,6 @@ import numpy as np
 from .fading import FadingModel, generate_path
 from .prediction import PredictionResult, prediction_reference
 from .utils import block_step, complex_normal, derive_seed
-
-_LOW_WORD = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -55,126 +60,164 @@ class Codebook:
 
 
 def generate_codebook(constellation: PskConstellation, size: int,
-                      block_length: int, seed: int) -> Codebook:
-    """size x block_length symbols, equal to
-    np.random.default_rng(seed).integers(0, J, size=(size, block_length)).
+                      block_length: int,
+                      seed: int | np.random.PCG64) -> Codebook:
+    """size x block_length symbols drawn from the byte stream of PCG64(seed).
 
-    The symbols come from a _SymbolStream on PCG64(seed), row after row.
+    Row r holds the digits of accepted bytes r * W to (r + 1) * W - 1 of
+    the stream, W = ceil(block_length / p) (see CodebookStream).  `seed` is
+    an int, or a PCG64 that is drawn from its current state.
     """
     if size < 1 or block_length < 1:
         raise ValueError("codebook size and block length must be positive")
-    symbols = np.empty((size, block_length), dtype=np.int64)
-    _SymbolStream(constellation.order, np.random.PCG64(int(seed))).fill(
-        symbols.reshape(-1))
-    return Codebook(constellation=constellation, symbols=symbols)
-
-
-def codebook_blocks(constellation: PskConstellation, size: int,
-                    block_length: int, seed: int):
-    """The rows of generate_codebook(...).symbols, a block at a time.
-
-    Yields (start, rows) for consecutive blocks of whole rows, as many as
-    fit one utils.BLOCK_ELEMENTS block, so a caller can use each block while
-    it is in cache.  Every block is drawn into the same buffer, which the
-    caller may overwrite: a block is valid until the next one is drawn.
-    """
-    if size < 1 or block_length < 1:
-        raise ValueError("codebook size and block length must be positive")
-    stream = _SymbolStream(constellation.order, np.random.PCG64(int(seed)))
-    step = min(block_step(block_length), size)
-    buffer = np.empty((step, block_length), dtype=np.int64)
-    for start in range(0, size, step):
-        rows = buffer[:min(step, size - start)]
-        stream.fill(rows.reshape(-1))
-        yield start, rows
+    stream = CodebookStream(constellation.order, seed)
+    groups = np.empty((size, stream.groups(block_length)), dtype=np.uint8)
+    stream.fill(groups.reshape(-1))
+    return Codebook(constellation=constellation,
+                    symbols=stream.symbols(groups, block_length))
 
 
 def codebook_row(constellation: PskConstellation, block_length: int,
-                 seed: int, row: int) -> np.ndarray:
+                 seed: int | np.random.PCG64, row: int) -> np.ndarray:
     """generate_codebook(constellation, size, block_length, seed).symbols[row]
     for any size > row, drawn without storing the codebook.
 
-    For a power-of-two J every symbol takes one 32-bit word, so the generator
-    jumps straight to the row's first word; any other J rejects words, and
-    the rows before this one are drawn and dropped.
+    For a power-of-two J no byte is rejected, so the generator jumps to the
+    raw word that holds the row's first byte; any other J draws the rows
+    before this one and drops them.
     """
     if block_length < 1 or row < 0:
         raise ValueError("need a positive block length and a row >= 0")
-    bitgen = np.random.PCG64(int(seed))
-    stream = _SymbolStream(constellation.order, bitgen)
-    skip = int(row) * block_length
-    if stream.word_per_symbol:
-        bitgen.advance(skip // 2)
-        skip %= 2                # an odd start drops the low half
-    dropped = np.empty(min(skip, block_step(1)), dtype=np.int64)
-    while skip:
-        n = min(skip, len(dropped))
-        stream.fill(dropped[:n])
-        skip -= n
-    symbols = np.empty(block_length, dtype=np.int64)
-    stream.fill(symbols)
-    return symbols
+    stream = CodebookStream(constellation.order, seed)
+    width = stream.groups(block_length)
+    stream.skip(int(row) * width)
+    groups = np.empty((1, width), dtype=np.uint8)
+    stream.fill(groups.reshape(-1))
+    return stream.symbols(groups, block_length)[0]
 
 
-class _SymbolStream:
-    """Uniform integers in [0, order), in the order that
-    np.random.Generator(bitgen).integers(0, order, ...) draws them.
+def packing(order: int):
+    """(p, G): the most symbols p <= 8 one byte carries, and G = J^p <= 256.
 
-    The generator's raw 64-bit outputs are split into two 32-bit words, low
-    half first, and a word becomes a symbol by numpy's bounded-integer rule
-    for J <= 2^32 (Lemire 2019): with m = word * J, the symbol is m >> 32,
-    and the word is rejected when m mod 2^32 < 2^32 mod J.  For J = 2^b no
-    word is rejected and the symbol is word >> (32 - b).  A fill draws only
-    as many words as it has room for, so all the stream carries from one
-    fill to the next is the unused high half of the last raw output.
+    J^p values fit a byte only for J <= 256, the orders codebooks support.
+    """
+    order = int(order)
+    if not 1 <= order <= 256:
+        raise ValueError("codebooks need a constellation order in [1, 256]")
+    p = 8
+    while order ** p > 256:
+        p -= 1
+    return p, order ** p
+
+
+class CodebookStream:
+    """Uniform random bytes that carry p symbols each, from one PCG64.
+
+    The bytes of the generator's raw 64-bit outputs are read low byte first,
+    and a byte b >= 256 - (256 mod G) is rejected (none when J is a power of
+    two).  An accepted byte stands for v = b mod G, and the base-J digits of
+    v, least significant first, are the symbols of p consecutive positions
+    of a codeword: a group.  A row of K symbols takes W = ceil(K / p)
+    accepted bytes, and the digits past position K are dropped.  The stream
+    keeps the accepted bytes it drew but has not handed out yet, so any
+    sequence of fills reads the same bytes.
     """
 
-    def __init__(self, order: int, bitgen: np.random.PCG64):
-        order = int(order)
-        if not 1 <= order <= 1 << 32:
-            # numpy draws larger ranges from 64-bit words; the 32-bit rule
-            # would reject every word
-            raise ValueError("codebooks need a constellation order in [1, 2^32]")
-        self._order = np.uint64(order)
-        self._bitgen = bitgen
-        self._reject_below = (1 << 32) % order
-        self._shift = np.uint32(33 - order.bit_length())   # 32 - b for J = 2^b
-        self._spare = None
+    def __init__(self, order: int, seed: int | np.random.PCG64):
+        self.order = int(order)
+        self.per_byte, group_size = packing(order)
+        self._limit = 256 - 256 % group_size      # the first rejected byte
+        self._bitgen = seed if isinstance(seed, np.random.PCG64) \
+            else np.random.PCG64(int(seed))
+        self._pending = np.empty(0, dtype=np.uint8)
 
-    @property
-    def word_per_symbol(self) -> bool:
-        return not self._reject_below
+    def groups(self, block_length: int) -> int:
+        """W = ceil(block_length / p), the bytes of one row."""
+        return -(-int(block_length) // self.per_byte)
+
+    def skip(self, n: int):
+        """Drop the next n accepted bytes, jumping the generator if it can."""
+        if self._limit == 256 and not len(self._pending):
+            self._bitgen.advance(n // 8)
+            n %= 8
+        dropped = np.empty(min(n, block_step(1)), dtype=np.uint8)
+        while n:
+            part = dropped[:min(n, len(dropped))]
+            self.fill(part)
+            n -= len(part)
 
     def fill(self, out: np.ndarray):
-        """Write the next len(out) symbols into the int64 vector `out`."""
-        step = block_step(1)
-        filled = 0
+        """Write the next len(out) accepted bytes into the uint8 vector `out`."""
+        filled = min(len(self._pending), len(out))
+        out[:filled] = self._pending[:filled]
+        self._pending = self._pending[filled:]
         while filled < len(out):
-            filled += self._fill_block(out[filled:filled + step])
+            need = len(out) - filled
+            # enough words that the accepted bytes almost always cover the need
+            words = -(-need * 256 // (8 * self._limit)) + (self._limit < 256)
+            raw = self._bitgen.random_raw(words).astype("<u8", copy=False)
+            drawn = raw.view(np.uint8)
+            if self._limit < 256:
+                drawn = drawn[drawn < self._limit]
+            n = min(need, len(drawn))
+            out[filled:filled + n] = drawn[:n]
+            self._pending = drawn[n:]
+            filled += n
 
-    def _fill_block(self, block: np.ndarray) -> int:
-        """Draw len(block) words and write the symbols of those accepted to
-        the front of `block`; return how many there are."""
-        spare = self._spare
-        lead = 0 if spare is None else 1
-        n = len(block) - lead
-        words = self._bitgen.random_raw((n + 1) // 2).view(np.uint32)
-        self._spare = words[n] if len(words) > n else None
-        if self.word_per_symbol:
-            if lead:
-                block[0] = spare >> self._shift
-            np.right_shift(words[:n], self._shift, out=block[lead:])
-            return len(block)
-        dest = block.view(np.uint64)
-        if lead:
-            dest[0] = spare
-        dest[lead:] = words[:n]
-        dest *= self._order
-        keep = (dest & _LOW_WORD) >= self._reject_below
-        kept = int(np.count_nonzero(keep))
-        dest[:kept] = dest[keep]
-        dest[:kept] >>= np.uint64(32)
-        return kept
+    def symbols(self, groups: np.ndarray, block_length: int) -> np.ndarray:
+        """The (rows, block_length) int64 symbols of (rows, W) group bytes."""
+        digits = np.take(_digit_table(self.order, self.per_byte), groups,
+                         axis=0)
+        return np.ascontiguousarray(
+            digits.reshape(len(groups), -1)[:, :block_length])
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(order: int, per_byte: int) -> np.ndarray:
+    """(256, p) int64, read-only: row b holds the base-J digits of
+    b mod J^p, least significant first."""
+    v = np.arange(256) % order ** per_byte
+    table = v[:, None] // order ** np.arange(per_byte) % order
+    table.flags.writeable = False
+    return table
+
+
+def group_values(symbols: np.ndarray, order: int) -> np.ndarray:
+    """The (rows, W) int64 group values v < J^p of (rows, K) symbols: what
+    CodebookStream.symbols unpacks, packed again (b mod J^p of each byte)."""
+    per_byte, _ = packing(order)
+    values = np.zeros((len(symbols), -(-symbols.shape[1] // per_byte)),
+                      dtype=np.int64)
+    # Horner's rule from the most significant digit; a short last group
+    # has no digits past position K
+    for i in reversed(range(per_byte)):
+        values *= order
+        digits = symbols[:, i::per_byte]
+        values[:, :digits.shape[1]] += digits
+    return values
+
+
+def group_table(per_symbol: np.ndarray) -> np.ndarray:
+    """Fold a (K, J) table of per-position, per-symbol terms into the
+    (W, 256) table of per-byte sums: entry [g, b] is
+    c_{p-1} + (... + (c_1 + c_0)), c_i = per_symbol[g p + i, digit i of
+    b mod J^p], with 0.0 past position K.  A row's sum of terms is then the
+    sum of its W bytes' entries.
+    """
+    n, order = per_symbol.shape
+    per_byte, group_size = packing(order)
+    groups = -(-n // per_byte)
+    padded = np.zeros((groups * per_byte, order))
+    padded[:n] = per_symbol
+    levels = padded.reshape(groups, per_byte, order)
+    # outer sums, each new digit the most significant: column
+    # d_i J^i + ... + d_0 of the (W, J^(i+1)) partial table
+    table = levels[:, 0]
+    for i in range(1, per_byte):
+        table = np.add(levels[:, i, :, None], table[:, None, :]).reshape(
+            groups, -1)
+    return table if group_size == 256 \
+        else table[:, np.arange(256) % group_size]
 
 
 @dataclass

@@ -7,10 +7,11 @@ fading from noisy observations at the times of already-decoded subchannels
 unless genie mode substitutes the true symbols).  Each data subchannel's
 codebook is sized from its rate, the coherent PSK capacity at its effective
 SNR, computed exactly by quadrature; sizes therefore depend on the config
-alone, not on the master seed.  A codebook is never stored: it is
-streamed from its seed through the decoder, and only the sent and the
-decoded rows are drawn on their own, so exhaustive decoding time is all that
-caps the codebook size.
+alone, not on the master seed.  A codebook is never stored: its packed
+bytes are streamed from its generator through the decoder, and only the
+sent and the decoded rows are drawn on their own, so exhaustive decoding
+time is all that caps the codebook size.  Each codebook's generator is
+seeded once per trial and rewound to its saved start for each later read.
 """
 
 import math
@@ -58,8 +59,9 @@ class SchemeConfig:
             raise ConfigurationError("need at least one data subchannel (L >= 2)")
         if self.block_length < 1:
             raise ConfigurationError("block length must be positive")
-        if self.constellation_order < 2:
-            raise ConfigurationError("constellation order must be >= 2")
+        if not 2 <= self.constellation_order <= 256:
+            # a codebook byte carries at least one symbol (psk.packing)
+            raise ConfigurationError("constellation order must be in [2, 256]")
         if not self.snr > 0.0:
             raise ConfigurationError("snr must be positive")
         if not self.rate_fraction > 0.0:
@@ -149,15 +151,18 @@ def run(config: SchemeConfig) -> RtReport:
 
         # true symbol indices: pilots everywhere, then per-subchannel codewords
         s_true = np.zeros(total, dtype=np.int64)
-        book_seeds = [derive_seed(config.master_seed,
-                                  _STREAM_BOOK * _STRIDE + trial * depth + l)
-                      for l in range(depth)]
+        # each codebook's generator is seeded once and rewound to its start
+        # for the decode and the re-draw after an error
+        books = [None] + [np.random.PCG64(derive_seed(
+            config.master_seed, _STREAM_BOOK * _STRIDE + trial * depth + l))
+            for l in range(1, depth)]
+        starts = [None] + [book.state for book in books[1:]]
         sent = np.zeros(depth, dtype=np.int64)
         codewords = [None] * depth
         data_slots = warm_slots + np.arange(n_k)
         for l in range(1, depth):
             sent[l] = rng_msg.integers(0, sizes[l])
-            codewords[l] = codebook_row(const, n_k, book_seeds[l], sent[l])
+            codewords[l] = codebook_row(const, n_k, books[l], sent[l])
             s_true[data_slots * depth + l] = codewords[l]
 
         x_phys = sqrt_snr * h * const.points[s_true] + z
@@ -184,13 +189,15 @@ def run(config: SchemeConfig) -> RtReport:
                 x=x_block, h_hat=h_ref, s=codeword, rho=float(rhos[l]),
                 residual_noise=x_block - np.sqrt(rhos[l]) * h_ref
                 * const.points[codeword])
-            outcome = decode_seeded(const, int(sizes[l]), book_seeds[l], block,
+            books[l].state = starts[l]
+            outcome = decode_seeded(const, int(sizes[l]), books[l], block,
                                     sent_message=int(sent[l]))
             trial_errs[l] = not outcome.correct
             if config.genie or outcome.correct:
                 fed_back = codeword
             else:
-                fed_back = codebook_row(const, n_k, book_seeds[l],
+                books[l].state = starts[l]
+                fed_back = codebook_row(const, n_k, books[l],
                                         outcome.chosen_message)
             obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
                 / sqrt_snr

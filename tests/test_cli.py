@@ -369,6 +369,15 @@ def test_simulate_csv_and_json_outputs(tmp_path, capsys):
     assert all(isinstance(v, bool) for v in payload["budget_met"])
 
 
+def test_simulate_refuses_orders_past_256_with_exit_2(tmp_path, capsys):
+    # a codebook byte carries at least one symbol; capacity takes any order
+    argv = list(_SMALL_SIMULATE)
+    argv[argv.index("--constellation") + 1] = "257"
+    assert main(argv + ["--trials", "1", "--output-dir", str(tmp_path)]) == 2
+    assert "[2, 256]" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_simulate_ignores_gmi_k(tmp_path, capsys):
     # codebooks are sized from the exact capacity, but old command lines
     # still pass --gmi-K

@@ -8,7 +8,7 @@ from rtgmi.decoder import (decode, decode_seeded, metric,
                            pairwise_undercut_probability)
 from rtgmi.fading import Ar1Fading
 from rtgmi.psk import (Codebook, generate_codebook, make_constellation,
-                       synthesize_block_at_rho)
+                       packing, synthesize_block_at_rho)
 from rtgmi.utils import block_step, complex_normal
 
 
@@ -70,12 +70,32 @@ def test_decode_agrees_with_per_candidate_metric():
     assert out.correct == (out.chosen_message == sent)
 
 
+def _group_table(corr, order):
+    """The (W, J^p) per-byte group table, by explicit loops: entry [g, v] is
+    c_{p-1} + (... + (c_1 + c_0)), c_i = corr[g p + i, digit i of v], with
+    0.0 past the last position."""
+    p = max(q for q in range(1, 9) if order ** q <= 256)
+    n = len(corr)
+    groups = -(-n // p)
+    table = np.empty((groups, order ** p))
+    for g in range(groups):
+        for v in range(order ** p):
+            total = None
+            for i in range(p):
+                k = g * p + i
+                term = corr[k, v // order ** i % order] if k < n else 0.0
+                total = term if total is None else term + total
+            table[g, v] = total
+    return table, p
+
+
 @pytest.mark.parametrize("order", [2, 4, 8])
 def test_decode_metrics_equal_the_row_gather_formula(order):
-    # 2 * 1024 + 3 candidates cross two chunk boundaries; the oracle gathers
-    # corr[k, symbol] by (row, column) pairs over the whole codebook at once
+    # 2 * 1024 + 3 candidates cross block boundaries, and K = 97 leaves the
+    # last group short; the oracle gathers T[g, packed group value] over the
+    # whole codebook at once
     c = make_constellation(order)
-    size, n = 2 * 1024 + 3, 96
+    size, n = 2 * 1024 + 3, 97
     book = generate_codebook(c, size, n, seed=order)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order + 1)
     blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[1500]] \
@@ -85,7 +105,12 @@ def test_decode_metrics_equal_the_row_gather_formula(order):
     base = np.mean(np.abs(blk.x) ** 2) + blk.rho * np.mean(np.abs(blk.h_hat) ** 2)
     corr = np.real((np.sqrt(blk.rho) * np.conj(blk.x) * blk.h_hat)[:, None]
                    * c.points[None, :])
-    scores = corr[np.arange(n)[None, :], book.symbols].mean(axis=1)
+    table, p = _group_table(corr, order)
+    digits = np.zeros((size, len(table) * p), dtype=np.int64)
+    digits[:, :n] = book.symbols
+    values = (digits.reshape(size, len(table), p)
+              * order ** np.arange(p)).sum(axis=2)
+    scores = table[np.arange(len(table))[None, :], values].sum(axis=1) / n
     expected = np.maximum(base - 2.0 * scores, 0.0)
     assert np.array_equal(out.metrics, expected)
     assert out.chosen_message == int(np.argmin(expected))
@@ -104,10 +129,11 @@ def _assert_same_outcome(got, want):
 @pytest.mark.parametrize("order", [2, 3, 4, 8])
 def test_decode_seeded_equals_decode_of_the_stored_codebook(order):
     # sizes of one row, one block, one block and a row, and two blocks and
-    # three rows; the sent row is the last one
+    # three rows; a block holds utils.BLOCK_ELEMENTS bytes of whole rows of
+    # ceil(n / p) bytes; the sent row is the last one
     c = make_constellation(order)
     n = 96
-    step = block_step(n)
+    step = block_step(-(-n // packing(order)[0]))
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order)
     for size in (1, step, step + 1, 2 * step + 3):
         book = generate_codebook(c, size, n, seed=order + 10)

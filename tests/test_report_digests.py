@@ -109,13 +109,13 @@ DIGESTS = {
     },
     'simulate_decision_directed': {
         'report.json':
-            'd204e802c332f3ce0b1d9171acc91970d4807aacdb58ab275d71d42444b9c488',
+            '88dc8bd694ceb7fc0dce80addd9e33773d7081b96897245a43ee894443c198f5',
         'simulate.csv':
-            'e12f9e7f70a7c17feca76056e8d29b09beed5f6bb646b5b6d7d2d47c2fdbdf3b',
+            'd654ff4a343698f244aa71801eb9d2815f0d781bfcbac77fa897b32cfe813ac1',
         'simulate.svg':
-            '7749e29707cc41c36685caf22675cd85bac87afb33114372cc58a2ef48ff701b',
+            '49a4e3deb3f43cbbe6b66157f2b6c7c71ca56a2b93c816858cfd3472afd779e5',
         'stdout':
-            'e86957b8d262cdddfe04ca1fe553b43642530a39f163e1c2026bc48e31f20634',
+            'ac7622fbdea026ac232e5c1415dad5f9dde87d3e733e218e4bef62903c122fd3',
     },
     'simulate_genie': {
         'report.json':
@@ -129,23 +129,23 @@ DIGESTS = {
     },
     'simulate_qpsk_odd_k': {
         'report.json':
-            'b7c576310c88bc8c48d0cc75eec3bfed8bd975d112b409c5da01d92cc9ff9a5e',
+            '551795387a1a6834a86d111e2b2cfb115daf73f9b185a448631ba8723ee2c58c',
         'simulate.csv':
-            '1c4a778ca179342588a02473cc2422bc029fca1b4c136d9a191bf192aa5edee8',
+            'b86d240cf25f2a4cd3dd6a5c5b3376119aa115b8b1863c9a98f9c7ee1ef3ebae',
         'simulate.svg':
-            '3451ded7ce660ab3b3b25444f4c7e6d5ea1267eac5fafdc62586623a24f08309',
+            '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
-            '7b09606f30448ed0de3359df35b993b9c7b42f6afedf101f95ed5bb922b901f9',
+            '5f221dac3f7cdf42a3add71db33c440eabc00a2989a79f2576dc6db3e8ea477d',
     },
     'simulate_ternary': {
         'report.json':
-            '7324a09195c16a983123aa84169e8779bec1dac319c021098a0c8f71384c8b8c',
+            '17296411802c3ec94a47d1ea2d259371f2692986d6f7a1b5a7a28f937867dc26',
         'simulate.csv':
-            '502f9e2f81f01ff607e4a7537444f2ba3f1efe2748aebcce6e228afbc07bdbe7',
+            'bbbe773431f2002ffd2b00a66566862dfd94135e216c660517c64cd7dd22b62b',
         'simulate.svg':
-            '80f4c34466a022c4d3fe4b3a3e42f37fea9c813dfa1e395e3d7abef98dd0ee79',
+            '3451ded7ce660ab3b3b25444f4c7e6d5ea1267eac5fafdc62586623a24f08309',
         'stdout':
-            'a2763043eb8b01261c6f463a12e90b81f47327f5ee6875242983122ba97fd865',
+            '3ae14b6748ea374513ac920bc644db5d8bd7c6f3dfaa8a593864a149ace6c0b9',
     },
     'sweep': {
         'report.json':

@@ -25,6 +25,8 @@ def test_config_contracts():
     with pytest.raises(ConfigurationError):
         small_config(constellation_order=1)
     with pytest.raises(ConfigurationError):
+        small_config(constellation_order=257)   # a codebook byte holds J <= 256
+    with pytest.raises(ConfigurationError):
         small_config(snr=0.0)
     with pytest.raises(ConfigurationError):
         small_config(rate_fraction=0.0)
