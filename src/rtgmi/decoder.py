@@ -6,9 +6,10 @@ treats the channel as memoryless Rayleigh fading with Gaussian noise whether
 or not that is true.  Because PSK symbols have unit modulus, the quadratic
 term of the distance is candidate-independent, so the block score reduces to
 a correlation; decode() exploits that identity, metric() keeps the direct
-form, and the two are tested against each other.  The correlations are
-summed a codebook byte (p symbols) at a time from one table per block, so
-decode() and decode_seeded() read W = ceil(K / p) entries per candidate.
+form, and the two are tested against each other.  decode() streams a seeded
+codebook's bytes and sums the correlations a byte (p symbols) at a time
+from one table per block, so it reads W = ceil(K / p) entries per
+candidate.
 """
 
 import math
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psk import (Codebook, CodebookStream, PscBlock, PskConstellation,
-                  group_table, group_values)
+from .psk import Codebook, PscBlock, PskConstellation, group_table
 from .utils import binomial_halfwidth, block_step, complex_normal
 
 _MAX_TILT = 64.0
@@ -60,44 +60,19 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
 
     Every candidate's metric is reported; the runner-up is the second
     smallest of them (a tie with the winner included), inf for one codeword.
-    Each row's symbols are packed into group values (psk.group_values), so
-    the metrics equal decode_seeded's bit for bit.
+    Each block of rows is read from the codebook's byte stream into one
+    reused buffer and scored from the bytes while it is in cache; no symbol
+    is unpacked.
     """
     if codebook.block_length != block.block_length:
         raise ValueError("codebook block length must match the block")
-    const = codebook.constellation
-    symbols = codebook.symbols
-    if symbols.min() < 0 or symbols.max() >= const.order:
-        raise ValueError("codebook contains indices outside the constellation")
-    scorer = _Scorer(const, block)
+    stream = codebook.stream()
+    scorer = _Scorer(codebook.constellation, block)
     metrics = np.empty(codebook.size)
-    step = scorer.step(codebook.size)
-    for start in range(0, codebook.size, step):
-        scorer.score(group_values(symbols[start:start + step], const.order),
-                     metrics[start:start + step])
-    return _outcome(metrics, sent_message)
-
-
-def decode_seeded(constellation: PskConstellation, size: int,
-                  seed: int | np.random.PCG64, block: PscBlock,
-                  sent_message=None) -> DecodeOutcome:
-    """decode(generate_codebook(constellation, size, block.block_length,
-    seed), block, sent_message), field for field, without storing the
-    codebook.
-
-    Each block of rows is read from the codebook's byte stream into one
-    reused buffer and scored from the bytes while it is in cache; no
-    symbol is unpacked.  `seed` is an int, or a PCG64 drawn from its
-    current state.
-    """
-    if size < 1:
-        raise ValueError("codebook size must be positive")
-    stream = CodebookStream(constellation.order, seed)
-    scorer = _Scorer(constellation, block)
-    metrics = np.empty(size)
-    buffer = np.empty((scorer.step(size), scorer.groups), dtype=np.uint8)
-    for start in range(0, size, len(buffer)):
-        rows = buffer[:min(len(buffer), size - start)]
+    buffer = np.empty((scorer.step(codebook.size), scorer.groups),
+                      dtype=np.uint8)
+    for start in range(0, codebook.size, len(buffer)):
+        rows = buffer[:min(len(buffer), codebook.size - start)]
         stream.fill(rows.reshape(-1))
         scorer.score(rows, metrics[start:start + len(rows)])
     return _outcome(metrics, sent_message)
@@ -132,10 +107,10 @@ class _Scorer:
         1270 candidates slower than 2^15 (Xeon, 1 BLAS thread)."""
         return min(block_step(self.groups), size)
 
-    def score(self, values: np.ndarray, out: np.ndarray):
-        """Write the metrics of candidates whose rows of W group values
-        (bytes, or b mod J^p) are `values` into `out`."""
-        picked = np.take(self.table, values + self.offsets)
+    def score(self, rows: np.ndarray, out: np.ndarray):
+        """Write the metrics of candidates whose rows of W codebook bytes
+        are `rows` into `out`."""
+        picked = np.take(self.table, rows + self.offsets)
         np.maximum(self.base - 2.0 * (picked.sum(axis=-1) / self.block_length),
                    0.0, out=out)
 

@@ -5,11 +5,13 @@ channel reference h_hat, the effective SNR rho, and (for bookkeeping) the
 transmitted symbol indices and the unit-variance residual noise, tied by the
 exact identity x[k] = sqrt(rho) * h_hat[k] * theta[s[k]] + residual[k].
 
-A codebook is i.i.d. uniform over the alphabet of J <= 256 symbols.  It is
-drawn as packed bytes (CodebookStream): one random byte carries the symbols
-of p consecutive positions, p = 4 for QPSK, so a symbol costs the generator
-2 bits rather than a 32-bit word, and the decoder scores candidates from
-the bytes without unpacking them.
+A codebook is i.i.d. uniform over the alphabet of J <= 256 symbols, and a
+Codebook is its seed: it stores no symbols, and each read draws them again
+from the start of its generator.  They are drawn as packed bytes
+(CodebookStream): one random byte carries the symbols of p consecutive
+positions, p = 4 for QPSK, so a symbol costs the generator 2 bits rather
+than a 32-bit word, and the decoder scores candidates from the bytes
+without unpacking them.
 """
 
 import functools
@@ -43,59 +45,6 @@ def make_constellation(order: int) -> PskConstellation:
     return PskConstellation(order=int(order), points=points)
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """size x block_length symbol indices, i.i.d. uniform over the alphabet."""
-
-    constellation: PskConstellation
-    symbols: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.symbols.shape[0]
-
-    @property
-    def block_length(self) -> int:
-        return self.symbols.shape[1]
-
-
-def generate_codebook(constellation: PskConstellation, size: int,
-                      block_length: int,
-                      seed: int | np.random.PCG64) -> Codebook:
-    """size x block_length symbols drawn from the byte stream of PCG64(seed).
-
-    Row r holds the digits of accepted bytes r * W to (r + 1) * W - 1 of
-    the stream, W = ceil(block_length / p) (see CodebookStream).  `seed` is
-    an int, or a PCG64 that is drawn from its current state.
-    """
-    if size < 1 or block_length < 1:
-        raise ValueError("codebook size and block length must be positive")
-    stream = CodebookStream(constellation.order, seed)
-    groups = np.empty((size, stream.groups(block_length)), dtype=np.uint8)
-    stream.fill(groups.reshape(-1))
-    return Codebook(constellation=constellation,
-                    symbols=stream.symbols(groups, block_length))
-
-
-def codebook_row(constellation: PskConstellation, block_length: int,
-                 seed: int | np.random.PCG64, row: int) -> np.ndarray:
-    """generate_codebook(constellation, size, block_length, seed).symbols[row]
-    for any size > row, drawn without storing the codebook.
-
-    For a power-of-two J no byte is rejected, so the generator jumps to the
-    raw word that holds the row's first byte; any other J draws the rows
-    before this one and drops them.
-    """
-    if block_length < 1 or row < 0:
-        raise ValueError("need a positive block length and a row >= 0")
-    stream = CodebookStream(constellation.order, seed)
-    width = stream.groups(block_length)
-    stream.skip(int(row) * width)
-    groups = np.empty((1, width), dtype=np.uint8)
-    stream.fill(groups.reshape(-1))
-    return stream.symbols(groups, block_length)[0]
-
-
 def packing(order: int):
     """(p, G): the most symbols p <= 8 one byte carries, and G = J^p <= 256.
 
@@ -123,17 +72,12 @@ class CodebookStream:
     sequence of fills reads the same bytes.
     """
 
-    def __init__(self, order: int, seed: int | np.random.PCG64):
+    def __init__(self, order: int, bitgen: np.random.PCG64):
         self.order = int(order)
         self.per_byte, group_size = packing(order)
         self._limit = 256 - 256 % group_size      # the first rejected byte
-        self._bitgen = seed if isinstance(seed, np.random.PCG64) \
-            else np.random.PCG64(int(seed))
+        self._bitgen = bitgen                     # drawn from its current state
         self._pending = np.empty(0, dtype=np.uint8)
-
-    def groups(self, block_length: int) -> int:
-        """W = ceil(block_length / p), the bytes of one row."""
-        return -(-int(block_length) // self.per_byte)
 
     def skip(self, n: int):
         """Drop the next n accepted bytes, jumping the generator if it can."""
@@ -164,13 +108,6 @@ class CodebookStream:
             self._pending = drawn[n:]
             filled += n
 
-    def symbols(self, groups: np.ndarray, block_length: int) -> np.ndarray:
-        """The (rows, block_length) int64 symbols of (rows, W) group bytes."""
-        digits = np.take(_digit_table(self.order, self.per_byte), groups,
-                         axis=0)
-        return np.ascontiguousarray(
-            digits.reshape(len(groups), -1)[:, :block_length])
-
 
 @functools.lru_cache(maxsize=None)
 def _digit_table(order: int, per_byte: int) -> np.ndarray:
@@ -182,19 +119,67 @@ def _digit_table(order: int, per_byte: int) -> np.ndarray:
     return table
 
 
-def group_values(symbols: np.ndarray, order: int) -> np.ndarray:
-    """The (rows, W) int64 group values v < J^p of (rows, K) symbols: what
-    CodebookStream.symbols unpacks, packed again (b mod J^p of each byte)."""
-    per_byte, _ = packing(order)
-    values = np.zeros((len(symbols), -(-symbols.shape[1] // per_byte)),
-                      dtype=np.int64)
-    # Horner's rule from the most significant digit; a short last group
-    # has no digits past position K
-    for i in reversed(range(per_byte)):
-        values *= order
-        digits = symbols[:, i::per_byte]
-        values[:, :digits.shape[1]] += digits
-    return values
+class Codebook:
+    """size x block_length symbol indices, i.i.d. uniform over the alphabet,
+    read from the byte stream of PCG64(seed) and never stored.
+
+    Row r holds the digits of accepted bytes r * W to (r + 1) * W - 1 of the
+    stream, W = ceil(block_length / p) (see CodebookStream).  The book holds
+    one generator and its start state, and every read rewinds to that start,
+    so reads do not depend on one another.
+    """
+
+    def __init__(self, constellation: PskConstellation, size: int,
+                 block_length: int, seed: int):
+        if size < 1 or block_length < 1:
+            raise ValueError("codebook size and block length must be positive")
+        self.constellation = constellation
+        self.size = int(size)
+        self.block_length = int(block_length)
+        # W, the bytes of one row; packing refuses orders past 256
+        self.groups = -(-self.block_length // packing(constellation.order)[0])
+        self._bitgen = np.random.PCG64(int(seed))
+        self._start = self._bitgen.state
+
+    def stream(self) -> CodebookStream:
+        """The codebook's byte stream, from its first byte."""
+        self._bitgen.state = self._start
+        return CodebookStream(self.constellation.order, self._bitgen)
+
+    def row(self, r: int) -> np.ndarray:
+        """symbols[r], drawn alone.
+
+        For a power-of-two J no byte is rejected, so the generator jumps to
+        the raw word that holds the row's first byte; any other J draws the
+        rows before this one and drops them.
+        """
+        r = int(r)
+        if not 0 <= r < self.size:
+            raise ValueError("codebook row must be in [0, size)")
+        stream = self.stream()
+        stream.skip(r * self.groups)
+        return self._unpack(stream, 1)[0]
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The whole (size, block_length) int64 book, drawn on each access."""
+        return self._unpack(self.stream(), self.size)
+
+    def _unpack(self, stream: CodebookStream, rows: int) -> np.ndarray:
+        """The (rows, block_length) int64 symbols of the stream's next
+        rows * W bytes."""
+        groups = np.empty((rows, self.groups), dtype=np.uint8)
+        stream.fill(groups.reshape(-1))
+        digits = np.take(_digit_table(stream.order, stream.per_byte), groups,
+                         axis=0)
+        return np.ascontiguousarray(
+            digits.reshape(rows, -1)[:, :self.block_length])
+
+
+def generate_codebook(constellation: PskConstellation, size: int,
+                      block_length: int, seed: int) -> Codebook:
+    """Codebook(constellation, size, block_length, seed)."""
+    return Codebook(constellation, size, block_length, seed)
 
 
 def group_table(per_symbol: np.ndarray) -> np.ndarray:

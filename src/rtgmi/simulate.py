@@ -7,11 +7,10 @@ fading from noisy observations at the times of already-decoded subchannels
 unless genie mode substitutes the true symbols).  Each data subchannel's
 codebook is sized from its rate, the coherent PSK capacity at its effective
 SNR, computed exactly by quadrature; sizes therefore depend on the config
-alone, not on the master seed.  A codebook is never stored: its packed
-bytes are streamed from its generator through the decoder, and only the
-sent and the decoded rows are drawn on their own, so exhaustive decoding
-time is all that caps the codebook size.  Each codebook's generator is
-seeded once per trial and rewound to its saved start for each later read.
+alone, not on the master seed.  A codebook is never stored: each trial
+builds a seeded psk.Codebook per data subchannel, decode streams its packed
+bytes, and only the sent and the decoded rows are drawn on their own, so
+exhaustive decoding time is all that caps the codebook size.
 """
 
 import math
@@ -21,14 +20,14 @@ import numpy as np
 
 from .capacity import psk_capacity_quadrature
 # perfbench/tracing.py wraps decode, generate_codebook, gmi and
-# synthesize_block_at_rho here; run calls none of them
-from .decoder import decode, decode_seeded  # noqa: F401
+# synthesize_block_at_rho here; run calls decode only
+from .decoder import decode
 from .errors import ConfigurationError
 from .fading import FadingModel, generate_path
 from .gmi import gmi  # noqa: F401
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors)
-from .psk import (PscBlock, codebook_row, generate_codebook,  # noqa: F401
+from .psk import (Codebook, PscBlock, generate_codebook,  # noqa: F401
                   make_constellation, synthesize_block_at_rho)
 from .utils import binomial_halfwidth, complex_normal, derive_seed
 
@@ -151,18 +150,15 @@ def run(config: SchemeConfig) -> RtReport:
 
         # true symbol indices: pilots everywhere, then per-subchannel codewords
         s_true = np.zeros(total, dtype=np.int64)
-        # each codebook's generator is seeded once and rewound to its start
-        # for the decode and the re-draw after an error
-        books = [None] + [np.random.PCG64(derive_seed(
+        books = [None] + [Codebook(const, sizes[l], n_k, derive_seed(
             config.master_seed, _STREAM_BOOK * _STRIDE + trial * depth + l))
             for l in range(1, depth)]
-        starts = [None] + [book.state for book in books[1:]]
         sent = np.zeros(depth, dtype=np.int64)
         codewords = [None] * depth
         data_slots = warm_slots + np.arange(n_k)
         for l in range(1, depth):
             sent[l] = rng_msg.integers(0, sizes[l])
-            codewords[l] = codebook_row(const, n_k, books[l], sent[l])
+            codewords[l] = books[l].row(sent[l])
             s_true[data_slots * depth + l] = codewords[l]
 
         x_phys = sqrt_snr * h * const.points[s_true] + z
@@ -189,16 +185,12 @@ def run(config: SchemeConfig) -> RtReport:
                 x=x_block, h_hat=h_ref, s=codeword, rho=float(rhos[l]),
                 residual_noise=x_block - np.sqrt(rhos[l]) * h_ref
                 * const.points[codeword])
-            books[l].state = starts[l]
-            outcome = decode_seeded(const, int(sizes[l]), books[l], block,
-                                    sent_message=int(sent[l]))
+            outcome = decode(books[l], block, sent_message=int(sent[l]))
             trial_errs[l] = not outcome.correct
             if config.genie or outcome.correct:
                 fed_back = codeword
             else:
-                books[l].state = starts[l]
-                fed_back = codebook_row(const, n_k, books[l],
-                                        outcome.chosen_message)
+                fed_back = books[l].row(outcome.chosen_message)
             obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
                 / sqrt_snr
 

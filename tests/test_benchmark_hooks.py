@@ -1,5 +1,5 @@
 """The benchmark in perfbench/ reaches into rtgmi by name; these checks keep
-those names in place.
+those names in place, and the counters its hooks read counting.
 
 perfbench/tracing.py replaces each hooked function at ``rtgmi.<site>.<name>``
 and its counter reads the call's arguments by parameter name;
@@ -10,25 +10,28 @@ runs.
 
 import importlib
 import inspect
+import json
 import pathlib
 import re
 
 import pytest
 
 import rtgmi
+from rtgmi import cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _hooks():
-    """tracing.HOOKS, run from source so no bytecode lands in perfbench/."""
+def _tracing():
+    """perfbench/tracing.py's names, run from source so no bytecode lands in
+    perfbench/."""
     path = PERFBENCH / "tracing.py"
     namespace = {"__name__": "perfbench_tracing"}
     exec(compile(path.read_text(), str(path), "exec"), namespace)
-    return namespace["HOOKS"]
+    return namespace
 
 
-HOOKS = _hooks()
+HOOKS = _tracing()["HOOKS"]
 _SITES = [pytest.param(name, site, counter, id=f"{site}.{name}")
           for _, name, sites, counter in HOOKS for site in sites]
 
@@ -65,3 +68,26 @@ def test_oracle_names_stay_package_level():
             "rho_sequence"} <= used
     for name in sorted(used):
         assert callable(getattr(rtgmi, name, None)), name
+
+
+def test_a_traced_simulate_counts_every_decode(tmp_path, monkeypatch, capsys):
+    # the counters run, so this also sees the result attributes they read
+    tracing = _tracing()
+    tracer = tracing["Tracer"]()
+    monkeypatch.chdir(tmp_path)
+    depth, trials = 3, 20
+    with tracer.installed():
+        assert cli.main(["simulate", "--model", "ar1", "--alpha", "0.9",
+                         "--constellation", "bpsk", "--snr-db", "3",
+                         "--L", str(depth), "--K", "16", "--rate-fraction",
+                         "0.9", "--trials", str(trials), "--seed", "2030",
+                         "--output-dir", "out"]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    totals = tracing["layer_totals"](tracer.spans)
+    assert totals["decoder.calls"] == (depth - 1) * trials
+    assert totals["decoder.candidates"] == trials * sum(report["codebook_sizes"])
+    # the rate is near capacity, so some decodes fail
+    errors = round(trials * sum(report["per_psc_block_error"]))
+    assert errors > 0 and totals["decoder.errors"] == errors
+    assert totals.get("psk.codebooks", 0) == 0

@@ -11,10 +11,10 @@ import pytest
 
 from rtgmi import utils
 from rtgmi.capacity import psk_capacity, psk_capacity_quadrature
-from rtgmi.decoder import decode, decode_seeded, pairwise_undercut_probability
+from rtgmi.decoder import decode, pairwise_undercut_probability
 from rtgmi.fading import Ar1Fading, generate_path
 from rtgmi.gmi import _LogMgfEvaluator
-from rtgmi.psk import (codebook_row, generate_codebook, make_constellation,
+from rtgmi.psk import (generate_codebook, make_constellation,
                        synthesize_block_at_rho)
 
 BLOCKS = (1, 7, 1000, utils.BLOCK_ELEMENTS)
@@ -23,6 +23,7 @@ BLOCKS = (1, 7, 1000, utils.BLOCK_ELEMENTS)
 def _outputs():
     three = make_constellation(3)
     book = generate_codebook(make_constellation(4), 2051, 12, seed=9)
+    book3 = generate_codebook(three, 2051, 12, seed=9)
     sent = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, book.constellation,
                                    12, seed=2)
     sent3 = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, three, 12, seed=2)
@@ -31,10 +32,8 @@ def _outputs():
     out = {
         "codebook": book.symbols,
         "metrics": decode(book, sent, sent_message=0).metrics,
-        "seeded metrics": decode_seeded(book.constellation, 2051, 9,
-                                        sent).metrics,
-        "seeded metrics 3": decode_seeded(three, 2051, 9, sent3).metrics,
-        "codebook row 3": codebook_row(three, 12, 9, 2050),
+        "metrics 3": decode(book3, sent3).metrics,
+        "codebook row 3": book3.row(2050),
         "undercut": np.array([undercut.probability, undercut.ci_halfwidth]),
         "capacity": np.array([cap.raw_nats, cap.ci]),
         "ar1_path": generate_path(Ar1Fading(0.99), 20_001, seed=8),

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rtgmi.decoder import (decode, decode_seeded, metric,
-                           pairwise_undercut_probability)
+from rtgmi.decoder import decode, metric, pairwise_undercut_probability
 from rtgmi.fading import Ar1Fading
-from rtgmi.psk import (Codebook, generate_codebook, make_constellation,
-                       packing, synthesize_block_at_rho)
+from rtgmi.psk import (generate_codebook, make_constellation, packing,
+                       synthesize_block_at_rho)
 from rtgmi.utils import block_step, complex_normal
 
 
@@ -57,11 +56,12 @@ def test_decode_agrees_with_per_candidate_metric():
     c = make_constellation(4)
     book = generate_codebook(c, 200, 64, seed=5)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 3.0, c, 64, seed=6)
+    symbols = book.symbols
     sent = 137
-    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[sent]] \
+    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[symbols[sent]] \
         + blk.residual_noise
     out = decode(book, blk, sent_message=sent)
-    direct = np.array([metric(c, book.symbols[m], blk) for m in range(200)])
+    direct = np.array([metric(c, symbols[m], blk) for m in range(200)])
     assert np.allclose(out.metrics, direct, atol=1e-10)
     assert out.chosen_message == int(np.argmin(direct))
     assert out.chosen_metric == pytest.approx(direct.min(), abs=1e-12)
@@ -89,60 +89,70 @@ def _group_table(corr, order):
     return table, p
 
 
-@pytest.mark.parametrize("order", [2, 4, 8])
-def test_decode_metrics_equal_the_row_gather_formula(order):
-    # 2 * 1024 + 3 candidates cross block boundaries, and K = 97 leaves the
-    # last group short; the oracle gathers T[g, packed group value] over the
-    # whole codebook at once
-    c = make_constellation(order)
-    size, n = 2 * 1024 + 3, 97
-    book = generate_codebook(c, size, n, seed=order)
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order + 1)
-    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[1500]] \
-        + blk.residual_noise
-    out = decode(book, blk, sent_message=1500)
-
-    base = np.mean(np.abs(blk.x) ** 2) + blk.rho * np.mean(np.abs(blk.h_hat) ** 2)
-    corr = np.real((np.sqrt(blk.rho) * np.conj(blk.x) * blk.h_hat)[:, None]
-                   * c.points[None, :])
+def row_gather_metrics(constellation, block, symbols):
+    """Every candidate's metric by the row-gather formula: the sum of
+    T[g, packed group value] over a row's W groups, gathered over the whole
+    (size, K) symbol matrix at once, with the explicit-loop group table."""
+    order = constellation.order
+    size, n = symbols.shape
+    base = np.mean(np.abs(block.x) ** 2) \
+        + block.rho * np.mean(np.abs(block.h_hat) ** 2)
+    corr = np.real((np.sqrt(block.rho) * np.conj(block.x) * block.h_hat)
+                   [:, None] * constellation.points[None, :])
     table, p = _group_table(corr, order)
     digits = np.zeros((size, len(table) * p), dtype=np.int64)
-    digits[:, :n] = book.symbols
+    digits[:, :n] = symbols
     values = (digits.reshape(size, len(table), p)
               * order ** np.arange(p)).sum(axis=2)
     scores = table[np.arange(len(table))[None, :], values].sum(axis=1) / n
-    expected = np.maximum(base - 2.0 * scores, 0.0)
+    return np.maximum(base - 2.0 * scores, 0.0)
+
+
+def assert_outcome_of(out, expected, sent):
+    """`out` is the decode outcome of the candidate metrics `expected`."""
     assert np.array_equal(out.metrics, expected)
     assert out.chosen_message == int(np.argmin(expected))
     assert out.chosen_metric == expected.min()
-    assert out.runner_up_metric == np.sort(expected)[1]
+    assert out.runner_up_metric == (np.sort(expected)[1] if len(expected) > 1
+                                    else math.inf)
+    assert out.correct is (None if sent is None
+                           else out.chosen_message == sent)
 
 
-def _assert_same_outcome(got, want):
-    assert np.array_equal(got.metrics, want.metrics)
-    assert got.chosen_message == want.chosen_message
-    assert got.correct is want.correct
-    assert got.chosen_metric == want.chosen_metric
-    assert got.runner_up_metric == want.runner_up_metric
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_decode_metrics_equal_the_row_gather_formula(order):
+    # K = 97 leaves the last group short, 2 * 1024 + 3 candidates cross block
+    # boundaries for J = 4 and 8, and the sent row is an inner one
+    c = make_constellation(order)
+    size, n = 2 * 1024 + 3, 97
+    book = generate_codebook(c, size, n, seed=order)
+    symbols = book.symbols
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order + 1)
+    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[symbols[1500]] \
+        + blk.residual_noise
+    assert_outcome_of(decode(book, blk, sent_message=1500),
+                      row_gather_metrics(c, blk, symbols), 1500)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 8])
 def test_decode_seeded_equals_decode_of_the_stored_codebook(order):
-    # sizes of one row, one block, one block and a row, and two blocks and
-    # three rows; a block holds utils.BLOCK_ELEMENTS bytes of whole rows of
-    # ceil(n / p) bytes; the sent row is the last one
+    # decoding the seeded book equals the formula over its stored (size, K)
+    # symbol matrix at sizes of one row, one block, one block and a row, and
+    # two blocks and three rows; a block holds utils.BLOCK_ELEMENTS bytes of
+    # whole rows of ceil(n / p) bytes; the sent row is the last one
     c = make_constellation(order)
     n = 96
     step = block_step(-(-n // packing(order)[0]))
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order)
     for size in (1, step, step + 1, 2 * step + 3):
         book = generate_codebook(c, size, n, seed=order + 10)
-        blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[book.symbols[-1]] \
+        symbols = book.symbols
+        blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[symbols[-1]] \
             + blk.residual_noise
+        expected = row_gather_metrics(c, blk, symbols)
         for sent in (None, size - 1):
-            _assert_same_outcome(
-                decode_seeded(c, size, order + 10, blk, sent_message=sent),
-                decode(book, blk, sent_message=sent))
+            assert_outcome_of(decode(book, blk, sent_message=sent), expected,
+                              sent)
 
 
 def test_decode_seeded_ties_go_to_the_lowest_index():
@@ -150,37 +160,12 @@ def test_decode_seeded_ties_go_to_the_lowest_index():
     c = make_constellation(2)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 1, seed=4)
     book = generate_codebook(c, 40, 1, seed=6)
-    want = decode(book, blk, sent_message=39)
-    got = decode_seeded(c, 40, 6, blk, sent_message=39)
-    _assert_same_outcome(got, want)
-    best = book.symbols[got.chosen_message, 0]
-    assert got.chosen_message == int(np.flatnonzero(book.symbols[:, 0] == best)[0])
+    symbols = book.symbols
+    got = decode(book, blk, sent_message=39)
+    assert_outcome_of(got, row_gather_metrics(c, blk, symbols), 39)
+    best = symbols[got.chosen_message, 0]
+    assert got.chosen_message == int(np.flatnonzero(symbols[:, 0] == best)[0])
     assert got.runner_up_metric == got.chosen_metric
-
-
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_decode_rejects_symbols_outside_the_constellation(bad):
-    # a symbol of J in the first column would still index the table
-    c = make_constellation(4)
-    symbols = np.zeros((3, 5), dtype=np.int64)
-    symbols[1, 0] = bad
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 5, seed=1)
-    with pytest.raises(ValueError):
-        decode(Codebook(constellation=c, symbols=symbols), blk)
-
-
-def test_decode_tie_breaks_to_lowest_index():
-    c = make_constellation(4)
-    rng = np.random.default_rng(2)
-    symbols = rng.integers(0, 4, size=(8, 16))
-    symbols[5] = symbols[1]          # exact duplicate rows tie exactly
-    book = Codebook(constellation=c, symbols=symbols)
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 5.0, c, 16, seed=3)
-    blk.x = np.sqrt(blk.rho) * blk.h_hat * c.points[symbols[1]] \
-        + 0.01 * blk.residual_noise
-    out = decode(book, blk, sent_message=1)
-    assert out.chosen_message == 1
-    assert out.correct is True
 
 
 def test_decode_without_sent_message():

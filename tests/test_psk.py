@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rtgmi.decoder import decode, decode_seeded
+from rtgmi.decoder import decode
 from rtgmi.fading import Ar1Fading, generate_path
 from rtgmi.prediction import PredictorSpec, predictor_coefficients
-from rtgmi.psk import (Codebook, PscBlock, PskConstellation, codebook_row,
-                       generate_codebook, make_constellation, packing,
-                       synthesize_block_at_rho, synthesize_psc_block)
+from rtgmi.psk import (PscBlock, PskConstellation, generate_codebook,
+                       make_constellation, packing, synthesize_block_at_rho,
+                       synthesize_psc_block)
 from rtgmi.utils import block_step
+from test_decoder import assert_outcome_of, row_gather_metrics
 
 
 def test_constellation_geometry():
@@ -105,31 +106,31 @@ def test_codebook_equals_generator_integers(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_codebook_row_equals_the_stored_row(order):
-    # odd K makes rows start in the middle of a 64-bit output
+    # a row drawn alone equals that row of the whole book; odd K makes rows
+    # start in the middle of a 64-bit output
     c = PskConstellation(order=order, points=np.empty(0))
     for size, length, seed in [(1, 1, 3), (5, 1, 4), (6, 16, (1 << 64) - 1),
                                (2051, 17, 11), (41, 800, 5)]:
         book = generate_codebook(c, size, length, seed)
+        symbols = book.symbols
         for row in sorted({0, min(1, size - 1), size // 2, size - 1}):
-            assert np.array_equal(codebook_row(c, length, seed, row),
-                                  book.symbols[row]), (size, length, row)
+            assert np.array_equal(book.row(row), symbols[row]), \
+                (size, length, row)
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_decode_seeded_equals_decode_of_the_oracle_codebook(order):
-    # two blocks and three rows of ceil(17 / p) bytes each
+    # decoding a seeded book gives the explicit-loop table's metrics over
+    # the oracle's rows; two blocks and three rows of ceil(17 / p) bytes
     c = make_constellation(order)
     length = 17
     size = 2 * block_step(-(-length // packing(order)[0])) + 3
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, length, seed=order)
-    book = Codebook(c, oracle_codebook(order, size, length, order + 40))
-    got = decode_seeded(c, size, order + 40, blk, sent_message=size - 1)
-    want = decode(book, blk, sent_message=size - 1)
-    assert np.array_equal(got.metrics, want.metrics)
-    assert (got.chosen_message, got.correct, got.chosen_metric,
-            got.runner_up_metric) == (want.chosen_message, want.correct,
-                                      want.chosen_metric,
-                                      want.runner_up_metric)
+    got = decode(generate_codebook(c, size, length, order + 40), blk,
+                 sent_message=size - 1)
+    want = row_gather_metrics(
+        c, blk, oracle_codebook(order, size, length, order + 40))
+    assert_outcome_of(got, want, size - 1)
 
 
 @pytest.mark.parametrize("order", [2, 3, 5, 7, 16, 129, 255])
@@ -145,42 +146,37 @@ def test_codebook_symbols_are_uniform_at_every_position(order):
         assert stats.chi2.sf(stat, order - 1) > 1e-4 / 11, (k, stat)
 
 
-def test_a_generator_seed_is_drawn_from_its_current_state():
-    # simulate seeds each codebook's PCG64 once and rewinds it between reads
-    c = make_constellation(3)
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 7, seed=2)
-    bitgen = np.random.PCG64(9)
-    start = bitgen.state
-    assert np.array_equal(generate_codebook(c, 6, 7, bitgen).symbols,
-                          generate_codebook(c, 6, 7, 9).symbols)
-    bitgen.state = start
-    assert np.array_equal(codebook_row(c, 7, bitgen, 5),
-                          codebook_row(c, 7, 9, 5))
-    bitgen.state = start
-    assert np.array_equal(decode_seeded(c, 6, bitgen, blk).metrics,
-                          decode_seeded(c, 6, 9, blk).metrics)
+def test_every_read_starts_from_the_seed():
+    # a book holds one generator; row, symbols and decode each rewind it
+    for order in (3, 4):      # a rejecting draw, and a jumping one
+        c = make_constellation(order)
+        blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 7, seed=2)
+
+        def fresh():
+            return generate_codebook(c, 50, 7, seed=9)
+
+        want = (fresh().row(33), fresh().symbols, decode(fresh(), blk).metrics)
+        book = fresh()
+        for _ in range(2):      # the second pass reads after every other read
+            got = (book.row(33), book.symbols, decode(book, blk).metrics)
+            for name, a, b in zip(("row", "symbols", "decode"), got, want):
+                assert np.array_equal(a, b), (order, name)
 
 
 def test_codebook_row_contract():
     c = make_constellation(4)
     with pytest.raises(ValueError):
-        codebook_row(c, 0, seed=1, row=0)
-    with pytest.raises(ValueError):
-        codebook_row(c, 8, seed=1, row=-1)
+        generate_codebook(c, 1, 0, seed=1)
+    book = generate_codebook(c, 5, 8, seed=1)
+    for row in (5, -1):
+        with pytest.raises(ValueError):
+            book.row(row)
 
 
 def test_codebooks_refuse_orders_past_256():
     # a byte must carry at least one symbol
-    c = make_constellation(257)
-    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 2, seed=1)
     with pytest.raises(ValueError):
-        generate_codebook(c, 2, 2, seed=3)
-    with pytest.raises(ValueError):
-        codebook_row(c, 2, seed=3, row=1)
-    with pytest.raises(ValueError):
-        decode_seeded(c, 2, 3, blk)
-    with pytest.raises(ValueError):
-        decode(Codebook(c, np.zeros((2, 2), dtype=np.int64)), blk)
+        generate_codebook(make_constellation(257), 2, 2, seed=3)
 
 
 def test_synthesis_identity_exact():

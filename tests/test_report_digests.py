@@ -50,6 +50,11 @@ RUNS = {
     "sweep": ["sweep", "--constellation", "8psk", "--snr-db=-6:3:6",
               "--samples", "10000"],
     "simulate_genie": _SIM + ["--genie", "--seed", "2026"],
+    # a rate near capacity makes about half the genie trials fail, so the
+    # chosen rows, and with them the codebooks and the decoder, move the
+    # report
+    "simulate_genie_errors": _sim(**{"rate-fraction": "0.9"})
+    + ["--genie", "--seed", "2030"],
     "simulate_decision_directed": _SIM + ["--seed", "2027"],
     # a ternary alphabet takes the rejecting draw, and an odd K starts rows
     # in the middle of a 64-bit word
@@ -126,6 +131,16 @@ DIGESTS = {
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
             '891bf00cbbc74dac7429e56776224b1e1636cf40f8198ab2eb7c19f51abb5b65',
+    },
+    'simulate_genie_errors': {
+        'report.json':
+            'c918f8680fca190eb26d70722cdb4e0d421ac6a7dfe12573c88072203f71ae5f',
+        'simulate.csv':
+            '7dd96a60bce2ebc9031a9055f400afbac5fa2c875679f3217c22ab00c0c31073',
+        'simulate.svg':
+            '5ce8b7e72a4cd9be74c555f7fd6c92249f85adc999c07c15a96ae0712a997b50',
+        'stdout':
+            '822d8448a971408f6f873919dcc6863bebdf4da334a74f9a336dc2547a55cbd1',
     },
     'simulate_qpsk_odd_k': {
         'report.json':
