@@ -4,6 +4,12 @@ Every model fixes the marginal variance at one, so SNR enters only through
 the channel equation and never through the fading law itself.  Sampling uses
 numpy's seeded Generator (PCG64); replay is bit-exact for a fixed package
 version, which is all the determinism contract asks for.
+
+generate_paths draws one path per seed as the rows of one array, each from
+its own generator, in one pass of the synthesis (a multi-right-hand-side
+AR(1) solve, one product with the Clarke factor, one banded product); row b
+is bit for bit the path generate_path draws from seeds[b], since
+generate_path is its one-seed case.
 """
 
 import csv
@@ -15,7 +21,7 @@ import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
 from scipy.special import j0
 
-from .utils import block_step, complex_normal
+from .utils import block_step, complex_normal_rows
 
 # exact Cholesky synthesis above this length is too expensive (O(n^3) time,
 # O(n^2) memory); longer Clarke paths switch to a ray-sum approximation
@@ -33,7 +39,8 @@ class FadingModel:
         """E{h[k + lag] * conj(h[k])}; conjugate-symmetric in the lag."""
         raise NotImplementedError
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _sample(self, n: int, rngs) -> np.ndarray:
+        """(len(rngs), n): row b is a path drawn from generator rngs[b]."""
         raise NotImplementedError
 
     # (n, factor) of the most recent path length, set by _factor
@@ -71,29 +78,33 @@ class Ar1Fading(FadingModel):
     def autocorrelation(self, lag: int) -> complex:
         return complex(self.alpha ** abs(int(lag)))
 
-    def _sample(self, n, rng):
-        h = complex_normal(rng, n)
+    def _sample(self, n, rngs):
+        h = complex_normal_rows(rngs, n)
         if self.alpha == 0.0:
             return h
         # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1)
-        h[1:] *= math.sqrt(1.0 - self.alpha ** 2)
+        h[:, 1:] *= math.sqrt(1.0 - self.alpha ** 2)
         # the recursion as a unit lower-bidiagonal solve, h[k] - a*h[k-1] =
-        # x[k], in place a block at a time; each block's first right-hand
-        # side takes a*h[k-1] from the block before, the very product and sum
-        # a whole-path solve forms there, so the bits do not depend on the
-        # block size
+        # x[k], in place a block at a time, one right-hand side per path
+        # (the columns of the Fortran-order h.T); each block's first row takes
+        # a*h[k-1] from the block before, the very product and sum a
+        # whole-path solve forms there, so the bits do not depend on the
+        # block size or on the number of paths
         step = block_step(2)
         ab = np.empty((min(step, n), 2), dtype=complex).T  # Fortran order
         ab[0] = 1.0
         ab[1] = -self.alpha
+        cols = h.T
         for start in range(0, n, step):
-            x = h[start:start + step]
+            x = cols[start:start + step]
             if start:
-                x[0] += self.alpha * h[start - 1]
-            _, info = ztbtrs(ab[:, :len(x)], x.reshape(-1, 1), uplo="L",
-                             diag="U", overwrite_b=1)
+                x[0] += self.alpha * cols[start - 1]
+            solved, info = ztbtrs(ab[:, :len(x)], x, uplo="L", diag="U",
+                                  overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"ztbtrs returned info = {info}")
+            if solved is not x:  # a block of several paths is not contiguous
+                x[...] = solved
         return h
 
 
@@ -129,23 +140,28 @@ class ClarkeFading(FadingModel):
         cov = scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(n)
         return scipy.linalg.cholesky(cov, lower=True)
 
-    def _sample(self, n, rng):
+    def _sample(self, n, rngs):
         if n <= CHOLESKY_MAX_N:
-            # the factor is real: one real product on the (n, 2) float view
-            # of w, instead of numpy casting the factor to complex each call
-            w = complex_normal(rng, n).view(np.float64).reshape(n, 2)
-            return (self._factor(n) @ w).view(np.complex128).reshape(n)
-        # equal-power rays: arrival angles uniform => Bessel autocorrelation
-        angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
-        phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
-        dopplers = 2.0 * math.pi * self.normalized_doppler * np.cos(angles)
-        out = np.zeros(n, dtype=complex)
-        k0 = 0
-        while k0 < n:  # chunked so the (chunk, rays) phase table stays small
-            k = np.arange(k0, min(k0 + 65536, n))
-            out[k] = np.exp(1j * (k[:, None] * dopplers[None, :] + phases)).sum(axis=1)
-            k0 += 65536
-        return out / math.sqrt(self.ray_count)
+            # the factor is real: one real product with the (n, 2B) float
+            # view of the draws, path b in columns 2b and 2b + 1, instead of
+            # numpy casting the factor to complex each call
+            w = complex_normal_rows(rngs, n).view(np.float64)
+            w = w.reshape(len(rngs), n, 2).transpose(1, 0, 2).reshape(n, -1)
+            paths = (self._factor(n) @ w).view(np.complex128)
+            return np.ascontiguousarray(paths.T)
+        out = np.zeros((len(rngs), n), dtype=complex)
+        for path, rng in zip(out, rngs):
+            # equal-power rays: arrival angles uniform => Bessel autocorrelation
+            angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
+            phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
+            dopplers = 2.0 * math.pi * self.normalized_doppler * np.cos(angles)
+            # chunked so the (chunk, rays) phase table stays small
+            for k0 in range(0, n, 65536):
+                k = np.arange(k0, min(k0 + 65536, n))
+                path[k] = np.exp(1j * (k[:, None] * dopplers[None, :]
+                                       + phases)).sum(axis=1)
+        out /= math.sqrt(self.ray_count)
+        return out
 
 
 @dataclass(frozen=True)
@@ -227,12 +243,12 @@ class TabulatedFading(FadingModel):
                 "zero-extended tabulated autocorrelation is not positive "
                 "semidefinite at this path length") from exc
 
-    def _sample(self, n, rng):
+    def _sample(self, n, rngs):
         fac = self._factor(n)
-        w = complex_normal(rng, n)
-        out = np.zeros(n, dtype=complex)
-        for d in range(len(fac)):  # h = L @ w with L lower-banded
-            out[d:] += fac[d, :n - d] * w[:n - d]
+        w = complex_normal_rows(rngs, n)
+        out = np.zeros_like(w)
+        for d in range(len(fac)):  # h = L @ w with L lower-banded, per row
+            out[:, d:] += fac[d, :n - d] * w[:, :n - d]
         return out
 
 
@@ -250,7 +266,19 @@ def generate_path(model: FadingModel, n: int, seed: int) -> np.ndarray:
         identical path; for recursion-based models a shorter request with the
         same seed is a prefix of a longer one.
     """
+    return generate_paths(model, n, (seed,))[0]
+
+
+def generate_paths(model: FadingModel, n: int, seeds) -> np.ndarray:
+    """Draw one n-sample path per seed, as the rows of a (len(seeds), n) array.
+
+    Row b is bit for bit generate_path(model, n, seeds[b]): each path has its
+    own generator, and the synthesis treats the rows alike whatever their
+    number.  One seed adds no copy to the path.
+    """
     if n < 1:
         raise ValueError("path length must be positive")
-    rng = np.random.default_rng(int(seed))
-    return model._sample(int(n), rng)
+    if len(seeds) < 1:
+        raise ValueError("need at least one seed")
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    return model._sample(int(n), rngs)

@@ -137,11 +137,13 @@ def prediction_reference(prediction: PredictionResult, obs: np.ndarray,
 
     The prediction is sum_a conj(c[a]) * obs[t - tau_a]; the reference scales
     it by 1 / sqrt(1 - s2).  A degenerate predictor (s2 = 1) predicts nothing
-    and gives no reference (None); each caller supplies its own.
+    and gives no reference (None); each caller supplies its own.  `obs` may
+    be one path or a (B, n) array of B paths, predicted row by row with the
+    same operations, lag after lag, so a row's bits do not depend on B.
     """
-    raw = np.zeros(len(times), dtype=complex)
+    raw = np.zeros(obs.shape[:-1] + (len(times),), dtype=complex)
     for a, tau in enumerate(prediction.spec.lag_pattern):
-        raw += np.conj(prediction.coefficients[a]) * obs[times - tau]
+        raw += np.conj(prediction.coefficients[a]) * obs[..., times - tau]
     s2 = prediction.error_variance
     return raw, (raw / math.sqrt(1.0 - s2) if s2 < 1.0 else None)
 

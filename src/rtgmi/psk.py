@@ -3,7 +3,8 @@
 A block bundles what a decoder sees: received samples x, the unit-variance
 channel reference h_hat, the effective SNR rho, and (for bookkeeping) the
 transmitted symbol indices and the unit-variance residual noise, tied by the
-exact identity x[k] = sqrt(rho) * h_hat[k] * theta[s[k]] + residual[k].
+exact identity x[k] = sqrt(rho) * h_hat[k] * theta[s[k]] + residual[k].  No
+decoder reads the residual, and simulate's blocks leave it out.
 
 A codebook is i.i.d. uniform over the alphabet of J <= 256 symbols, and a
 Codebook is its seed: it stores no symbols, and each read draws them again
@@ -211,7 +212,7 @@ class PscBlock:
     h_hat: np.ndarray
     s: np.ndarray
     rho: float
-    residual_noise: np.ndarray
+    residual_noise: np.ndarray = None   # None when untracked (simulate)
 
     @property
     def block_length(self) -> int:

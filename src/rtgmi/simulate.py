@@ -11,6 +11,14 @@ alone, not on the master seed.  A codebook is never stored: each trial
 builds a seeded psk.Codebook per data subchannel, decode streams its packed
 bytes, and only the sent and the decoded rows are drawn on their own, so
 exhaustive decoding time is all that caps the codebook size.
+
+Trials run in batches of 16.  A batch draws its paths in one synthesis pass
+(fading.generate_paths), and steps each subchannel l through one prediction,
+transmit and feedback pass over (16, time) arrays, with one decode per
+trial.  Every trial keeps its own path, noise, message and codebook streams,
+and each row is computed with the operations a lone trial uses, so reports
+are byte-identical to running the trials one at a time.  Memory holds one
+batch, whatever the number of trials.
 """
 
 import math
@@ -19,17 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import psk_capacity_quadrature
-# perfbench/tracing.py wraps decode, generate_codebook, gmi and
-# synthesize_block_at_rho here; run calls decode only
+# perfbench/tracing.py wraps decode, generate_codebook, generate_path, gmi
+# and synthesize_block_at_rho here; of these run calls decode only, and
+# draws its paths through generate_paths
 from .decoder import decode
 from .errors import ConfigurationError
-from .fading import FadingModel, generate_path
+from .fading import FadingModel, generate_path, generate_paths  # noqa: F401
 from .gmi import gmi  # noqa: F401
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors)
 from .psk import (Codebook, PscBlock, generate_codebook,  # noqa: F401
                   make_constellation, synthesize_block_at_rho)
-from .utils import binomial_halfwidth, complex_normal, derive_seed
+from .utils import binomial_halfwidth, complex_normal_rows, derive_seed
 
 MAX_CODEBOOK_SIZE = 1 << 16
 _STREAM_PATH = 2
@@ -37,6 +46,10 @@ _STREAM_NOISE = 3
 _STREAM_BOOK = 4
 _STREAM_MSG = 5
 _STRIDE = 1 << 20
+# trials per batch: a batch's (B, time) arrays and its Clarke product stay a
+# few hundred KB at the benchmark points (64 added 6.8 MB of RSS there); no
+# report depends on it
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -119,10 +132,11 @@ def run(config: SchemeConfig) -> RtReport:
     Identical configs (same master seed) produce identical reports.  The
     fading path gets a pilot-only warm-up prefix long enough to cover every
     predictor's largest look-back offset, so all subchannels operate in the
-    steady state that their effective-SNR values describe.
+    steady state that their effective-SNR values describe.  Trials run in
+    batches of _BATCH on their own streams, and the report is byte for byte
+    that of running them one at a time.
     """
     depth = config.interleave_depth
-    n_k = config.block_length
     const = make_constellation(config.constellation_order)
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
@@ -131,75 +145,19 @@ def run(config: SchemeConfig) -> RtReport:
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
     warm_slots = int(math.ceil(max_offset / depth))
-    total = (warm_slots + n_k) * depth
-    sqrt_snr = math.sqrt(config.snr)
 
     err_counts = np.zeros(depth, dtype=np.int64)
     overall_count = 0
     propagation = 0
-
-    for trial in range(config.n_trials):
-        h = generate_path(config.model, total,
-                          derive_seed(config.master_seed,
-                                      _STREAM_PATH * _STRIDE + trial))
-        rng_noise = np.random.default_rng(
-            derive_seed(config.master_seed, _STREAM_NOISE * _STRIDE + trial))
-        z = complex_normal(rng_noise, total)
-        rng_msg = np.random.default_rng(
-            derive_seed(config.master_seed, _STREAM_MSG * _STRIDE + trial))
-
-        # true symbol indices: pilots everywhere, then per-subchannel codewords
-        s_true = np.zeros(total, dtype=np.int64)
-        books = [None] + [Codebook(const, sizes[l], n_k, derive_seed(
-            config.master_seed, _STREAM_BOOK * _STRIDE + trial * depth + l))
-            for l in range(1, depth)]
-        sent = np.zeros(depth, dtype=np.int64)
-        codewords = [None] * depth
-        data_slots = warm_slots + np.arange(n_k)
-        for l in range(1, depth):
-            sent[l] = rng_msg.integers(0, sizes[l])
-            codewords[l] = books[l].row(sent[l])
-            s_true[data_slots * depth + l] = codewords[l]
-
-        x_phys = sqrt_snr * h * const.points[s_true] + z
-
-        # fading observations, NaN until a time's symbol is decided; the
-        # warm-up and pilot symbols are known
-        obs = np.full(total, np.nan + 0j)
-        known = np.r_[np.arange(warm_slots * depth),
-                      np.arange(warm_slots + n_k) * depth]
-        obs[known] = x_phys[known] * np.conj(const.points[s_true[known]]) \
-            / sqrt_snr
-
-        trial_errs = np.zeros(depth, dtype=bool)
-        for l in range(1, depth):
-            pred = predictors[l]
-            times = data_slots * depth + l
-            _, h_ref = prediction_reference(pred, obs, times)
-            if h_ref is None:
-                h_ref = np.zeros(n_k, dtype=complex)
-            x_block = x_phys[times] \
-                / math.sqrt(1.0 + config.snr * pred.error_variance)
-            codeword = codewords[l]
-            block = PscBlock(
-                x=x_block, h_hat=h_ref, s=codeword, rho=float(rhos[l]),
-                residual_noise=x_block - np.sqrt(rhos[l]) * h_ref
-                * const.points[codeword])
-            outcome = decode(books[l], block, sent_message=int(sent[l]))
-            trial_errs[l] = not outcome.correct
-            if config.genie or outcome.correct:
-                fed_back = codeword
-            else:
-                fed_back = books[l].row(outcome.chosen_message)
-            obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
-                / sqrt_snr
-
-        err_counts += trial_errs
-        if trial_errs.any():
-            overall_count += 1
-            first = int(np.flatnonzero(trial_errs)[0])
-            if trial_errs[first + 1:].any():
-                propagation += 1
+    for first in range(0, config.n_trials, _BATCH):
+        trials = range(first, min(first + _BATCH, config.n_trials))
+        errs = _trial_errors(config, trials, const, predictors, sizes,
+                             warm_slots)
+        err_counts += errs.sum(axis=0)
+        failed = errs.sum(axis=1)
+        overall_count += int(np.count_nonzero(failed))
+        # an error after a trial's first one is a propagation event
+        propagation += int(np.count_nonzero(failed > 1))
 
     n = config.n_trials
     per_err = err_counts / n
@@ -217,6 +175,76 @@ def run(config: SchemeConfig) -> RtReport:
         budget_met=_within_budget(per_err, per_ci, config.error_target, depth),
         propagation_events=int(propagation),
     )
+
+
+def _trial_errors(config: SchemeConfig, trials: range, const, predictors,
+                  sizes, warm_slots: int) -> np.ndarray:
+    """(len(trials), L) bool: the subchannels each trial fails to decode.
+
+    Row b is trial trials[b], one row of every (B, time) array.  A trial
+    draws its path, noise, messages and codebooks from its own streams and
+    is predicted, decoded and fed back as if alone, so its row does not
+    depend on the trials that share its batch.
+    """
+    depth = config.interleave_depth
+    n_k = config.block_length
+    total = (warm_slots + n_k) * depth
+    sqrt_snr = math.sqrt(config.snr)
+
+    def seed(stream, index):
+        return derive_seed(config.master_seed, stream * _STRIDE + index)
+
+    h = generate_paths(config.model, total,
+                       [seed(_STREAM_PATH, trial) for trial in trials])
+    z = complex_normal_rows([np.random.default_rng(seed(_STREAM_NOISE, trial))
+                             for trial in trials], total)
+
+    # true symbol indices: pilots everywhere, then per-subchannel codewords
+    s_true = np.zeros((len(trials), total), dtype=np.int64)
+    sent = np.zeros((len(trials), depth), dtype=np.int64)
+    books = []
+    data_slots = warm_slots + np.arange(n_k)
+    for b, trial in enumerate(trials):
+        books.append([None] + [
+            Codebook(const, sizes[l], n_k, seed(_STREAM_BOOK, trial * depth + l))
+            for l in range(1, depth)])
+        rng_msg = np.random.default_rng(seed(_STREAM_MSG, trial))
+        for l in range(1, depth):
+            sent[b, l] = rng_msg.integers(0, sizes[l])
+            s_true[b, data_slots * depth + l] = books[b][l].row(sent[b, l])
+
+    x_phys = sqrt_snr * h * const.points[s_true] + z
+    del h, z  # folded into x_phys; not held through the decodes
+
+    # fading observations, NaN until a time's symbol is decided; the
+    # warm-up and pilot symbols are known
+    obs = np.full(x_phys.shape, np.nan + 0j)
+    known = np.r_[np.arange(warm_slots * depth),
+                  np.arange(warm_slots + n_k) * depth]
+    obs[:, known] = x_phys[:, known] \
+        * np.conj(const.points[s_true[:, known]]) / sqrt_snr
+
+    errs = np.zeros((len(trials), depth), dtype=bool)
+    for l in range(1, depth):
+        pred = predictors[l]
+        times = data_slots * depth + l
+        _, h_ref = prediction_reference(pred, obs, times)
+        if h_ref is None:
+            h_ref = np.zeros((len(trials), n_k), dtype=complex)
+        x_block = x_phys[:, times] \
+            / math.sqrt(1.0 + config.snr * pred.error_variance)
+        fed_back = s_true[:, times]
+        for b, trial_books in enumerate(books):
+            block = PscBlock(x=x_block[b], h_hat=h_ref[b], s=fed_back[b],
+                             rho=pred.effective_snr)
+            outcome = decode(trial_books[l], block,
+                             sent_message=int(sent[b, l]))
+            errs[b, l] = not outcome.correct
+            if not (config.genie or outcome.correct):
+                fed_back[b] = trial_books[l].row(outcome.chosen_message)
+        obs[:, times] = x_phys[:, times] * np.conj(const.points[fed_back]) \
+            / sqrt_snr
+    return errs
 
 
 def _within_budget(errors, cis, error_target, interleave_depth) -> list:

@@ -29,11 +29,18 @@ def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     Real and imaginary parts are drawn interleaved, so the first n' samples of
     a length-n draw coincide with a length-n' draw from a same-state generator.
     """
-    z = rng.standard_normal((n, 2))
+    return complex_normal_rows((rng,), n)[0]
+
+
+def complex_normal_rows(rngs, n: int) -> np.ndarray:
+    """(len(rngs), n): row b is complex_normal(rngs[b], n), drawn in place."""
+    z = np.empty((len(rngs), n, 2))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)
     # numpy divides a complex array by a real scalar as a product with the
     # reciprocal, so scaling the real pairs by 1/sqrt(2) gives the same bits
     z *= 1.0 / math.sqrt(2.0)
-    return z.view(np.complex128).reshape(n)
+    return z.view(np.complex128).reshape(len(rngs), n)
 
 
 def sum_rows(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
-                          TabulatedFading, generate_path)
+                          TabulatedFading, generate_path, generate_paths)
 from rtgmi.utils import block_step, complex_normal
 
 
@@ -207,9 +207,36 @@ def test_one_factorization_per_path_length(make, routine, monkeypatch):
     paths = [generate_path(model, 64, seed) for seed in range(20)]
     assert len(calls) == 1
     assert len({p.tobytes() for p in paths}) == 20
+    # a batch reuses the factor of its length, and factors a new one once
+    assert np.array_equal(generate_paths(model, 64, range(20)), paths)
+    assert len(calls) == 1
+    generate_paths(model, 65, range(17))
+    assert len(calls) == 2
     generate_path(model, 65, seed=0)
     generate_path(model, 65, seed=1)
     assert len(calls) == 2
+
+
+_BATCHED_MODELS = [
+    # n > block_step(2): the AR(1) solve crosses a block boundary
+    pytest.param(lambda: Ar1Fading(0.0), block_step(2) + 5, id="ar1-white"),
+    pytest.param(lambda: Ar1Fading(0.99), block_step(2) + 5, id="ar1"),
+    pytest.param(lambda: ClarkeFading(0.05), 300, id="clarke-cholesky"),
+    pytest.param(lambda: ClarkeFading(0.05), CHOLESKY_MAX_N + 3,
+                 id="clarke-rays"),
+    pytest.param(_bartlett, 500, id="tabulated"),
+]
+
+
+@pytest.mark.parametrize("make, n", _BATCHED_MODELS)
+@pytest.mark.parametrize("batch", [1, 17])
+def test_every_row_of_a_batch_is_the_path_of_its_seed(make, n, batch):
+    seeds = [1000 + 7 * b for b in range(batch)]
+    paths = generate_paths(make(), n, seeds)
+    assert paths.shape == (batch, n) and paths.dtype == complex
+    assert paths.flags.c_contiguous
+    for seed, row in zip(seeds, paths):
+        assert np.array_equal(row, generate_path(make(), n, seed)), seed
 
 
 def test_failed_banded_factorization_raises_on_every_call():
@@ -260,6 +287,10 @@ def test_tabulated_from_csv_roundtrip(tmp_path):
 def test_generate_path_contracts():
     with pytest.raises(ValueError):
         generate_path(Ar1Fading(0.5), 0, seed=1)
+    with pytest.raises(ValueError):
+        generate_paths(Ar1Fading(0.5), 0, [1, 2])
+    with pytest.raises(ValueError):
+        generate_paths(Ar1Fading(0.5), 16, [])
     a = generate_path(Ar1Fading(0.5), 16, seed=9)
     b = generate_path(Ar1Fading(0.5), 16, seed=9)
     assert np.array_equal(a, b)

@@ -11,6 +11,8 @@ The bits also depend on the BLAS thread count.  The digests were recorded
 with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1 (the
 benchmark's pin) the gmi_clarke report.json hashes differently, because the
 Cholesky factor of the Clarke covariance rounds differently on one thread.
+The simulate_clarke_genie paths are short enough to hash alike on one and
+on two threads.
 """
 
 import hashlib
@@ -56,6 +58,12 @@ RUNS = {
     "simulate_genie_errors": _sim(**{"rate-fraction": "0.9"})
     + ["--genie", "--seed", "2030"],
     "simulate_decision_directed": _SIM + ["--seed", "2027"],
+    # Clarke paths come from the Cholesky factor, 40 trials make two full
+    # batches and a partial one, and a rate near capacity makes decodes fail
+    "simulate_clarke_genie": ["simulate", "--model", "clarke", "--doppler",
+                              "0.05"]
+    + _sim(**{"rate-fraction": "0.9", "trials": "40"})[5:]
+    + ["--genie", "--seed", "2031"],
     # a ternary alphabet takes the rejecting draw, and an odd K starts rows
     # in the middle of a 64-bit word
     "simulate_ternary": _sim(constellation="3") + ["--seed", "2028"],
@@ -121,6 +129,16 @@ DIGESTS = {
             '49a4e3deb3f43cbbe6b66157f2b6c7c71ca56a2b93c816858cfd3472afd779e5',
         'stdout':
             'ac7622fbdea026ac232e5c1415dad5f9dde87d3e733e218e4bef62903c122fd3',
+    },
+    'simulate_clarke_genie': {
+        'report.json':
+            '20db7e4f93f467497cd4f58b72d663d29467a5d397f6f833e6df5a4844916ad7',
+        'simulate.csv':
+            'fca07574b8277de400ceabfb39c21dde1aedc96f1677f63db5495d24895d2384',
+        'simulate.svg':
+            'dd5ee6c03b25183594472e1e83a13b4757c6413f21bd6f9b4d32f8c07c1f2bed',
+        'stdout':
+            '6d63adbb95ac4a511d9f9333a28ccec99c4b1eca74fbdb600696df05d8e8e446',
     },
     'simulate_genie': {
         'report.json':

@@ -1,12 +1,22 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rtgmi.simulate
 from rtgmi.capacity import psk_capacity_quadrature
 from rtgmi.errors import ConfigurationError
-from rtgmi.fading import Ar1Fading
-from rtgmi.prediction import rho_sequence
-from rtgmi.simulate import MAX_CODEBOOK_SIZE, SchemeConfig, budget_check, run
+from rtgmi.fading import Ar1Fading, ClarkeFading, generate_path
+from rtgmi.prediction import (prediction_reference, rho_sequence,
+                              schedule_predictors)
+from rtgmi.psk import Codebook, PscBlock, make_constellation
+from rtgmi.simulate import (_STREAM_BOOK, _STREAM_MSG, _STREAM_NOISE,
+                            _STREAM_PATH, _STRIDE, MAX_CODEBOOK_SIZE,
+                            RtReport, SchemeConfig, _size_codebooks,
+                            _within_budget, budget_check, run)
+from rtgmi.utils import binomial_halfwidth, complex_normal, derive_seed
 
 
 def small_config(**kw):
@@ -139,3 +149,182 @@ def test_budget_check_hand_values():
         budget_check(rep, 0.0, 3)
     with pytest.raises(ValueError):
         budget_check(rep, 0.05, 0)
+
+
+def trial_at_a_time_run(config: SchemeConfig) -> RtReport:
+    """Slow oracle for run: every trial alone, one 1-D array per quantity,
+    tallied as it finishes (decoding through rtgmi.simulate.decode, so a
+    test can watch the blocks both runs decode)."""
+    depth = config.interleave_depth
+    n_k = config.block_length
+    const = make_constellation(config.constellation_order)
+    predictors = schedule_predictors(config.model, depth, config.snr,
+                                     config.predictor_order)
+    rhos = np.array([0.0] + [p.effective_snr for p in predictors[1:]])
+    rates, sizes = _size_codebooks(config, rhos)
+
+    max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
+    warm_slots = int(math.ceil(max_offset / depth))
+    total = (warm_slots + n_k) * depth
+    sqrt_snr = math.sqrt(config.snr)
+
+    err_counts = np.zeros(depth, dtype=np.int64)
+    overall_count = 0
+    propagation = 0
+
+    for trial in range(config.n_trials):
+        h = generate_path(config.model, total,
+                          derive_seed(config.master_seed,
+                                      _STREAM_PATH * _STRIDE + trial))
+        rng_noise = np.random.default_rng(
+            derive_seed(config.master_seed, _STREAM_NOISE * _STRIDE + trial))
+        z = complex_normal(rng_noise, total)
+        rng_msg = np.random.default_rng(
+            derive_seed(config.master_seed, _STREAM_MSG * _STRIDE + trial))
+
+        s_true = np.zeros(total, dtype=np.int64)
+        books = [None] + [Codebook(const, sizes[l], n_k, derive_seed(
+            config.master_seed, _STREAM_BOOK * _STRIDE + trial * depth + l))
+            for l in range(1, depth)]
+        sent = np.zeros(depth, dtype=np.int64)
+        codewords = [None] * depth
+        data_slots = warm_slots + np.arange(n_k)
+        for l in range(1, depth):
+            sent[l] = rng_msg.integers(0, sizes[l])
+            codewords[l] = books[l].row(sent[l])
+            s_true[data_slots * depth + l] = codewords[l]
+
+        x_phys = sqrt_snr * h * const.points[s_true] + z
+
+        obs = np.full(total, np.nan + 0j)
+        known = np.r_[np.arange(warm_slots * depth),
+                      np.arange(warm_slots + n_k) * depth]
+        obs[known] = x_phys[known] * np.conj(const.points[s_true[known]]) \
+            / sqrt_snr
+
+        trial_errs = np.zeros(depth, dtype=bool)
+        for l in range(1, depth):
+            pred = predictors[l]
+            times = data_slots * depth + l
+            _, h_ref = prediction_reference(pred, obs, times)
+            if h_ref is None:
+                h_ref = np.zeros(n_k, dtype=complex)
+            x_block = x_phys[times] \
+                / math.sqrt(1.0 + config.snr * pred.error_variance)
+            codeword = codewords[l]
+            block = PscBlock(x=x_block, h_hat=h_ref, s=codeword,
+                             rho=float(rhos[l]))
+            outcome = rtgmi.simulate.decode(books[l], block,
+                                            sent_message=int(sent[l]))
+            trial_errs[l] = not outcome.correct
+            if config.genie or outcome.correct:
+                fed_back = codeword
+            else:
+                fed_back = books[l].row(outcome.chosen_message)
+            obs[times] = x_phys[times] * np.conj(const.points[fed_back]) \
+                / sqrt_snr
+
+        err_counts += trial_errs
+        if trial_errs.any():
+            overall_count += 1
+            first = int(np.flatnonzero(trial_errs)[0])
+            if trial_errs[first + 1:].any():
+                propagation += 1
+
+    n = config.n_trials
+    per_err = err_counts / n
+    per_ci = np.array([binomial_halfwidth(float(p), n) for p in per_err])
+    overall = overall_count / n
+    rate_targets = config.rate_fraction * rates
+    achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
+    return RtReport(
+        config=config, rho=rhos, gmi_nats=rates,
+        rate_targets=rate_targets, codebook_sizes=sizes,
+        per_psc_block_error=per_err, per_psc_ci=per_ci,
+        overall_error=float(overall),
+        overall_ci=binomial_halfwidth(float(overall), n),
+        achieved_rate=achieved,
+        budget_met=_within_budget(per_err, per_ci, config.error_target, depth),
+        propagation_events=int(propagation),
+    )
+
+
+def assert_same_report(got: RtReport, want: RtReport):
+    for field in dataclasses.fields(RtReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+# rate fractions near or past capacity make decodes fail, so decision
+# feedback and the propagation tally have something to carry
+_ORACLE_CASES = [
+    pytest.param(dict(rate_fraction=0.9, genie=True), id="ar1-genie"),
+    pytest.param(dict(rate_fraction=1.1), id="ar1-dd"),
+    pytest.param(dict(model=ClarkeFading(0.05), rate_fraction=0.9,
+                      genie=True), id="clarke-genie"),
+    pytest.param(dict(model=ClarkeFading(0.05), rate_fraction=1.1),
+                 id="clarke-dd"),
+    pytest.param(dict(constellation_order=3, block_length=15,
+                      rate_fraction=1.1), id="ternary-dd"),
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+@pytest.mark.parametrize("n_trials", [1, 15, 17, 33])
+def test_batched_run_equals_the_trial_at_a_time_oracle(case, n_trials):
+    cfg = small_config(n_trials=n_trials, master_seed=2026 + n_trials, **case)
+    assert_same_report(run(cfg), trial_at_a_time_run(cfg))
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_every_decode_sees_the_bits_of_a_lone_trial(case, monkeypatch):
+    def seen(blocks):
+        def recording(book, block, sent_message=None):
+            outcome = decode(book, block, sent_message=sent_message)
+            blocks.append((block.x.tobytes(), block.h_hat.tobytes(),
+                           block.s.tobytes(), block.rho, sent_message,
+                           outcome.chosen_message))
+            return outcome
+        return recording
+
+    decode = rtgmi.simulate.decode
+    cfg = small_config(n_trials=20, **case)
+    batched, alone = [], []
+    monkeypatch.setattr(rtgmi.simulate, "decode", seen(batched))
+    run(cfg)
+    monkeypatch.setattr(rtgmi.simulate, "decode", seen(alone))
+    trial_at_a_time_run(cfg)
+    assert len(alone) == 20 * (cfg.interleave_depth - 1)
+    # a batch decodes subchannel by subchannel, so only the order differs
+    assert sorted(batched) == sorted(alone)
+
+
+@pytest.mark.parametrize("batch", [1, 1000])
+def test_reports_do_not_depend_on_the_batch_size(batch, monkeypatch):
+    cfgs = [small_config(n_trials=33, **case.values[0])
+            for case in _ORACLE_CASES]
+    want = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(rtgmi.simulate, "_BATCH", batch)
+    for cfg, report in zip(cfgs, want):
+        assert_same_report(run(cfg), report)
+
+
+def test_run_memory_does_not_grow_with_the_trial_count(monkeypatch):
+    def peak(n_trials):
+        cfg = small_config(model=ClarkeFading(0.05), n_trials=n_trials)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # caches: the Clarke factor, the digit tables
+    batch = peak(rtgmi.simulate._BATCH)
+    assert peak(200) <= batch + (32 << 10)
+    # the check can fail: 200 trials in one batch do hold more
+    monkeypatch.setattr(rtgmi.simulate, "_BATCH", 200)
+    assert peak(200) > batch + (32 << 10)
