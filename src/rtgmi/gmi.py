@@ -3,11 +3,29 @@
 The per-sample log moment generating function of the decoding metric under a
 random candidate symbol is
 
-    lam(mu) = (1/n) sum_k log( (1/J) sum_j exp(mu * |x[k] - sqrt(rho) *
-              h_hat[k] * theta[j]|^2) ),    mu <= 0,
+    lam_k(mu) = log( (1/J) sum_j exp(mu * d[j, k]) ),    mu <= 0,
+    d[j, k] = |x[k] - sqrt(rho) * h_hat[k] * theta[j]|^2,
 
-a convex function with lam(0) = 0, estimated as a time average over one long
-block.  The reported rate is sup over mu < 0 of (mu - lam(mu)), located by a
+and lam(mu), its time average over one long block, is convex with
+lam(0) = 0.  d is never formed.  With c[k] = conj(x[k]) sqrt(rho) h_hat[k]
+and corr[j, k] = Re(c[k] theta[j]), d[j, k] = |x[k]|^2 + rho |h_hat[k]|^2 -
+2 corr[j, k] for |theta[j]| = 1, so the gaps
+
+    u[j, k] = d[j, k] - dmin[k] = 2 (max_i corr[i, k] - corr[j, k]) >= 0
+
+come from the correlations without that cancellation, and the nearest
+symbol j* has a gap of exactly 0.  Hence
+
+    lam(mu) = mu * mean_k dmin[k]
+              + mean_k log( (1 + sum_{j != j*} exp(mu * u[j, k])) / J ),
+
+J - 1 exponentials per sample, read from a (J - 1, n) table built once.
+The whole lambda curve is one sweep over that table, a cache block at a
+time.  Every mean is the math.fsum of np.sums over fixed runs of _CHUNK
+samples, so its bits depend neither on the block size nor on which mu values
+are swept together.
+
+The reported rate is sup over mu < 0 of (mu - lam(mu)), located by a
 safeguarded Newton search on the zero of its derivative; the value at
 mu = -1 is kept alongside because it equals the matched (capacity) rate of
 the memoryless channel with the same marginals.  Uncertainty comes from a
@@ -22,13 +40,14 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import block_step, log_mean_exp, sum_rows
+from .utils import block_step, sum_rows
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 NEWTON_TOL = 1e-6
 BOOTSTRAP_SEGMENTS = 64
 BOOTSTRAP_RESAMPLES = 200
 _CONVEXITY_TOL = 1e-10
+_CHUNK = 1 << 10         # columns per partial sum of every mean
 
 
 @dataclass
@@ -43,70 +62,160 @@ class GmiReport:
     clamped: bool
 
 
+def _chunk_sums(values: np.ndarray) -> np.ndarray:
+    """np.sum of each run of _CHUNK values; the last run may be shorter."""
+    full = len(values) - len(values) % _CHUNK
+    sums = values[:full].reshape(-1, _CHUNK).sum(axis=1)
+    if full < len(values):
+        sums = np.append(sums, values[full:].sum())
+    return sums
+
+
+def _first_maximum(corr: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """(J, B) one-hot of the first row of corr that reaches top, as 0.0/1.0."""
+    hits = corr == top
+    seen = hits[0].copy()
+    for row in hits[1:]:
+        row &= ~seen
+        seen |= row
+    return hits.astype(np.float64)
+
+
 class _LogMgfEvaluator:
-    """Caches the (J, n) squared-distance table and its per-sample minimum;
-    evaluations are O(n*J) each.  Both the table and each evaluation are
-    computed a block of columns at a time; every column is independent of
-    the others, so the block size does not change a bit."""
+    """The (J - 1, n) table of nonzero gaps u and the nearest distances dmin.
+
+    Column k holds u[j, k] for j = j* + 1, ..., j* + J - 1 (mod J), where j*
+    is the first symbol of largest correlation, so the nearest symbol's zero
+    gap is left out.  Its row order is the order the exponentials are added
+    in.  The table and every evaluation run a cache block of whole _CHUNK
+    columns at a time.  A mean is the math.fsum of the np.sums of fixed
+    _CHUNK-column runs, over n, so neither the block size nor the number of
+    mu values swept together changes a bit.
+    """
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
-        self.order = constellation.order
+        order = constellation.order
+        self.order = order
         self.n = block.block_length
-        self.step = block_step(self.order)
-        ref = np.sqrt(block.rho) * block.h_hat
-        self.sq = np.empty((self.order, self.n))
+        self.step = _CHUNK * max(1, block_step(order) // _CHUNK)
+        self.gaps = np.empty((order - 1, self.n))
         self.dmin = np.empty(self.n)
-        for start in range(0, self.n, self.step):
-            cols = slice(start, start + self.step)
-            diff = block.x[cols] - ref[cols] * constellation.points[:, None]
-            self.sq[:, cols] = np.abs(diff) ** 2
-            self.dmin[cols] = self.sq[:, cols].min(axis=0)
+        twice = 2.0 * constellation.points
+        # a one-hot column of the nearest symbol selects, by an exact product,
+        # twice the coordinates of symbols j* + 1, ..., j* + J - 1 and the
+        # coordinates of j* itself
+        turn = (np.arange(order) + np.arange(1, order)[:, None]) % order
+        pick = np.concatenate([twice.real[turn], twice.imag[turn],
+                               constellation.points.real[None],
+                               constellation.points.imag[None]])
+        root = np.sqrt(block.rho)
+        sums = []
+        for cols in self._blocks():
+            x = block.x[cols]
+            ref = root * block.h_hat[cols]
+            # complex products in place, left operand first: numpy computes
+            # a * b and b * a with different roundings, and may swap the
+            # operands of a large temporary on the right
+            c = np.conj(x)
+            c *= ref
+            re, im = c.real.copy(), c.imag.copy()
+            # twice the correlations (doubling is exact), so top - corr is u
+            corr = re * twice.real[:, None] - im * twice.imag[:, None]
+            top = corr.max(axis=0)
+            coords = pick @ _first_maximum(corr, top)
+            turned, sines = coords[:order - 1], coords[order - 1:-2]
+            turned *= re
+            sines *= im
+            turned -= sines
+            np.subtract(top, turned, out=self.gaps[:, cols])
+            nearest = np.empty(len(x), dtype=complex)
+            nearest.real, nearest.imag = coords[-2], coords[-1]
+            nearest *= ref
+            squares = np.subtract(x, nearest, out=nearest).view(np.float64)
+            squares *= squares
+            dmin = np.add(squares[0::2], squares[1::2], out=self.dmin[cols])
+            sums.append(_chunk_sums(dmin))
+        self.mean_dmin = self._mean(sums)
+
+    def _blocks(self):
+        return (slice(start, start + self.step)
+                for start in range(0, self.n, self.step))
+
+    def _mean(self, sums) -> float:
+        return math.fsum(np.concatenate(sums).tolist()) / self.n
+
+    def _log_terms(self, gaps: np.ndarray, mu: float, e: np.ndarray):
+        """(total, log(total / J)) per column, total = 1 + sum_r exp(mu u[r]);
+        e keeps the exponentials.
+
+        The rows are added in order (sum_rows), then the 1, so a column's
+        bits do not depend on the block.  At mu = 0 the total is exactly J.
+        """
+        np.multiply(gaps, mu, out=e)
+        np.exp(e, out=e)
+        total = sum_rows(e)
+        total += 1.0
+        return total, np.log(total / self.order)
 
     def per_sample(self, mu: float) -> np.ndarray:
-        """log((1/J) sum_j exp(mu * d[j, k])), max-shifted, evaluated in blocks.
-
-        For mu <= 0 the largest mu * d[j, k] is mu * dmin[k]: rounding is
-        monotone, so the shift needs no max over j.  The 1/J sits inside the
-        log: at mu = 0 each term is log(J / J), which is exactly 0 for every
-        J, so lam(0) = 0 whatever the summation order.
-        """
+        """mu * dmin[k] + log((1 + sum_r exp(mu * u[r, k])) / J), k < n."""
         out = np.empty(self.n)
-        for start in range(0, self.n, self.step):
-            cols = slice(start, start + self.step)
-            out[cols] = log_mean_exp(mu * self.sq[:, cols], mu * self.dmin[cols],
-                                     self.order)
+        for cols in self._blocks():
+            gaps = self.gaps[:, cols]
+            terms = self._log_terms(gaps, mu, np.empty(gaps.shape))[1]
+            np.multiply(self.dmin[cols], mu, out=out[cols])
+            out[cols] += terms
         return out
 
-    def moments(self, mu: float):
-        """(per_sample(mu), mean lam_k'(mu), mean lam_k''(mu)) in one pass.
+    def lambdas(self, mus) -> list:
+        """lam(mu) for every mu of `mus` (all <= 0) in one sweep of the table.
 
-        With softmax weights p_j = exp(mu d_j) / sum_i exp(mu d_i) over the
-        symbols, lam_k' = sum_j p_j d_j is the weighted mean distance and
-        lam_k'' = sum_j p_j (d_j - lam_k')^2 its weighted variance.  The
-        per-sample values come from the exponentials per_sample forms, so
-        they have its bits.
+        lam(mu) = mu * mean(dmin) + mean_k log((1 + sum_r exp(mu u)) / J);
+        the 1/J sits inside the log, so at mu = 0 every term is log(J / J),
+        exactly 0, and lam(0) = 0 for every J and n.
         """
-        out = np.empty(self.n)
-        slope = np.empty(self.n)
-        curvature = np.empty(self.n)
-        for start in range(0, self.n, self.step):
-            cols = slice(start, start + self.step)
-            sq = self.sq[:, cols]
-            top = mu * self.dmin[cols]
-            e = np.exp(mu * sq - top)
-            total = sum_rows(e)
-            out[cols] = top + np.log(total / self.order)
-            slope[cols] = sum_rows(e * sq) / total
-            dev = sq - slope[cols]
-            dev *= dev
-            dev *= e
-            curvature[cols] = sum_rows(dev) / total
-        return out, float(np.mean(slope)), float(np.mean(curvature))
+        mus = [float(mu) for mu in mus]
+        if any(mu > 0.0 for mu in mus):
+            raise ValueError("the log-MGF is evaluated at mu <= 0 only")
+        sums = [[] for _ in mus]
+        for cols in self._blocks():
+            gaps = self.gaps[:, cols]
+            e = np.empty(gaps.shape)
+            for mu, terms in zip(mus, sums):
+                terms.append(_chunk_sums(self._log_terms(gaps, mu, e)[1]))
+        return [mu * self.mean_dmin + self._mean(terms)
+                for mu, terms in zip(mus, sums)]
 
     def lambda_at(self, mu: float) -> float:
-        if mu > 0.0:
-            raise ValueError("the log-MGF is evaluated at mu <= 0 only")
-        return float(np.mean(self.per_sample(mu)))
+        return self.lambdas([mu])[0]
+
+    def moments(self, mu: float):
+        """(lam(mu), mean lam_k'(mu), mean lam_k''(mu)) in one pass.
+
+        With softmax weights p_j = exp(mu d_j) / sum_i exp(mu d_i) over the
+        symbols, lam_k' = sum_j p_j d_j = dmin + sum_j p_j u_j is the
+        weighted mean distance and lam_k'' = sum_j p_j (u_j - sum_i p_i
+        u_i)^2 its weighted variance; the nearest symbol's zero gap has
+        weight 1 / total.  lam(mu) has the bits of lambda_at(mu).
+        """
+        terms, slopes, curvatures = [], [], []
+        for cols in self._blocks():
+            gaps = self.gaps[:, cols]
+            e = np.empty(gaps.shape)
+            total, logs = self._log_terms(gaps, mu, e)
+            terms.append(_chunk_sums(logs))
+            mean = sum_rows(e * gaps)
+            mean /= total
+            slopes.append(_chunk_sums(mean))
+            dev = gaps - mean
+            dev *= dev
+            dev *= e
+            spread = sum_rows(dev)
+            spread += mean * mean
+            spread /= total
+            curvatures.append(_chunk_sums(spread))
+        return (mu * self.mean_dmin + self._mean(terms),
+                self.mean_dmin + self._mean(slopes), self._mean(curvatures))
 
 
 def lambda_hat(mu: float, block: PscBlock, constellation: PskConstellation) -> float:
@@ -133,8 +242,8 @@ def _audit_convexity(curve: np.ndarray):
 
 
 def _newton_search(ev: _LogMgfEvaluator, grid: np.ndarray, i: int):
-    """(mu, g(mu), per-sample lam at mu) where a safeguarded Newton search
-    for the maximum of g(mu) = mu - lam(mu) around grid point i ends.
+    """(mu, g(mu)) where a safeguarded Newton search for the maximum of
+    g(mu) = mu - lam(mu) around grid point i ends.
 
     g is concave, so its slope 1 - lam' falls through zero at the maximum,
     which lies between grid[i]'s neighbours.  The search starts at grid[i].
@@ -147,14 +256,13 @@ def _newton_search(ev: _LogMgfEvaluator, grid: np.ndarray, i: int):
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     mu, moved = float(grid[i]), math.inf
     while True:
-        values, slope, curvature = ev.moments(mu)
+        lam, slope, curvature = ev.moments(mu)
         if slope < 1.0:
             lo = mu
         else:
             hi = mu
         if moved <= NEWTON_TOL or hi - lo <= NEWTON_TOL:
-            return mu, mu - float(np.mean(values)), values
-        del values               # one pass's table at a time
+            return mu, mu - lam
         step = (1.0 - slope) / curvature if curvature > 0.0 else math.inf
         nxt = mu + step
         if not lo < nxt < hi:
@@ -181,25 +289,23 @@ def gmi(block: PscBlock, constellation: PskConstellation,
 
     grid = -np.logspace(math.log10(-hi), math.log10(-lo), curve_points)
     grid = np.sort(grid)
-    curve = np.column_stack([grid, [ev.lambda_at(m) for m in grid]])
+    *curve_lambdas, lam_m1 = ev.lambdas([*grid, -1.0])
+    curve = np.column_stack([grid, curve_lambdas])
     _audit_convexity(curve)
 
     rates = grid - curve[:, 1]
     i = int(np.argmax(rates))
-    mu_star, g_star, at_star = _newton_search(ev, grid, i)
+    mu_star, g_star = _newton_search(ev, grid, i)
     if rates[i] > g_star:        # never below the best grid point
-        mu_star, g_star, at_star = float(grid[i]), float(rates[i]), None
-    # one pass at mu = -1 serves both g(-1) and its bootstrap
-    at_m1 = ev.per_sample(-1.0)
-    g_m1 = -1.0 - float(np.mean(at_m1))
+        mu_star, g_star = float(grid[i]), float(rates[i])
+    g_m1 = -1.0 - lam_m1
     if g_m1 > g_star:            # -1 may sit outside the searched range
-        mu_star, g_star, at_star = -1.0, g_m1, at_m1
+        mu_star, g_star = -1.0, g_m1
 
     rng = np.random.default_rng(int(seed))
-    if at_star is None:
-        at_star = ev.per_sample(mu_star)
-    se_star = _segment_bootstrap_se(at_star, rng)
-    se_m1 = _segment_bootstrap_se(at_m1, rng)
+    # one per-sample vector at a time: each is dropped after its bootstrap
+    se_star, se_m1 = (_segment_bootstrap_se(ev.per_sample(mu), rng)
+                      for mu in (mu_star, -1.0))
     clamped = g_star < 0.0
     return GmiReport(
         mu_star=float(mu_star),

@@ -48,23 +48,24 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
 
     numpy adds the rows of a table one after another, except that it sums
     a table of one element per row pairwise, which rounds differently from
-    eight rows on; accumulate adds in row order there too.
+    eight rows on; accumulate adds in row order there too.  A table of no
+    rows sums to zeros.
     """
-    if a.size == len(a):
+    if len(a) and a.size == len(a):
         return np.add.accumulate(a)[-1]
     return a.sum(axis=0)
 
 
-def log_mean_exp(a: np.ndarray, top: np.ndarray, count: int = 1) -> np.ndarray:
-    """top + log((1/count) sum_j exp(a[j] - top)), the sum over axis 0.
+def log_mean_exp(a: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """top + log(sum_j exp(a[j] - top)), the sum over axis 0.
 
     `top` is the column maximum of `a` (or anything that bounds it), so the
     exponentials cannot overflow.  The symbol axis comes first because
     numpy reduces a short trailing axis slowly.  The rows are added in index
     order (sum_rows), so a column's bits do not depend on how many columns
-    share its table.  A count of 1 divides exactly.
+    share its table.
     """
-    return top + np.log(sum_rows(np.exp(a - top)) / count)
+    return top + np.log(sum_rows(np.exp(a - top)))
 
 
 def binomial_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:

@@ -3,7 +3,11 @@
 The kernels stream blocks of utils.BLOCK_ELEMENTS elements, in whole rows or
 columns of their tables.  Sizes of 1 and 7 elements give one row or column
 per block, or a few; 1000 gives a few dozen; the default, one block here
-(two for the AR(1) path, which steps through complex samples).
+(two for the AR(1) path, which steps through complex samples).  The gmi
+evaluator rounds its blocks down to whole chunks of gmi._CHUNK columns, at
+least one: 1, 7 and 1000 elements give one chunk per block, the default one
+to a dozen chunks, so its 20 001 columns end in a partial chunk of a partial
+block.
 """
 
 import numpy as np
@@ -13,7 +17,7 @@ from rtgmi import utils
 from rtgmi.capacity import psk_capacity, psk_capacity_quadrature
 from rtgmi.decoder import decode, pairwise_undercut_probability
 from rtgmi.fading import Ar1Fading, generate_path
-from rtgmi.gmi import _LogMgfEvaluator
+from rtgmi.gmi import DEFAULT_MU_RANGE, _LogMgfEvaluator
 from rtgmi.psk import (generate_codebook, make_constellation,
                        synthesize_block_at_rho)
 
@@ -38,16 +42,18 @@ def _outputs():
         "capacity": np.array([cap.raw_nats, cap.ci]),
         "ar1_path": generate_path(Ar1Fading(0.99), 20_001, seed=8),
     }
-    # numpy would sum a one-column block pairwise from eight symbols on
-    for order in (3, 8, 16):
+    lo, hi = DEFAULT_MU_RANGE
+    grid = [*np.geomspace(lo, hi, 33), -1.0, 0.0]
+    for order in (2, 3, 8, 16):
         c = make_constellation(order)
-        blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.3, c, 3001, seed=order)
+        blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.3, c, 20_001,
+                                      seed=order)
         ev = _LogMgfEvaluator(blk, c)
-        out[f"sq {order}"], out[f"dmin {order}"] = ev.sq, ev.dmin
+        out[f"gaps {order}"], out[f"dmin {order}"] = ev.gaps, ev.dmin
+        out[f"lambdas {order}"] = np.array(ev.lambdas(grid))
         for mu in (-3.1, -1.0, 0.0):
-            values, slope, curvature = ev.moments(mu)
             out[f"per_sample {order} {mu}"] = ev.per_sample(mu)
-            out[f"moments {order} {mu}"] = np.append(values, [slope, curvature])
+            out[f"moments {order} {mu}"] = np.array(ev.moments(mu))
     cap = psk_capacity(8, 0.7, n_samples=3001, seed=6)
     out["capacity 8"] = np.array([cap.raw_nats, cap.ci])
     for order in (3, 8):

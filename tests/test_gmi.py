@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,37 +122,129 @@ def test_lambda_at_zero_is_exact_at_every_length(order, n):
     assert lambda_hat(0.0, blk, c) == 0.0
 
 
-@pytest.mark.parametrize("order", [2, 4, 8])
+def gap_oracle(block, constellation):
+    """((n, J - 1) gaps in rotation order, dmin) by plain loops over the
+    symbol columns of an (n, J) correlation table: twice the correlations,
+    the first symbol j* of largest correlation, then u for symbols j* + 1,
+    ..., j* + J - 1 (mod J) and the distance to j*."""
+    order, n = constellation.order, block.block_length
+    twice = 2.0 * constellation.points
+    ref = np.sqrt(block.rho) * block.h_hat
+    c = np.conj(block.x) * ref
+    corr = np.empty((n, order))
+    for j in range(order):
+        corr[:, j] = c.real * twice.real[j] - c.imag * twice.imag[j]
+    top = corr.max(axis=1)
+    first = np.full(n, -1)
+    for j in reversed(range(order)):
+        first[corr[:, j] == top] = j
+    rows = np.arange(n)
+    gaps = np.empty((n, order - 1))
+    for r in range(order - 1):
+        gaps[:, r] = top - corr[rows, (first + 1 + r) % order]
+    diff = block.x - constellation.points[first] * ref
+    return gaps, diff.real * diff.real + diff.imag * diff.imag
+
+
+def per_sample_oracle(mu, gaps, dmin, order):
+    """mu dmin + log((1 + sum_r exp(mu u[:, r])) / J), adding in row order."""
+    acc = np.zeros(len(dmin))
+    for r in range(order - 1):
+        acc += np.exp(mu * gaps[:, r])
+    acc += 1.0
+    return mu * dmin + np.log(acc / order)
+
+
+def log_sum_exp_oracle(mu, block, constellation):
+    """The (n, J) squared-distance log-sum-exp, shifted by its row max."""
+    sq = np.abs(block.x[:, None] - np.sqrt(block.rho) * block.h_hat[:, None]
+                * constellation.points[None, :]) ** 2
+    a = mu * sq
+    top = a.max(axis=1)
+    return top + np.log(np.exp(a - top[:, None]).sum(axis=1)
+                        / constellation.order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8, 16])
 def test_per_sample_equals_the_row_major_formula(order):
-    """The (J, n) table shifted by mu * min_j d gives the bits of the plain
-    (n, J) log-sum-exp shifted by its row max and summed over the symbols in
-    index order, across a block boundary."""
+    """The blocked (J - 1, n) table and its per-sample values have the bits
+    of the plain (n, J) loop, across block boundaries, and agree with the
+    squared-distance log-sum-exp; an odd J turns the rows past the wrap."""
     c = make_constellation(order)
     blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.5, c, (1 << 17) + 5,
                                   seed=order)
-    sq = np.abs(blk.x[:, None]
-                - np.sqrt(blk.rho) * blk.h_hat[:, None] * c.points[None, :]) ** 2
+    gaps, dmin = gap_oracle(blk, c)
     ev = _LogMgfEvaluator(blk, c)
+    assert np.array_equal(ev.gaps, gaps.T)
+    assert np.array_equal(ev.dmin, dmin)
+    assert gaps.min() >= 0.0
     for mu in (-32.0, -1.0, -1e-4, 0.0):
-        a = mu * sq
-        top = a.max(axis=1)
-        e = np.exp(a - top[:, None])
-        acc = e[:, 0].copy()
-        for j in range(1, order):
-            acc += e[:, j]
-        want = top + np.log(acc / order)
-        assert np.array_equal(ev.per_sample(mu), want), mu
-        assert np.array_equal(ev.moments(mu)[0], want), mu
+        got = ev.per_sample(mu)
+        want = per_sample_oracle(mu, gaps, dmin, order)
+        assert np.array_equal(got, want), mu
+        assert got == pytest.approx(log_sum_exp_oracle(mu, blk, c),
+                                    rel=1e-12, abs=1e-12), mu
 
 
-@pytest.mark.parametrize("mu", [-8.0, -1.0, -1e-3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_first_maximum_breaks_ties_at_the_lowest_symbol(order):
+    """Where x = 0 every correlation is 0, so every symbol ties: j* = 0, the
+    gaps are exactly 0 and dmin is |sqrt(rho) h_hat theta[0]|^2."""
+    c = make_constellation(order)
+    blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.5, c, 3000, seed=4)
+    x = blk.x.copy()
+    x[::3] = 0.0
+    blk = dataclasses.replace(blk, x=x)
+    gaps, dmin = gap_oracle(blk, c)
+    ev = _LogMgfEvaluator(blk, c)
+    assert np.array_equal(ev.gaps, gaps.T)
+    assert np.array_equal(ev.dmin, dmin)
+    assert not ev.gaps[:, ::3].any()
+    ref = np.sqrt(blk.rho) * blk.h_hat[::3]
+    assert np.array_equal(ev.dmin[::3], ref.real ** 2 + ref.imag ** 2)
+
+
+def test_the_curve_sweep_has_the_bits_of_lone_evaluations():
+    """lambdas over a whole grid, lambda_at one mu at a time and the lam of
+    moments are the same numbers, bit for bit."""
+    c = make_constellation(4)
+    blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, 50_001, seed=3)
+    ev = _LogMgfEvaluator(blk, c)
+    lo, hi = DEFAULT_MU_RANGE
+    grid = np.sort(-np.logspace(math.log10(-hi), math.log10(-lo), 33))
+    swept = ev.lambdas([*grid, -1.0, 0.0])
+    for mu, lam in zip([*grid, -1.0, 0.0], swept):
+        assert lam == ev.lambda_at(mu), mu
+        assert lam == ev.moments(mu)[0], mu
+    assert swept[-1] == 0.0
+
+
+def test_one_symbol_leaves_an_empty_table():
+    """J = 1: no gaps, so lam(mu) = mu * mean |x - sqrt(rho) h_hat|^2."""
+    c = make_constellation(1)
+    blk = synthesize_block_at_rho(Ar1Fading(0.9), 2.0, c, 5000, seed=1)
+    ev = _LogMgfEvaluator(blk, c)
+    assert ev.gaps.shape == (0, 5000)
+    d = np.abs(blk.x - np.sqrt(blk.rho) * blk.h_hat) ** 2
+    for mu in (-3.0, -1.0, 0.0):
+        assert ev.per_sample(mu) == pytest.approx(mu * d, rel=1e-15)
+        assert ev.lambda_at(mu) == pytest.approx(
+            mu * math.fsum(d.tolist()) / len(d), rel=1e-15)
+        lam, slope, curvature = ev.moments(mu)
+        assert (lam, curvature) == (ev.lambda_at(mu), 0.0)
+        assert slope == pytest.approx(math.fsum(d.tolist()) / len(d),
+                                      rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", [-32.0, -8.0, -1.0, -1e-3])
 def test_lambda_is_the_correctly_rounded_mean(mu):
-    """np.mean's pairwise sum of 10^6 terms is within 1e-13 of math.fsum."""
+    """The chunked fsum of 10^6 terms is within 2 ulp of math.fsum of the
+    per-sample values."""
     c = make_constellation(4)
     blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.0, c, 1_000_000, seed=5)
     ev = _LogMgfEvaluator(blk, c)
     want = math.fsum(ev.per_sample(mu).tolist()) / ev.n
-    assert ev.lambda_at(mu) == pytest.approx(want, rel=1e-13)
+    assert abs(ev.lambda_at(mu) - want) <= 2 * math.ulp(want)
 
 
 def test_lambda_matches_brute_force():
@@ -301,19 +395,43 @@ def test_newton_search_agrees_with_golden_section(model, rho, order):
 
 
 def test_gmi_passes_over_a_long_block(monkeypatch):
-    """33 curve points plus mu = -1 in plain passes, a few moment passes,
-    and the bootstrap reuses the passes it needs."""
-    calls = {"per_sample": 0, "moments": 0}
-    for name in calls:
-        inner = getattr(_LogMgfEvaluator, name, None)
+    """The 33 curve points and mu = -1 in one sweep of the table, a few
+    moment passes, and one per-sample pass for each bootstrap."""
+    calls = {"lambdas": [], "per_sample": 0, "moments": 0}
+    sweep = _LogMgfEvaluator.lambdas
+
+    def counted_sweep(self, mus):
+        calls["lambdas"].append(len(mus))
+        return sweep(self, mus)
+
+    monkeypatch.setattr(_LogMgfEvaluator, "lambdas", counted_sweep)
+    for name in ("per_sample", "moments"):
+        inner = getattr(_LogMgfEvaluator, name)
 
         def counted(self, mu, _inner=inner, _name=name):
             calls[_name] += 1
             return _inner(self, mu)
 
-        monkeypatch.setattr(_LogMgfEvaluator, name, counted, raising=False)
+        monkeypatch.setattr(_LogMgfEvaluator, name, counted)
     c = make_constellation(4)
     blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, 100_000, seed=5)
     gmi(blk, c, seed=6)
-    assert calls["per_sample"] <= 33 + 1
+    assert calls["lambdas"] == [33 + 1]
+    assert calls["per_sample"] <= 2
     assert calls["moments"] <= 8
+
+
+def test_gmi_memory_is_the_table_and_one_vector():
+    """gmi holds the (J - 1, n) table, dmin and one per-sample vector at a
+    time: its peak stays below the table plus two n-vectors."""
+    c = make_constellation(4)
+    n = 200_000
+    blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, n, seed=5)
+    tracemalloc.start()
+    try:
+        gmi(blk, c, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (c.order - 1) * n * 8 + n * 8
+    assert peak < table + 2 * n * 8

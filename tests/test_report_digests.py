@@ -82,31 +82,31 @@ DIGESTS = {
     },
     'gmi_ar1': {
         'lambda_curve.csv':
-            '461d5979a470b5f545ad174bbab24fab57447193e6b43838ba2cf91d493ee6c9',
+            '1ae42f28b9829480ed4c4715e792df5884977a7931cac1d51e07e7070201589a',
         'lambda_curve.svg':
             '46f35d7eccdffbf4c2aeb58e87f2060b382780cca7cd7a77fce4ecf044324131',
         'report.json':
-            'fd840649d79edcdbeeaf6c8063f0472bddd7d22c469480cb0e48aa71bd224ed6',
+            '802206003013e00f24b25cde6ad64e6a03a844c0339e89ca727a11a849ab606d',
         'stdout':
             'ec4fb273296414023cf3a380d38d5883427f6b531d3c2d628740c289f56c8a1a',
     },
     'gmi_clarke': {
         'lambda_curve.csv':
-            '198234a156bbd1ed69fc84a7742ad46ea1b46ecca9aef2117bed5c879c4c908b',
+            'a4d3d165ddbfd393052ae216c8b0d5551c4b257fb283b5aa8e4b19c74f6d7f10',
         'lambda_curve.svg':
             'df265717753678919cda824e25f5ae5ac2d97c864cb7c935bf5d6e6e5fff3fc9',
         'report.json':
-            '5f1f729d57796718e231aa62f256108669a310e5b40ba873d2059346db607d75',
+            '629c7c3effae237224e87c75a352bd6d5223adfe55d2d33999d6de21262578f4',
         'stdout':
             'cb06572cdd6fd022958bd5f634f70259d4d85f277be99fde6ad13d648d246951',
     },
     'gmi_tabulated': {
         'lambda_curve.csv':
-            '868ed84d2dfe0d264803acab491ef1e332a6c70ff75bb4eb34cec562c23ef53e',
+            'b0b7fd80423d2dde83f443300bbd1a07f1416077c8c488c87a0ed43f9fe50e14',
         'lambda_curve.svg':
             'b8d45f9347e7b4d316f3fc6ba4df6309f47029aefed5bc3e5ecec1b7fcf86732',
         'report.json':
-            '7e1996216e9eb6bd427634cc5b8e7a093c6c92328a18a65ded1bb3f68e94969c',
+            '83b32999027bada911094560ffba1c566996cfaa46e422ea1e9885adee4cc366',
         'stdout':
             'a1393f53629b33cad3c08a45b3d8389268fbfde43786308f8d928b6d9b020ee9',
     },
