@@ -25,6 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
+from .psk import make_constellation
 from .utils import block_step, complex_normal, log_mean_exp
 
 DEFAULT_MC_SAMPLES = 400_000
@@ -82,7 +83,7 @@ def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
         raise ValueError("rho must be non-negative")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    points = np.exp(2j * math.pi * np.arange(order) / order)
+    points = make_constellation(order).points
     rng = np.random.default_rng(int(seed))
     step = block_step(order)
     total = 0.0
@@ -189,7 +190,7 @@ def psk_capacity_quadrature(order: int, rho: float,
         return 0.0  # every symbol looks the same
     z, z_weight = _noise_rule(nodes)
     t, t_weight = _radial_rule(order, rho, nodes)
-    d = 1.0 - np.exp(2j * math.pi * np.arange(order) / order)
+    d = 1.0 - make_constellation(order).points
     cross = -2.0 * (d[:, None] * z.conj()).real     # (J, noise nodes)
     dist = -np.abs(d) ** 2
     # the (J, t, noise) table goes a cache-sized block of t nodes at a time;

@@ -92,9 +92,8 @@ class _Scorer:
     def __init__(self, constellation: PskConstellation, block: PscBlock):
         self.base = float(np.mean(np.abs(block.x) ** 2)) \
             + block.rho * float(np.mean(np.abs(block.h_hat) ** 2))
-        u = np.sqrt(block.rho) * np.conj(block.x) * block.h_hat
-        self.table = group_table(
-            np.real(u[:, None] * constellation.points[None, :]))
+        self.table = group_table(_correlations(
+            constellation, block.rho, block.x, block.h_hat))
         self.groups = len(self.table)
         # flat table index of (g, byte 0)
         self.offsets = np.arange(self.groups) * 256
@@ -113,6 +112,13 @@ class _Scorer:
         picked = np.take(self.table, rows + self.offsets)
         np.maximum(self.base - 2.0 * (picked.sum(axis=-1) / self.block_length),
                    0.0, out=out)
+
+
+def _correlations(constellation: PskConstellation, rho: float,
+                  x: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """(K, J) correlation scores Re{conj(x[k]) sqrt(rho) h_hat[k] theta_j}."""
+    u = np.sqrt(rho) * np.conj(x) * h_hat
+    return np.real(u[:, None] * constellation.points[None, :])
 
 
 def _outcome(metrics: np.ndarray, sent_message) -> DecodeOutcome:
@@ -202,8 +208,7 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
     residual = complex_normal(rng, block_length)
     x = np.sqrt(rho) * h_hat * constellation.points[s] + residual
 
-    u = np.sqrt(rho) * np.conj(x) * h_hat
-    corr = np.real(u[:, None] * constellation.points[None, :])
+    corr = _correlations(constellation, rho, x, h_hat)
     rows = np.arange(block_length)
     sent_score = float(corr[rows, s].mean())
 

@@ -33,8 +33,6 @@ _PSD_JITTER = 1e-10
 class FadingModel:
     """Base class: a wide-sense stationary unit-variance complex fading law."""
 
-    variance = 1.0
-
     def autocorrelation(self, lag: int) -> complex:
         """E{h[k + lag] * conj(h[k])}; conjugate-symmetric in the lag."""
         raise NotImplementedError

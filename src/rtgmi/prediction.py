@@ -80,25 +80,16 @@ def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarr
 
 
 def _normal_equations(model: FadingModel, spec: PredictorSpec):
+    """(R + I/gamma, r) with R[a, b] = r(l_b - l_a) and r(-t) = conj(r(t))."""
     lags = np.array(spec.lag_pattern)
     noise = 0.0 if math.isinf(spec.observation_snr) else 1.0 / spec.observation_snr
-    memo = {}
-
-    def r_h(tau):
-        t = int(tau)
-        if t not in memo:
-            memo[t] = model.autocorrelation(abs(t))
-            if t < 0:
-                memo[t] = np.conj(memo[t])
-        return memo[t]
-
-    p = spec.order
-    cov = np.empty((p, p), dtype=complex)
-    for a in range(p):
-        for b in range(p):
-            cov[a, b] = r_h(lags[b] - lags[a])
-    cov[np.diag_indices(p)] += noise
-    cross = np.array([np.conj(r_h(t)) for t in lags])  # E{y[t - tau] conj(h[t])}
+    r = np.array([model.autocorrelation(t) for t in range(lags[-1] + 1)],
+                 dtype=complex)
+    gaps = lags[None, :] - lags[:, None]
+    cov = r[np.abs(gaps)]
+    np.conjugate(cov, out=cov, where=gaps < 0)
+    cov[np.diag_indices(spec.order)] += noise
+    cross = np.conj(r[lags])  # E{y[t - tau] conj(h[t])}
     return cov, cross
 
 
@@ -203,7 +194,4 @@ def rho_sequence(model: FadingModel, interleave_depth: int, snr: float,
                  predictor_order: int = DEFAULT_PREDICTOR_ORDER) -> np.ndarray:
     """Effective SNR per subchannel; the pilot subchannel carries rho[0] = 0."""
     predictors = schedule_predictors(model, interleave_depth, snr, predictor_order)
-    rhos = np.zeros(interleave_depth)
-    for l in range(1, interleave_depth):
-        rhos[l] = predictors[l].effective_snr
-    return rhos
+    return np.array([0.0] + [p.effective_snr for p in predictors[1:]])

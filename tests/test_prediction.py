@@ -1,10 +1,13 @@
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from rtgmi.fading import Ar1Fading, ClarkeFading
+from rtgmi import prediction
+from rtgmi.fading import Ar1Fading, ClarkeFading, FadingModel, TabulatedFading
 from rtgmi.prediction import (PredictorSpec, _normal_equations, effective_snr,
                               predictor_coefficients, rho_sequence,
                               schedule_lag_pattern, schedule_predictors,
@@ -183,3 +186,117 @@ def test_schedule_predictors_layout():
     assert len(preds) == 5
     for l in range(1, 5):
         assert preds[l].spec.lag_pattern == schedule_lag_pattern(l, 5, 6)
+
+
+def normal_equations_oracle(model, spec):
+    """The normal equations built entry by entry, each lag read through a memo."""
+    lags = np.array(spec.lag_pattern)
+    noise = 0.0 if math.isinf(spec.observation_snr) else 1.0 / spec.observation_snr
+    memo = {}
+
+    def r_h(tau):
+        t = int(tau)
+        if t not in memo:
+            memo[t] = model.autocorrelation(abs(t))
+            if t < 0:
+                memo[t] = np.conj(memo[t])
+        return memo[t]
+
+    p = spec.order
+    cov = np.empty((p, p), dtype=complex)
+    for a in range(p):
+        for b in range(p):
+            cov[a, b] = r_h(lags[b] - lags[a])
+    cov[np.diag_indices(p)] += noise
+    cross = np.array([np.conj(r_h(t)) for t in lags])
+    return cov, cross
+
+
+def gapped_complex_table(max_lag):
+    """a^t e^{i w t} (1 + cos(pi t / 2)) / 2 on lags 0..max_lag: a Schur
+    product of PSD sequences, so PSD, and zero at every lag t = 2 mod 4,
+    which the table leaves out."""
+    lags = [t for t in range(max_lag + 1) if t % 4 != 2]
+    values = [0.99 ** t * cmath.exp(0.3j * t) * (1.0 + math.cos(math.pi * t / 2)) / 2
+              for t in lags]
+    values[0] = 1.0
+    return TabulatedFading(lags=tuple(lags), values=tuple(values))
+
+
+_GRID_DEPTHS = (2, 3, 8, 32)
+_GRID_ORDERS = (1, 4, 16, 17)
+_GRID_SNRS = (0.37, 1.0, math.inf)
+# the deepest pattern of the grid: subchannel 1 at L = 32, order 17
+_GRID_MAX_LAG = schedule_lag_pattern(1, 32, 17)[-1]
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(Ar1Fading(0.0), id="ar1-0"),
+    pytest.param(Ar1Fading(0.99), id="ar1-0.99"),
+    pytest.param(ClarkeFading(0.01), id="clarke-0.01"),
+    pytest.param(ClarkeFading(0.05), id="clarke-0.05"),
+    pytest.param(gapped_complex_table(_GRID_MAX_LAG), id="tabulated"),
+])
+def test_normal_equations_match_the_per_entry_oracle_bit_for_bit(model):
+    for depth in _GRID_DEPTHS:
+        for order in _GRID_ORDERS:
+            for l in range(1, depth):
+                pattern = schedule_lag_pattern(l, depth, order)
+                for snr in _GRID_SNRS:
+                    spec = PredictorSpec(order=order, observation_snr=snr,
+                                         lag_pattern=pattern)
+                    cov, cross = _normal_equations(model, spec)
+                    want_cov, want_cross = normal_equations_oracle(model, spec)
+                    assert cov.dtype == want_cov.dtype
+                    assert cross.dtype == want_cross.dtype
+                    assert np.array_equal(cov, want_cov), (depth, order, l, snr)
+                    assert np.array_equal(cross, want_cross), (depth, order, l, snr)
+
+
+@pytest.mark.parametrize("model", [Ar1Fading(0.9), ClarkeFading(0.05)])
+def test_schedules_give_bit_identical_rho_with_the_oracle(model, monkeypatch):
+    for depth, order in ((3, 16), (8, 17), (32, 4)):
+        got = rho_sequence(model, depth, 1.0, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(prediction, "_normal_equations", normal_equations_oracle)
+            want = rho_sequence(model, depth, 1.0, order)
+        assert np.array_equal(got, want), (depth, order)
+
+
+class CountingAr1(FadingModel):
+    """AR(1) fading that records every lag its autocorrelation is asked for."""
+
+    def __init__(self, alpha):
+        self.inner = Ar1Fading(alpha)
+        self.reads = Counter()
+
+    def autocorrelation(self, lag):
+        self.reads[lag] += 1
+        return self.inner.autocorrelation(lag)
+
+
+@pytest.mark.parametrize("depth, order", [(2, 4), (3, 16), (8, 17)])
+def test_normal_equations_read_each_lag_once_up_to_the_largest(depth, order):
+    for l in range(1, depth):
+        pattern = schedule_lag_pattern(l, depth, order)
+        model = CountingAr1(0.9)
+        _normal_equations(model, PredictorSpec(order=order, observation_snr=1.0,
+                                               lag_pattern=pattern))
+        assert max(model.reads.values()) == 1
+        assert max(pattern) in model.reads
+        assert set(model.reads) <= set(range(max(pattern) + 1))
+
+
+def test_tabulated_table_must_reach_the_schedules_largest_lag():
+    # at L = 3, order 4, subchannel 1 looks back at 1, 4, 7, 10
+    largest = max(schedule_lag_pattern(l, 3, 4)[-1] for l in (1, 2))
+    assert largest == 10
+
+    def table(max_lag):
+        lags = tuple(range(max_lag + 1))
+        return TabulatedFading(lags=lags, values=tuple(0.9 ** t for t in lags))
+
+    assert np.array_equal(rho_sequence(table(largest), 3, 1.0, 4),
+                          rho_sequence(Ar1Fading(0.9), 3, 1.0, 4))
+    with pytest.raises(ValueError, match="lag 10 beyond tabulated range 9"):
+        rho_sequence(table(largest - 1), 3, 1.0, 4)
