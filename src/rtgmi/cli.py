@@ -145,8 +145,8 @@ _COMMON = {
 
 _MODEL_KEYS = {
     "model": Param(str, required=True, help="ar1 | clarke | tabulated"),
-    "alpha": Param(float),
-    "doppler": Param(float),
+    "alpha": Param(_parse_finite),
+    "doppler": Param(_parse_finite),
     "table": Param(str, help="CSV autocorrelation table (lag,re,im)"),
 }
 
@@ -164,8 +164,8 @@ SCHEMAS = {
         "snr_db": Param(_parse_db, required=True),
         "K": Param(int, default=100_000, help="block length"),
         "curve_points": Param(int, default=33),
-        "mu_min": Param(float, default=DEFAULT_MU_RANGE[0]),
-        "mu_max": Param(float, default=DEFAULT_MU_RANGE[1]),
+        "mu_min": Param(_parse_finite, default=DEFAULT_MU_RANGE[0]),
+        "mu_max": Param(_parse_finite, default=DEFAULT_MU_RANGE[1]),
     },
     "ladder": {
         **_COMMON, **_MODEL_KEYS,
@@ -183,11 +183,11 @@ SCHEMAS = {
         "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
         "K": Param(int, required=True, help="codeword length"),
-        "rate_fraction": Param(float, required=True),
+        "rate_fraction": Param(_parse_finite, required=True),
         "trials": Param(int, default=1000),
         "genie": Param(_parse_bool, default=False),
         "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
-        "error_target": Param(float, default=0.05),
+        "error_target": Param(_parse_finite, default=0.05),
         # accepted for old command lines and config files: codebooks are
         # sized from the exact capacity and no GMI block is drawn
         "gmi_K": Param(int, help="ignored: codebooks are sized from the "

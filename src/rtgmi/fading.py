@@ -33,8 +33,8 @@ _PSD_JITTER = 1e-10
 class FadingModel:
     """Base class: a wide-sense stationary unit-variance complex fading law."""
 
-    def autocorrelation(self, lag: int) -> complex:
-        """E{h[k + lag] * conj(h[k])}; conjugate-symmetric in the lag."""
+    def autocorrelation(self, n: int) -> np.ndarray:
+        """r(t) = E{h[k + t] conj(h[k])} for 0 <= t < n; r(-t) = conj(r(t))."""
         raise NotImplementedError
 
     def _sample(self, n: int, rngs) -> np.ndarray:
@@ -73,8 +73,9 @@ class Ar1Fading(FadingModel):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
 
-    def autocorrelation(self, lag: int) -> complex:
-        return complex(self.alpha ** abs(int(lag)))
+    def autocorrelation(self, n):
+        # Python's float power per lag: numpy's vector power rounds differently
+        return np.array([self.alpha ** t for t in range(n)], dtype=complex)
 
     def _sample(self, n, rngs):
         h = complex_normal_rows(rngs, n)
@@ -130,11 +131,11 @@ class ClarkeFading(FadingModel):
         if self.ray_count < 64:
             raise ValueError("need at least 64 rays")
 
-    def autocorrelation(self, lag: int) -> complex:
-        return complex(float(j0(2.0 * math.pi * self.normalized_doppler * abs(int(lag)))))
+    def autocorrelation(self, n):
+        return j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
 
     def _factorize(self, n):
-        r = np.array([self.autocorrelation(t).real for t in range(n)])
+        r = self.autocorrelation(n).real
         cov = scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(n)
         return scipy.linalg.cholesky(cov, lower=True)
 
@@ -166,8 +167,8 @@ class ClarkeFading(FadingModel):
 class TabulatedFading(FadingModel):
     """Fading law given by tabulated autocorrelation values at integer lags.
 
-    Lags must start at 0 (value exactly 1) and ascend; negative lags follow by
-    conjugate symmetry.  Queries beyond the largest tabulated lag are rejected.
+    Lags must start at 0 (value exactly 1) and ascend; lags the table skips
+    read as zero.  A read beyond the largest tabulated lag is rejected.
     Path synthesis extends the table by zero correlation beyond the maximum
     lag, which makes the covariance banded; the banded extension is not
     guaranteed positive semidefinite for every table, and synthesis raises a
@@ -194,13 +195,10 @@ class TabulatedFading(FadingModel):
         if any(abs(v) > 1.0 + 1e-12 for v in values):
             raise ValueError("autocorrelation magnitudes cannot exceed 1")
         # positive-semidefiniteness up to the max tabulated lag, by Cholesky
-        span = lags[-1] + 1
-        r = np.zeros(span, dtype=complex)
-        for t, v in zip(lags, values):
-            r[t] = v
-        cov = scipy.linalg.toeplitz(r)
+        r = np.zeros(lags[-1] + 1, dtype=complex)
+        r[list(lags)] = values
         try:
-            np.linalg.cholesky(cov + _PSD_JITTER * np.eye(span))
+            np.linalg.cholesky(scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(len(r)))
         except np.linalg.LinAlgError:
             raise ValueError("tabulated autocorrelation is not positive semidefinite")
         object.__setattr__(self, "_dense_row", r)
@@ -213,26 +211,25 @@ class TabulatedFading(FadingModel):
         if not rows or [c.strip() for c in rows[0]] != ["lag", "re", "im"]:
             raise ValueError("expected header 'lag,re,im'")
         lags, values = [], []
-        for row in rows[1:]:
+        for lineno, row in enumerate(rows[1:], 2):
             if not row:
                 continue
+            if len(row) < 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected lag,re,im, got {','.join(row)!r}")
             lags.append(int(row[0]))
             values.append(float(row[1]) + 1j * float(row[2]))
         return cls(lags=tuple(lags), values=tuple(values))
 
-    def autocorrelation(self, lag: int) -> complex:
-        t = int(lag)
-        if abs(t) > self.lags[-1]:
-            raise ValueError(f"lag {t} beyond tabulated range {self.lags[-1]}")
-        v = self._dense_row[abs(t)]
-        return complex(v if t >= 0 else np.conj(v))
+    def autocorrelation(self, n):
+        if n - 1 > self.lags[-1]:
+            raise ValueError(f"lag {n - 1} beyond tabulated range {self.lags[-1]}")
+        return self._dense_row[:n].copy()
 
     def _factorize(self, n):
         band = min(self.lags[-1], n - 1)
         # lower banded storage: ab[d, j] = cov[j + d, j] = r(d), zero beyond table
-        ab = np.zeros((band + 1, n), dtype=complex)
-        for d in range(band + 1):
-            ab[d, :] = self._dense_row[d]
+        ab = np.repeat(self.autocorrelation(band + 1)[:, None], n, axis=1)
         ab[0, :] += _PSD_JITTER
         try:
             return scipy.linalg.cholesky_banded(ab, lower=True)

@@ -281,8 +281,8 @@ def gmi(block: PscBlock, constellation: PskConstellation,
     half-widths.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
-    if not (lo < hi < 0.0):
-        raise ValueError("mu range must satisfy lo < hi < 0")
+    if not (math.isfinite(lo) and lo < hi < 0.0):
+        raise ValueError("mu range must be finite and satisfy lo < hi < 0")
     if curve_points < 1:
         raise ValueError(f"curve_points must be >= 1, got {curve_points}")
     ev = _LogMgfEvaluator(block, constellation)

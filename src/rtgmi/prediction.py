@@ -79,12 +79,10 @@ def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return x
 
 
-def _normal_equations(model: FadingModel, spec: PredictorSpec):
-    """(R + I/gamma, r) with R[a, b] = r(l_b - l_a) and r(-t) = conj(r(t))."""
+def _normal_equations(r: np.ndarray, spec: PredictorSpec):
+    """(R + I/gamma, r) with R[a, b] = r(l_b - l_a), gathered from r(0), ..., r(l_p)."""
     lags = np.array(spec.lag_pattern)
     noise = 0.0 if math.isinf(spec.observation_snr) else 1.0 / spec.observation_snr
-    r = np.array([model.autocorrelation(t) for t in range(lags[-1] + 1)],
-                 dtype=complex)
     gaps = lags[None, :] - lags[:, None]
     cov = r[np.abs(gaps)]
     np.conjugate(cov, out=cov, where=gaps < 0)
@@ -107,7 +105,11 @@ def predictor_coefficients(model: FadingModel, spec: PredictorSpec) -> Predictio
     recursion; any other pattern takes a dense solve.  The Levinson route
     agrees with the dense one to ~1e-10 relative error.
     """
-    cov, cross = _normal_equations(model, spec)
+    return _predictor(model.autocorrelation(spec.lag_pattern[-1] + 1), spec)
+
+
+def _predictor(r: np.ndarray, spec: PredictorSpec) -> PredictionResult:
+    cov, cross = _normal_equations(r, spec)
     if _is_uniform(spec.lag_pattern):
         weights = solve_hermitian_toeplitz(cov[:, 0], cross)
     else:
@@ -174,24 +176,27 @@ def schedule_lag_pattern(psc_index: int, interleave_depth: int, order: int) -> t
 
 def schedule_predictors(model: FadingModel, interleave_depth: int, snr: float,
                         predictor_order: int = DEFAULT_PREDICTOR_ORDER):
-    """Per-subchannel PredictionResult list; entry 0 (the pilot) is None."""
+    """Per-subchannel PredictionResult list, None for the pilot; one model read."""
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
     if predictor_order < 1:
         raise ValueError("predictor order must be >= 1")
     if not snr > 0.0:
         raise ValueError("snr must be positive")
-    results = [None]
-    for l in range(1, interleave_depth):
-        pattern = schedule_lag_pattern(l, interleave_depth, predictor_order)
-        spec = PredictorSpec(order=predictor_order, observation_snr=snr,
-                             lag_pattern=pattern)
-        results.append(predictor_coefficients(model, spec))
-    return results
+    patterns = [schedule_lag_pattern(l, interleave_depth, predictor_order)
+                for l in range(1, interleave_depth)]
+    r = model.autocorrelation(max([p[-1] for p in patterns], default=0) + 1)
+    return [None] + [_predictor(r, PredictorSpec(predictor_order, snr, p))
+                     for p in patterns]
+
+
+def schedule_rhos(predictors) -> np.ndarray:
+    """Effective SNR per subchannel of a schedule; the pilot's rho[0] is 0."""
+    return np.array([0.0] + [p.effective_snr for p in predictors[1:]])
 
 
 def rho_sequence(model: FadingModel, interleave_depth: int, snr: float,
                  predictor_order: int = DEFAULT_PREDICTOR_ORDER) -> np.ndarray:
     """Effective SNR per subchannel; the pilot subchannel carries rho[0] = 0."""
-    predictors = schedule_predictors(model, interleave_depth, snr, predictor_order)
-    return np.array([0.0] + [p.effective_snr for p in predictors[1:]])
+    return schedule_rhos(schedule_predictors(model, interleave_depth, snr,
+                                             predictor_order))

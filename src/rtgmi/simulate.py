@@ -27,15 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import psk_capacity_quadrature
-# perfbench/tracing.py wraps decode, generate_codebook, generate_path, gmi
-# and synthesize_block_at_rho here; of these run calls decode only, and
-# draws its paths through generate_paths
+# perfbench/tracing.py wraps decode, generate_codebook, generate_path, gmi,
+# schedule_predictors and synthesize_block_at_rho here; run calls decode and
+# schedule_predictors of these, and draws its paths through generate_paths
 from .decoder import decode
 from .errors import ConfigurationError
 from .fading import FadingModel, generate_path, generate_paths  # noqa: F401
 from .gmi import gmi  # noqa: F401
 from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
-                         schedule_predictors)
+                         schedule_predictors, schedule_rhos)
 from .psk import (Codebook, PscBlock, generate_codebook,  # noqa: F401
                   make_constellation, synthesize_block_at_rho)
 from .utils import binomial_halfwidth, complex_normal_rows, derive_seed
@@ -140,7 +140,7 @@ def run(config: SchemeConfig) -> RtReport:
     const = make_constellation(config.constellation_order)
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
-    rhos = np.array([0.0] + [p.effective_snr for p in predictors[1:]])
+    rhos = schedule_rhos(predictors)
     rates, sizes = _size_codebooks(config, rhos)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))

@@ -11,9 +11,9 @@ import rtgmi
 from rtgmi import cli
 from rtgmi.capacity import CapacityEstimate, psk_capacity_quadrature
 from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
-                       _parse_constellation, _parse_grid, build_model,
-                       build_parser, db_to_linear, main, merge_parameters,
-                       read_config_file)
+                       _parse_constellation, _parse_finite, _parse_grid,
+                       build_model, build_parser, db_to_linear, main,
+                       merge_parameters, read_config_file)
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading, ClarkeFading
 from rtgmi.gmi import gmi
@@ -663,3 +663,54 @@ def test_grid_of_too_many_points_exits_2(tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "bad value for snr_db" in capsys.readouterr().err
+
+
+# each key that _parse_finite reads, with one command that takes it
+_FINITE_KEYS = sorted({key: command for command, schema in SCHEMAS.items()
+                       for key, spec in schema.items()
+                       if spec.parse is _parse_finite}.items())
+
+
+def test_every_float_key_rejects_nonfinite_values():
+    assert not [(command, key) for command, schema in SCHEMAS.items()
+                for key, spec in schema.items() if spec.parse is float]
+    assert [key for key, _ in _FINITE_KEYS] == [
+        "alpha", "doppler", "error_target", "mu_max", "mu_min",
+        "rate_fraction"]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key, command", _FINITE_KEYS)
+def test_nonfinite_float_key_exits_2_and_names_the_key(tmp_path, capsys,
+                                                       key, command, value):
+    # --rate-fraction inf used to size codebooks from inf * 0 capacity
+    flag = "--" + key.replace("_", "-")
+    code = main([command, *_REQUIRED_ARGV[command], "--snr-db", "0",
+                 f"{flag}={value}", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_infinite_mu_min_exits_2(tmp_path):
+    # it used to reach gmi, which never returned: a child process and a
+    # timeout keep a regression from hanging the suite
+    src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "rtgmi.cli", "gmi", "--model", "ar1",
+         "--alpha", "0.5", "--constellation", "bpsk", "--snr-db", "0",
+         "--K", "1000", "--mu-min=-inf", "--output-dir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 2
+    assert "bad value for mu_min" in result.stderr
+
+
+def test_short_table_row_exits_2_and_names_the_line(tmp_path, capsys):
+    table = tmp_path / "short.csv"
+    table.write_text("lag,re,im\n0,1.0,0.0\n1,0.5\n")
+    code = main(["gmi", "--model", "tabulated", "--table", str(table),
+                 "--constellation", "bpsk", "--snr-db", "0", "--K", "100",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "short.csv:3: expected lag,re,im" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import j0
 
 from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
@@ -28,10 +29,12 @@ def empirical_autocorr(h: np.ndarray, lag: int) -> complex:
 
 
 def test_ar1_autocorrelation_hand_values():
-    m = Ar1Fading(0.8)
-    assert m.autocorrelation(0) == 1.0
-    assert m.autocorrelation(3) == pytest.approx(0.8 ** 3)
-    assert m.autocorrelation(-3) == pytest.approx(0.8 ** 3)
+    r = Ar1Fading(0.8).autocorrelation(4)
+    assert r.dtype == complex and len(r) == 4
+    assert r[0] == 1.0
+    assert r[3] == pytest.approx(0.8 ** 3)
+    # real, so r(-t) = conj(r(t)) = r(t)
+    assert not r.imag.any()
 
 
 def test_ar1_rejects_bad_alpha():
@@ -120,11 +123,30 @@ def test_ar1_path_allocates_little_beyond_its_output():
 
 
 def test_clarke_autocorrelation_vs_series_oracle():
-    m = ClarkeFading(0.1)
+    r = ClarkeFading(0.1).autocorrelation(21)
     for lag in range(0, 21):
         x = 2.0 * math.pi * 0.1 * lag
-        assert m.autocorrelation(lag).real == pytest.approx(
-            bessel_j0_series(x), abs=1e-9)
+        assert r[lag].real == pytest.approx(bessel_j0_series(x), abs=1e-9)
+
+
+_PER_LAG_ORACLES = [
+    pytest.param(Ar1Fading(0.99), lambda t: 0.99 ** t, id="ar1"),
+    pytest.param(Ar1Fading(0.0), lambda t: 0.0 ** t, id="ar1-white"),
+    *(pytest.param(ClarkeFading(fd),
+                   lambda t, fd=fd: float(j0(2.0 * math.pi * fd * t)),
+                   id=f"clarke-{fd}")
+      for fd in (0.01, 0.05, 0.1234, 0.5)),
+]
+
+
+@pytest.mark.parametrize("model, oracle", _PER_LAG_ORACLES)
+def test_vector_read_is_the_per_lag_formula_bit_for_bit(model, oracle):
+    # one vector read against the scalar formula evaluated lag by lag
+    n = CHOLESKY_MAX_N
+    want = np.array([complex(oracle(t)) for t in range(n)])
+    got = model.autocorrelation(n)
+    assert got.dtype == complex
+    assert np.array_equal(got, want)
 
 
 def test_clarke_parameter_contracts():
@@ -143,7 +165,7 @@ def test_clarke_small_n_sampling_matches_autocorrelation():
     var = float(np.mean(np.abs(cols) ** 2))
     assert var == pytest.approx(1.0, abs=0.04)
     r1 = complex(np.mean(np.conj(cols[:, 0]) * cols[:, 1]))
-    assert r1.real == pytest.approx(m.autocorrelation(1).real, abs=0.05)
+    assert r1.real == pytest.approx(m.autocorrelation(2)[1].real, abs=0.05)
     assert abs(r1.imag) < 0.05
 
 
@@ -161,7 +183,7 @@ def test_clarke_large_n_ray_synthesis():
     h = generate_path(m, n, seed=77)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.1)
     r1 = empirical_autocorr(h, 1)
-    assert r1.real == pytest.approx(m.autocorrelation(1).real, abs=0.12)
+    assert r1.real == pytest.approx(m.autocorrelation(2)[1].real, abs=0.12)
 
 
 def _bartlett():
@@ -270,18 +292,33 @@ def test_tabulated_contract_errors():
 
 def test_tabulated_query_beyond_table_raises():
     m = TabulatedFading(lags=(0, 1), values=(1.0, 0.5))
-    assert m.autocorrelation(1) == 0.5
-    with pytest.raises(ValueError):
-        m.autocorrelation(2)
+    r = m.autocorrelation(2)
+    assert r.dtype == complex and np.array_equal(r, [1.0, 0.5])
+    r[1] = 0.0                   # a copy: the table stays as it was
+    assert m.autocorrelation(2)[1] == 0.5
+    with pytest.raises(ValueError, match="lag 2 beyond tabulated range 1"):
+        m.autocorrelation(3)
+
+
+def test_tabulated_skipped_lags_read_as_zero():
+    m = TabulatedFading(lags=(0, 1, 3), values=(1.0, 0.5j, 0.1))
+    assert np.array_equal(m.autocorrelation(4), [1.0, 0.5j, 0.0, 0.1])
 
 
 def test_tabulated_from_csv_roundtrip(tmp_path):
     p = tmp_path / "table.csv"
     p.write_text("lag,re,im\n0,1.0,0.0\n1,0.3,0.0\n2,0.09,0.0\n")
     m = TabulatedFading.from_csv(str(p))
-    assert m.autocorrelation(2) == pytest.approx(0.09)
+    assert m.autocorrelation(3)[2] == pytest.approx(0.09)
     h = generate_path(m, 500, seed=1)
     assert len(h) == 500
+
+
+def test_tabulated_from_csv_names_a_short_row(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("lag,re,im\n0,1.0,0.0\n1,0.5\n")
+    with pytest.raises(ValueError, match=r"short\.csv:3: expected lag,re,im"):
+        TabulatedFading.from_csv(str(p))
 
 
 def test_generate_path_contracts():

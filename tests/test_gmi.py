@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rtgmi
 from rtgmi.errors import NumericalConsistencyError
 from rtgmi.fading import Ar1Fading, ClarkeFading
 from rtgmi.gmi import (DEFAULT_MU_RANGE, _audit_convexity, _LogMgfEvaluator,
@@ -345,6 +350,27 @@ def test_gmi_mu_range_contract():
         gmi(blk, c, mu_range=(-1.0, 0.5))
     with pytest.raises(ValueError):
         gmi(blk, c, mu_range=(-0.1, -0.5))
+
+
+def test_gmi_rejects_an_infinite_mu_bound():
+    # an infinite bound used to pass the lo < hi < 0 check and never return,
+    # so the call runs in a child process that a timeout can stop
+    src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
+    code = ("import math\n"
+            "from rtgmi.fading import Ar1Fading\n"
+            "from rtgmi.gmi import gmi\n"
+            "from rtgmi.psk import make_constellation, synthesize_block_at_rho\n"
+            "c = make_constellation(2)\n"
+            "blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 500, seed=1)\n"
+            "try:\n"
+            "    gmi(blk, c, mu_range=(-math.inf, -1e-4))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert "mu range must be finite" in result.stdout
 
 
 def test_convexity_audit_rejects_doctored_curve():

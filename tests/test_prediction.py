@@ -1,6 +1,5 @@
 import cmath
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from rtgmi.fading import Ar1Fading, ClarkeFading, FadingModel, TabulatedFading
 from rtgmi.prediction import (PredictorSpec, _normal_equations, effective_snr,
                               predictor_coefficients, rho_sequence,
                               schedule_lag_pattern, schedule_predictors,
-                              solve_hermitian_toeplitz)
+                              schedule_rhos, solve_hermitian_toeplitz)
 
 
 def random_psd_toeplitz_column(p: int, rng) -> np.ndarray:
@@ -91,7 +90,8 @@ def test_levinson_and_dense_routes_agree():
     for pattern in uniform + ragged:
         spec = PredictorSpec(order=len(pattern), observation_snr=1.5,
                              lag_pattern=pattern)
-        cov, cross = _normal_equations(model, spec)
+        cov, cross = _normal_equations(model.autocorrelation(pattern[-1] + 1),
+                                       spec)
         dense = np.linalg.solve(cov, cross)
         res = predictor_coefficients(model, spec)
         rel = np.linalg.norm(res.coefficients - dense) / np.linalg.norm(dense)
@@ -188,7 +188,7 @@ def test_schedule_predictors_layout():
         assert preds[l].spec.lag_pattern == schedule_lag_pattern(l, 5, 6)
 
 
-def normal_equations_oracle(model, spec):
+def normal_equations_oracle(r, spec):
     """The normal equations built entry by entry, each lag read through a memo."""
     lags = np.array(spec.lag_pattern)
     noise = 0.0 if math.isinf(spec.observation_snr) else 1.0 / spec.observation_snr
@@ -197,7 +197,7 @@ def normal_equations_oracle(model, spec):
     def r_h(tau):
         t = int(tau)
         if t not in memo:
-            memo[t] = model.autocorrelation(abs(t))
+            memo[t] = complex(r[abs(t)])
             if t < 0:
                 memo[t] = np.conj(memo[t])
         return memo[t]
@@ -238,6 +238,7 @@ _GRID_MAX_LAG = schedule_lag_pattern(1, 32, 17)[-1]
     pytest.param(gapped_complex_table(_GRID_MAX_LAG), id="tabulated"),
 ])
 def test_normal_equations_match_the_per_entry_oracle_bit_for_bit(model):
+    r = model.autocorrelation(_GRID_MAX_LAG + 1)
     for depth in _GRID_DEPTHS:
         for order in _GRID_ORDERS:
             for l in range(1, depth):
@@ -245,8 +246,8 @@ def test_normal_equations_match_the_per_entry_oracle_bit_for_bit(model):
                 for snr in _GRID_SNRS:
                     spec = PredictorSpec(order=order, observation_snr=snr,
                                          lag_pattern=pattern)
-                    cov, cross = _normal_equations(model, spec)
-                    want_cov, want_cross = normal_equations_oracle(model, spec)
+                    cov, cross = _normal_equations(r, spec)
+                    want_cov, want_cross = normal_equations_oracle(r, spec)
                     assert cov.dtype == want_cov.dtype
                     assert cross.dtype == want_cross.dtype
                     assert np.array_equal(cov, want_cov), (depth, order, l, snr)
@@ -264,15 +265,15 @@ def test_schedules_give_bit_identical_rho_with_the_oracle(model, monkeypatch):
 
 
 class CountingAr1(FadingModel):
-    """AR(1) fading that records every lag its autocorrelation is asked for."""
+    """AR(1) fading that records the length of every autocorrelation read."""
 
     def __init__(self, alpha):
         self.inner = Ar1Fading(alpha)
-        self.reads = Counter()
+        self.reads = []
 
-    def autocorrelation(self, lag):
-        self.reads[lag] += 1
-        return self.inner.autocorrelation(lag)
+    def autocorrelation(self, n):
+        self.reads.append(n)
+        return self.inner.autocorrelation(n)
 
 
 @pytest.mark.parametrize("depth, order", [(2, 4), (3, 16), (8, 17)])
@@ -280,11 +281,23 @@ def test_normal_equations_read_each_lag_once_up_to_the_largest(depth, order):
     for l in range(1, depth):
         pattern = schedule_lag_pattern(l, depth, order)
         model = CountingAr1(0.9)
-        _normal_equations(model, PredictorSpec(order=order, observation_snr=1.0,
-                                               lag_pattern=pattern))
-        assert max(model.reads.values()) == 1
-        assert max(pattern) in model.reads
-        assert set(model.reads) <= set(range(max(pattern) + 1))
+        predictor_coefficients(model, PredictorSpec(
+            order=order, observation_snr=1.0, lag_pattern=pattern))
+        assert model.reads == [max(pattern) + 1]
+
+
+@pytest.mark.parametrize("depth, order", [(1, 4), (2, 4), (3, 16), (8, 17),
+                                          (32, 1)])
+def test_a_schedule_reads_its_model_once_at_its_largest_lag(depth, order):
+    model = CountingAr1(0.9)
+    predictors = schedule_predictors(model, depth, 1.0, order)
+    # a schedule without data subchannels reads r(0) alone
+    largest = max([p.spec.lag_pattern[-1] for p in predictors[1:]], default=0)
+    if depth > 1:
+        assert largest == schedule_lag_pattern(1, depth, order)[-1]
+    assert model.reads == [largest + 1]
+    assert np.array_equal(schedule_rhos(predictors),
+                          rho_sequence(Ar1Fading(0.9), depth, 1.0, order))
 
 
 def test_tabulated_table_must_reach_the_schedules_largest_lag():
@@ -300,3 +313,6 @@ def test_tabulated_table_must_reach_the_schedules_largest_lag():
                           rho_sequence(Ar1Fading(0.9), 3, 1.0, 4))
     with pytest.raises(ValueError, match="lag 10 beyond tabulated range 9"):
         rho_sequence(table(largest - 1), 3, 1.0, 4)
+    # the one read asks for the schedule's largest lag, however short the table
+    with pytest.raises(ValueError, match="lag 10 beyond tabulated range 5"):
+        rho_sequence(table(5), 3, 1.0, 4)
