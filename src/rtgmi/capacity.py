@@ -216,15 +216,14 @@ class RateLadder:
     convergence_gap: float
 
 
-def _ladder_capacities(model, depth, snr, order, predictor_order, known):
-    """Effective SNRs and their quadrature capacities; `known` maps each rho
-    already integrated to its capacity, since rungs past the predictor order
-    repeat the same rho."""
-    rhos = rho_sequence(model, depth, snr, predictor_order)
-    for rho in rhos.tolist():
-        if rho not in known:
-            known[rho] = psk_capacity_quadrature(order, rho)
-    return rhos, np.array([known[rho] for rho in rhos.tolist()])
+def ladder_capacities(order: int, rhos: np.ndarray) -> np.ndarray:
+    """psk_capacity_quadrature at each effective SNR in `rhos` (0 for a
+    pilot), integrating each distinct rho once: rungs past the predictor
+    order repeat one rho."""
+    rungs = rhos.tolist()
+    known = {rho: psk_capacity_quadrature(order, rho)
+             for rho in dict.fromkeys(rungs)}
+    return np.array([known[rho] for rho in rungs])
 
 
 def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
@@ -241,16 +240,15 @@ def rate_ladder(model: FadingModel, interleave_depth: int, snr: float,
     """
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
-    known = {}
-    rhos, caps = _ladder_capacities(model, interleave_depth, snr, order,
-                                    predictor_order, known)
+    rhos = rho_sequence(model, interleave_depth, snr, predictor_order)
+    # the half-depth schedule's rungs go through the same call, so a rho the
+    # two schedules share is integrated once
+    half = (rho_sequence(model, interleave_depth // 2, snr, predictor_order)
+            if interleave_depth >= 2 else np.empty(0))
+    caps, caps_half = np.split(ladder_capacities(order, np.r_[rhos, half]),
+                               [interleave_depth])
     l_avg = float(caps.mean())
-    if interleave_depth >= 2:
-        _, caps_half = _ladder_capacities(model, interleave_depth // 2, snr,
-                                          order, predictor_order, known)
-        gap = abs(l_avg - float(caps_half.mean()))
-    else:
-        gap = 0.0
+    gap = abs(l_avg - float(caps_half.mean())) if len(half) else 0.0
     return RateLadder(
         interleave_depth=int(interleave_depth),
         rho=rhos,

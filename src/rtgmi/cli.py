@@ -33,7 +33,7 @@ from .fading import Ar1Fading, ClarkeFading, TabulatedFading
 from .gmi import DEFAULT_MU_RANGE, gmi
 from .prediction import DEFAULT_PREDICTOR_ORDER
 from .psk import make_constellation, synthesize_block_at_rho
-from .simulate import SchemeConfig, run
+from .simulate import SchemeConfig, psc_error_budget, run
 from .svgplot import LinePlot
 from .utils import derive_seed
 
@@ -87,6 +87,14 @@ def _parse_format(text):
     return text
 
 
+def _parse_seed(text):
+    """A non-negative integer, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def _parse_finite(text):
     """A float that is neither nan nor infinite."""
     value = float(text)
@@ -137,7 +145,7 @@ class Param:
 
 
 _COMMON = {
-    "seed": Param(int, default=0),
+    "seed": Param(_parse_seed, default=0),
     "output_dir": Param(str, default="."),
     "format": Param(_parse_format, default="both", help="json | csv | both"),
     "plot": Param(_parse_bool, default=False),
@@ -456,7 +464,7 @@ def _run_simulate(params):
     plot = LinePlot(title="per-subchannel block error",
                     xlabel="subchannel index", ylabel="block error rate")
     plot.add("block error", ls, report.per_psc_block_error[1:])
-    budget = config.error_target / config.interleave_depth
+    budget = psc_error_budget(config.error_target, config.interleave_depth)
     plot.add("budget", ls, np.full(len(ls), budget))
     payload = {
         **_report_head("simulate", params), **_model_keys(params),

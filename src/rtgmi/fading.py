@@ -12,6 +12,7 @@ is bit for bit the path generate_path draws from seeds[b], since
 generate_path is its one-seed case.
 """
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -190,6 +191,9 @@ class TabulatedFading(FadingModel):
             raise ValueError("need matching non-empty lag and value tables")
         if lags[0] != 0 or any(b <= a for a, b in zip(lags, lags[1:])):
             raise ValueError("lags must ascend from 0")
+        bad = [lag for lag, v in zip(lags, values) if not cmath.isfinite(v)]
+        if bad:
+            raise ValueError(f"autocorrelation at lag {bad[0]} is not finite")
         if values[0] != 1.0 + 0.0j:
             raise ValueError("autocorrelation at lag 0 must equal 1 exactly")
         if any(abs(v) > 1.0 + 1e-12 for v in values):
@@ -214,11 +218,13 @@ class TabulatedFading(FadingModel):
         for lineno, row in enumerate(rows[1:], 2):
             if not row:
                 continue
-            if len(row) < 3:
+            try:
+                lags.append(int(row[0]))
+                values.append(float(row[1]) + 1j * float(row[2]))
+            except (IndexError, ValueError):
                 raise ValueError(
-                    f"{path}:{lineno}: expected lag,re,im, got {','.join(row)!r}")
-            lags.append(int(row[0]))
-            values.append(float(row[1]) + 1j * float(row[2]))
+                    f"{path}:{lineno}: expected lag,re,im (an integer and "
+                    f"two numbers), got {','.join(row)!r}") from None
         return cls(lags=tuple(lags), values=tuple(values))
 
     def autocorrelation(self, n):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import psk_capacity_quadrature
+from .capacity import ladder_capacities
 # perfbench/tracing.py wraps decode, generate_codebook, generate_path, gmi,
 # schedule_predictors and synthesize_block_at_rho here; run calls decode and
 # schedule_predictors of these, and draws its paths through generate_paths
@@ -100,30 +100,20 @@ class RtReport:
     propagation_events: int
 
 
-def _size_codebooks(config: SchemeConfig, rhos: np.ndarray):
-    """Per-subchannel rates C_J(rho_l) and codebook sizes round(exp(f*C*K)).
-
-    At effective SNR rho_l the nearest-neighbour metric is the matched
-    Gaussian likelihood, so its GMI is exactly the coherent capacity C_J(rho_l).
-    """
-    rates = np.zeros(config.interleave_depth)
-    sizes = np.zeros(config.interleave_depth, dtype=np.int64)
-    for l in range(1, config.interleave_depth):
-        rates[l] = psk_capacity_quadrature(config.constellation_order,
-                                           float(rhos[l]))
-        target = config.rate_fraction * rates[l] * config.block_length
-        if target > 60.0:  # round(exp(...)) would overflow long before the cap test
-            sizes[l] = np.iinfo(np.int64).max
-        else:
-            sizes[l] = max(int(round(math.exp(target))), 1)
-    oversized = [l for l in range(1, config.interleave_depth)
-                 if sizes[l] > MAX_CODEBOOK_SIZE]
+def _size_codebooks(rate_targets: np.ndarray, block_length: int):
+    """Codebook sizes round(exp(t*K)) for the per-subchannel rate targets t
+    (nats/symbol); the pilot, subchannel 0, gets none."""
+    # sizes stay Python ints until checked against the cap; exp(60) is
+    # already far beyond it
+    sizes = [0] + [max(round(math.exp(min(t * block_length, 60.0))), 1)
+                   for t in rate_targets[1:].tolist()]
+    oversized = [l for l, size in enumerate(sizes) if size > MAX_CODEBOOK_SIZE]
     if oversized:
         raise ConfigurationError(
             f"codebook size exceeds {MAX_CODEBOOK_SIZE} for subchannels "
             f"{oversized}; exhaustive decoding is infeasible, reduce "
             f"block_length or rate_fraction")
-    return rates, sizes
+    return np.array(sizes, dtype=np.int64)
 
 
 def run(config: SchemeConfig) -> RtReport:
@@ -141,7 +131,11 @@ def run(config: SchemeConfig) -> RtReport:
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
     rhos = schedule_rhos(predictors)
-    rates, sizes = _size_codebooks(config, rhos)
+    # at effective SNR rho_l the nearest-neighbour metric is the matched
+    # Gaussian likelihood, so its GMI is exactly the coherent capacity
+    rates = ladder_capacities(config.constellation_order, rhos)
+    rate_targets = config.rate_fraction * rates
+    sizes = _size_codebooks(rate_targets, config.block_length)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
     warm_slots = int(math.ceil(max_offset / depth))
@@ -163,7 +157,6 @@ def run(config: SchemeConfig) -> RtReport:
     per_err = err_counts / n
     per_ci = np.array([binomial_halfwidth(float(p), n) for p in per_err])
     overall = overall_count / n
-    rate_targets = config.rate_fraction * rates
     achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
     return RtReport(
         config=config, rho=rhos, gmi_nats=rates,
@@ -247,9 +240,14 @@ def _trial_errors(config: SchemeConfig, trials: range, const, predictors,
     return errs
 
 
+def psc_error_budget(error_target: float, interleave_depth: int) -> float:
+    """Each subchannel's block-error budget: the overall target split evenly."""
+    return error_target / interleave_depth
+
+
 def _within_budget(errors, cis, error_target, interleave_depth) -> list:
-    """The error budget: p <= error_target / interleave_depth + ci, per entry."""
-    budget = error_target / interleave_depth
+    """Per entry: p <= psc_error_budget(error_target, interleave_depth) + ci."""
+    budget = psc_error_budget(error_target, interleave_depth)
     return [bool(p <= budget + ci) for p, ci in zip(errors, cis)]
 
 
@@ -257,9 +255,8 @@ def budget_check(report: RtReport, error_target: float,
                  interleave_depth: int) -> list:
     """Per-subchannel: is the block-error estimate within budget, CI allowed?
 
-    The per-subchannel budget is error_target / interleave_depth; an estimate
-    passes when it does not exceed the budget by more than its binomial 95%
-    half-width.
+    The per-subchannel budget is psc_error_budget; an estimate passes when
+    it does not exceed the budget by more than its binomial 95% half-width.
     """
     if not 0.0 < error_target < 1.0:
         raise ValueError("error target must be in (0, 1)")

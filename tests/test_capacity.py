@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import rtgmi.capacity
 from rtgmi.capacity import (RateLadder, _log_likelihood_ratio_sum,
-                            psk_capacity, psk_capacity_quadrature, rate_ladder)
+                            ladder_capacities, psk_capacity,
+                            psk_capacity_quadrature, rate_ladder)
 from rtgmi.fading import Ar1Fading
 from rtgmi.utils import complex_normal
 
@@ -233,6 +235,39 @@ def test_ladder_caps_match_quadrature_per_subchannel():
     for l in range(20):
         assert rep.capacity_nats[l] \
             == psk_capacity_quadrature(4, float(rep.rho[l])), l
+
+
+def _count_quadrature(monkeypatch):
+    """The rhos psk_capacity_quadrature is called at, in call order."""
+    called = []
+
+    def counting(order, rho, *args, **kwargs):
+        called.append(rho)
+        return psk_capacity_quadrature(order, rho, *args, **kwargs)
+
+    monkeypatch.setattr(rtgmi.capacity, "psk_capacity_quadrature", counting)
+    return called
+
+
+def test_ladder_capacities_integrate_each_distinct_rho_once(monkeypatch):
+    called = _count_quadrature(monkeypatch)
+    rhos = np.array([0.0, 0.5, 2.0, 0.5, 2.0, 2.0, 0.0])
+    caps = ladder_capacities(4, rhos)
+    assert sorted(called) == [0.0, 0.5, 2.0]
+    assert caps.dtype == np.float64 and caps.shape == rhos.shape
+    assert caps.tolist() == [psk_capacity_quadrature(4, rho)
+                             for rho in rhos.tolist()]
+    assert caps[0] == 0.0
+
+
+def test_ladder_integrates_a_rho_of_both_depths_once(monkeypatch):
+    # the depth-32 ladder and its depth-16 half share their repeated rungs
+    called = _count_quadrature(monkeypatch)
+    model = Ar1Fading(0.99)
+    rep = rate_ladder(model, 32, 1.0, 4, 16)
+    assert len(called) == 32 == len(set(called))
+    half = rtgmi.capacity.rho_sequence(model, 16, 1.0, 16)
+    assert set(called) == set(rep.rho.tolist()) | set(half.tolist())
 
 
 def test_ladder_convergence_gap_definition():

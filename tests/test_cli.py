@@ -714,3 +714,40 @@ def test_short_table_row_exits_2_and_names_the_line(tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "short.csv:3: expected lag,re,im" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,abc,0", "1.5,0.5,0"])
+def test_bad_table_cell_exits_2_and_names_the_line(tmp_path, capsys, row):
+    # a non-numeric cell or a non-integer lag used to surface as float's or
+    # int's own message, with no file or line
+    table = tmp_path / "bad.csv"
+    table.write_text(f"lag,re,im\n0,1.0,0.0\n{row}\n")
+    code = main(["gmi", "--model", "tabulated", "--table", str(table),
+                 "--constellation", "bpsk", "--snr-db", "0", "--K", "100",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.csv:3: expected lag,re,im" in err and repr(row) in err
+
+
+def test_nonfinite_table_value_exits_2_and_names_the_lag(tmp_path, capsys):
+    # it used to reach the predictor and fail on a NaN error variance
+    table = tmp_path / "nan.csv"
+    table.write_text("lag,re,im\n0,1.0,0.0\n1,nan,0\n")
+    code = main(["ladder", "--model", "tabulated", "--table", str(table),
+                 "--constellation", "bpsk", "--snr-db", "0", "--L", "2",
+                 "--predictor-order", "1", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "autocorrelation at lag 1 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_negative_seed_exits_2_and_names_the_key(tmp_path, capsys, command):
+    # capacity used to exit with numpy's message, and the others masked -1
+    # to 2**64 - 1
+    snr = "0:1:1" if command == "sweep" else "0"
+    code = main([command, *_REQUIRED_ARGV[command], "--snr-db", snr,
+                 "--seed=-1", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "bad value for seed: '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

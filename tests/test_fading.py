@@ -321,6 +321,24 @@ def test_tabulated_from_csv_names_a_short_row(tmp_path):
         TabulatedFading.from_csv(str(p))
 
 
+@pytest.mark.parametrize("row", ["1,abc,0", "1,0.5,x", "1.5,0.5,0", "one,0,0"])
+def test_tabulated_from_csv_names_a_bad_cell(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"lag,re,im\n0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: expected lag,re,im") \
+            as info:
+        TabulatedFading.from_csv(str(p))
+    assert repr(row) in str(info.value)
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex("inf"),
+                                   complex(0.5, float("-inf"))])
+def test_tabulated_rejects_nonfinite_values(value):
+    with pytest.raises(ValueError, match="autocorrelation at lag 1 is not "
+                                         "finite"):
+        TabulatedFading(lags=(0, 1, 2), values=(1.0, value, 0.1))
+
+
 def test_generate_path_contracts():
     with pytest.raises(ValueError):
         generate_path(Ar1Fading(0.5), 0, seed=1)

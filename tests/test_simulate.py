@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rtgmi.capacity
 import rtgmi.simulate
-from rtgmi.capacity import psk_capacity_quadrature
+from rtgmi.capacity import psk_capacity_quadrature, rate_ladder
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading, ClarkeFading, generate_path
 from rtgmi.prediction import (prediction_reference, rho_sequence,
@@ -61,6 +62,52 @@ def test_rates_are_the_exact_capacity():
     for l in range(1, cfg.interleave_depth):
         assert rep.gmi_nats[l] == psk_capacity_quadrature(4, rep.rho[l])
     assert rep.gmi_nats[0] == 0.0
+
+
+@pytest.mark.parametrize("model", [Ar1Fading(0.95), ClarkeFading(0.05)],
+                         ids=["ar1", "clarke"])
+def test_rates_are_the_rate_ladders_bit_for_bit(model, monkeypatch):
+    cfg = small_config(model=model, interleave_depth=6, constellation_order=4,
+                       n_trials=2)
+    ladder = rate_ladder(model, 6, cfg.snr, 4, cfg.predictor_order)
+    called = []
+
+    def counting(order, rho, *args, **kwargs):
+        called.append(rho)
+        return psk_capacity_quadrature(order, rho, *args, **kwargs)
+
+    monkeypatch.setattr(rtgmi.capacity, "psk_capacity_quadrature", counting)
+    rep = run(cfg)
+    assert rep.rho.dtype == ladder.rho.dtype == np.float64
+    assert np.array_equal(rep.rho, ladder.rho)
+    assert np.array_equal(rep.gmi_nats, ladder.capacity_nats)
+    assert np.array_equal(rep.rate_targets,
+                          cfg.rate_fraction * ladder.capacity_nats)
+    # one integration per distinct rho, the pilot's 0 included
+    assert sorted(called) == sorted(set(ladder.rho.tolist()))
+
+
+def test_size_codebooks_at_the_cap():
+    k = 16
+    at_cap, past_cap = math.log(65536) / k, math.log(65537) / k
+    # the premise: these targets round to the cap and one past it
+    assert round(math.exp(at_cap * k)) == MAX_CODEBOOK_SIZE
+    assert round(math.exp(past_cap * k)) == MAX_CODEBOOK_SIZE + 1
+    sizes = _size_codebooks(np.array([0.0, at_cap, 0.1, 0.0]), k)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [0, MAX_CODEBOOK_SIZE, round(math.exp(1.6)), 1]
+    with pytest.raises(ConfigurationError,
+                       match=r"for subchannels \[2\]; exhaustive decoding is "
+                             r"infeasible, reduce block_length or "
+                             r"rate_fraction"):
+        _size_codebooks(np.array([0.0, at_cap, past_cap]), k)
+
+
+@pytest.mark.parametrize("exponent", [50.0, 60.0, 60.5, 1e4])
+def test_size_codebooks_refuses_huge_targets_without_overflow(exponent):
+    # exp(50) is past int64, and exp(1e4) past a float
+    with pytest.raises(ConfigurationError, match=r"for subchannels \[1, 3\]"):
+        _size_codebooks(np.array([0.0, exponent / 8, 0.5, exponent / 8]), 8)
 
 
 def test_codebook_sizes_do_not_depend_on_the_seed():
@@ -161,7 +208,10 @@ def trial_at_a_time_run(config: SchemeConfig) -> RtReport:
     predictors = schedule_predictors(config.model, depth, config.snr,
                                      config.predictor_order)
     rhos = np.array([0.0] + [p.effective_snr for p in predictors[1:]])
-    rates, sizes = _size_codebooks(config, rhos)
+    rates = np.array([0.0] + [psk_capacity_quadrature(
+        config.constellation_order, float(rho)) for rho in rhos[1:]])
+    rate_targets = config.rate_fraction * rates
+    sizes = _size_codebooks(rate_targets, n_k)
 
     max_offset = max(max(predictors[l].spec.lag_pattern) for l in range(1, depth))
     warm_slots = int(math.ceil(max_offset / depth))
@@ -235,7 +285,6 @@ def trial_at_a_time_run(config: SchemeConfig) -> RtReport:
     per_err = err_counts / n
     per_ci = np.array([binomial_halfwidth(float(p), n) for p in per_err])
     overall = overall_count / n
-    rate_targets = config.rate_fraction * rates
     achieved = float(np.sum(rate_targets * (1.0 - per_err)) / depth)
     return RtReport(
         config=config, rho=rhos, gmi_nats=rates,
