@@ -13,8 +13,7 @@ from .fading import (Ar1Fading, ClarkeFading, FadingModel, TabulatedFading,
 from .gmi import GmiReport, gmi, lambda_hat
 from .prediction import (PredictionResult, PredictorSpec, effective_snr,
                          predictor_coefficients, rho_sequence,
-                         schedule_lag_pattern, schedule_predictors,
-                         solve_hermitian_toeplitz)
+                         schedule_lag_pattern, schedule_predictors)
 from .psk import (Codebook, PscBlock, PskConstellation, generate_codebook,
                   make_constellation, synthesize_block_at_rho,
                   synthesize_psc_block)
@@ -35,6 +34,6 @@ __all__ = [
     "make_constellation", "metric", "pairwise_undercut_probability",
     "predictor_coefficients", "psk_capacity", "psk_capacity_quadrature",
     "rate_ladder", "rho_sequence",
-    "schedule_lag_pattern", "schedule_predictors", "solve_hermitian_toeplitz",
+    "schedule_lag_pattern", "schedule_predictors",
     "synthesize_block_at_rho", "synthesize_psc_block", "run",
 ]

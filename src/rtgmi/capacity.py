@@ -40,6 +40,7 @@ _SNR_CUTS = (0.1, 1.0, 4.0, 16.0, 64.0)
 _PAIR_CUTS = (8.0, 16.0, 32.0, 64.0)
 _T_MAX = 50.0
 _NEGLIGIBLE = 1e-20   # quadrature nodes of smaller weight are dropped
+_MAX_NODES = 370      # numpy's hermgauss overflows from 371 nodes on
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ def psk_capacity_quadrature(order: int, rho: float,
         raise ValueError("constellation order must be >= 1")
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+    if not 2 <= nodes <= _MAX_NODES:
+        raise ValueError(f"nodes = {nodes}: need 2 to {_MAX_NODES} nodes")
     if rho == 0.0:
         return 0.0  # every symbol looks the same
     z, z_weight = _noise_rule(nodes)

@@ -164,6 +164,13 @@ class ClarkeFading(FadingModel):
         return out
 
 
+def whole_lag(t) -> int:
+    """int(t) for a whole-number lag; any other lag is refused, not truncated."""
+    if int(t) != t:
+        raise ValueError(f"lag {t} is not an integer")
+    return int(t)
+
+
 @dataclass(frozen=True)
 class TabulatedFading(FadingModel):
     """Fading law given by tabulated autocorrelation values at integer lags.
@@ -183,7 +190,7 @@ class TabulatedFading(FadingModel):
     values: tuple = field()
 
     def __post_init__(self):
-        lags = tuple(int(t) for t in self.lags)
+        lags = tuple(whole_lag(t) for t in self.lags)
         values = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)

@@ -207,6 +207,14 @@ def test_capacity_contracts():
         psk_capacity_quadrature(2, -1.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_quadrature_refuses_nodes_where_the_hermite_rule_overflows(rho):
+    # numpy's hermgauss overflows from 371 nodes on; the refusal raises no
+    # RuntimeWarning, which the test configuration would turn into an error
+    with pytest.raises(ValueError, match="nodes = 512"):
+        psk_capacity_quadrature(2, rho, nodes=512)
+
+
 def test_bits_property():
     est = psk_capacity(2, 1.0, n_samples=10_000, seed=3)
     assert est.bits == pytest.approx(est.nats / math.log(2.0), rel=1e-15)

@@ -290,6 +290,13 @@ def test_tabulated_contract_errors():
         TabulatedFading(lags=(0, 1, 2), values=(1.0, 0.8, -0.9))
 
 
+def test_tabulated_refuses_a_non_integer_lag():
+    # int() would truncate the lag 1.5 to 1
+    with pytest.raises(ValueError, match="lag 1.5 is not an integer"):
+        TabulatedFading(lags=(0, 1.5), values=(1.0, 0.5))
+    assert TabulatedFading(lags=(0, 1.0), values=(1.0, 0.5)).lags == (0, 1)
+
+
 def test_tabulated_query_beyond_table_raises():
     m = TabulatedFading(lags=(0, 1), values=(1.0, 0.5))
     r = m.autocorrelation(2)

@@ -59,6 +59,16 @@ def test_predictor_spec_contracts():
     assert spec.lag_pattern == (1,)
 
 
+def test_predictor_spec_refuses_a_non_integer_lag():
+    # int() would truncate the lag 1.5 to 1
+    with pytest.raises(ValueError, match="lag 1.5 is not an integer"):
+        PredictorSpec(order=1, observation_snr=1.0, lag_pattern=(1.5,))
+    spec = PredictorSpec(order=2, observation_snr=1.0,
+                         lag_pattern=(np.int64(1), 3.0))
+    assert spec.lag_pattern == (1, 3)
+    assert all(type(t) is int for t in spec.lag_pattern)
+
+
 def test_single_tap_closed_form():
     # predict h[t] from y[t-tau] = h[t-tau] + e/sqrt(gamma):
     # c = alpha^tau * gamma/(gamma+1), s2 = 1 - alpha^(2 tau) * gamma/(gamma+1)
@@ -81,8 +91,8 @@ def test_noiseless_single_tap():
 
 
 def test_levinson_and_dense_routes_agree():
-    # evenly spaced patterns take the Levinson route, ragged ones the dense
-    # solve; either way the weights are those of the dense normal equations
+    # every pattern, evenly spaced or ragged, takes the dense solve, so the
+    # weights are those of the dense normal equations
     model = ClarkeFading(0.03)
     uniform = [tuple(range(1, p + 1)) for p in (1, 2, 4, 8, 16, 32)] \
         + [schedule_lag_pattern(1, 3, 8)]                 # 1, 4, 7, ...
@@ -262,6 +272,55 @@ def test_schedules_give_bit_identical_rho_with_the_oracle(model, monkeypatch):
             patch.setattr(prediction, "_normal_equations", normal_equations_oracle)
             want = rho_sequence(model, depth, 1.0, order)
         assert np.array_equal(got, want), (depth, order)
+
+
+# evenly spaced lag patterns and ragged ones
+_PATTERNS = {
+    **{f"1..{p}": tuple(range(1, p + 1)) for p in (1, 2, 4, 8, 16, 32)},
+    **{f"L{depth}-l1": schedule_lag_pattern(1, depth, 8)
+       for depth in (3, 8, 32)},
+    "1-2-5": (1, 2, 5),
+    "1-2-5-9": (1, 2, 5, 9),
+    "L3-l2": schedule_lag_pattern(2, 3, 8),
+    "L8-l5": schedule_lag_pattern(5, 8, 16),
+}
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(ClarkeFading(0.03), id="clarke"),
+    pytest.param(Ar1Fading(0.95), id="ar1"),
+    pytest.param(gapped_complex_table(schedule_lag_pattern(1, 32, 8)[-1]),
+                 id="tabulated"),
+])
+@pytest.mark.parametrize("pattern", _PATTERNS.values(), ids=_PATTERNS.keys())
+def test_every_pattern_takes_the_dense_solve_bit_for_bit(model, pattern):
+    spec = PredictorSpec(order=len(pattern), observation_snr=1.5,
+                         lag_pattern=pattern)
+    r = model.autocorrelation(pattern[-1] + 1)
+    want = np.linalg.solve(*_normal_equations(r, spec))
+    got = predictor_coefficients(model, spec).coefficients
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("depth", [3, 8, 32])
+def test_every_schedule_predictor_takes_the_dense_solve_bit_for_bit(depth):
+    # subchannel 1 and every l >= 8 are evenly spaced, the rest ragged
+    model = ClarkeFading(0.03)
+    predictors = schedule_predictors(model, depth, 1.5, 8)
+    r = model.autocorrelation(predictors[1].spec.lag_pattern[-1] + 1)
+    for l in range(1, depth):
+        spec = predictors[l].spec
+        want = np.linalg.solve(*_normal_equations(r, spec))
+        assert np.array_equal(predictors[l].coefficients, want), l
+
+
+def test_singular_normal_equations_name_the_lag_pattern():
+    # a constant autocorrelation read without noise makes R all ones
+    flat = TabulatedFading(lags=(0, 1, 2), values=(1.0, 1.0, 1.0))
+    spec = PredictorSpec(order=2, observation_snr=math.inf, lag_pattern=(1, 2))
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular normal "
+                       r"equations for lag pattern \(1, 2\)"):
+        predictor_coefficients(flat, spec)
 
 
 class CountingAr1(FadingModel):

@@ -7,6 +7,10 @@ CPUs (the digests were recorded with numpy 2.4 on x86-64 with AVX-512).
 After such an upgrade, re-record them from a run of the previous release;
 after a code change, a mismatch shows which report moved.
 
+Run as a script, `PYTHONPATH=src python tests/test_report_digests.py`
+prints the DIGESTS literal for the current code: each run goes in a fresh
+temporary directory and is hashed as the test hashes it.
+
 The bits also depend on the BLAS thread count.  The digests were recorded
 with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1 (the
 benchmark's pin) the gmi_clarke report.json hashes differently, because the
@@ -15,7 +19,12 @@ The simulate_clarke_genie paths are short enough to hash alike on one and
 on two threads.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -116,15 +125,15 @@ DIGESTS = {
         'ladder.svg':
             'a85a5c129f6739850e9d4779b7e721f7266a64daacbe6a0f545636557009c319',
         'report.json':
-            '766d83dc84cad94a120b31b2783a66bd3e283910ea8aa53f5ad0d3fde7235c52',
+            '7e7e97e8aff230f0dfe8e24b369eeb92c05547fcd92a228c890d6d0c56f4c0b6',
         'stdout':
             'b8e6e26c8655e731c7a57933900aaf170c127dd13607583792e02bf754633538',
     },
     'simulate_decision_directed': {
         'report.json':
-            '88dc8bd694ceb7fc0dce80addd9e33773d7081b96897245a43ee894443c198f5',
+            '3d5cf712cf404b2873088b322a126b13841a1d2bd1962774076eea61ff04a6a4',
         'simulate.csv':
-            'd654ff4a343698f244aa71801eb9d2815f0d781bfcbac77fa897b32cfe813ac1',
+            'e0c2ab3e0d838a96fa1239e9355ea16dd2abc4cb1db73980c2db07136e4396ea',
         'simulate.svg':
             '49a4e3deb3f43cbbe6b66157f2b6c7c71ca56a2b93c816858cfd3472afd779e5',
         'stdout':
@@ -142,9 +151,9 @@ DIGESTS = {
     },
     'simulate_genie': {
         'report.json':
-            '98504f9d4ccb9d89e5f4b206d042e03b21526ec516e2206615b390a134e6cbab',
+            'd78d702c0f5d4ddeb177a7e60908daf617c44a17f40c3610d44ead2592cc0de8',
         'simulate.csv':
-            'eeb430da80a14bd0f0bc331b08a68eba7470168fef0204b879f9dc1fe0f60f43',
+            'a88142b59287ca397c092844c4d174d8976e429f29ff0e6f686ef3b40a4223b7',
         'simulate.svg':
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
@@ -152,9 +161,9 @@ DIGESTS = {
     },
     'simulate_genie_errors': {
         'report.json':
-            'c918f8680fca190eb26d70722cdb4e0d421ac6a7dfe12573c88072203f71ae5f',
+            '9dfb8c307b9012ce65ba533c15469549afc8901fff148665a869ab6654f6152e',
         'simulate.csv':
-            '7dd96a60bce2ebc9031a9055f400afbac5fa2c875679f3217c22ab00c0c31073',
+            '5ff2a30caa004df156ec2f74ae7f82640b5afea930dbbba14f6f43374120b81e',
         'simulate.svg':
             '5ce8b7e72a4cd9be74c555f7fd6c92249f85adc999c07c15a96ae0712a997b50',
         'stdout':
@@ -162,9 +171,9 @@ DIGESTS = {
     },
     'simulate_qpsk_odd_k': {
         'report.json':
-            '551795387a1a6834a86d111e2b2cfb115daf73f9b185a448631ba8723ee2c58c',
+            'eccc9c21a84b6b4fcc18037abc89734007d614a04afb7459970a9a476cdddff5',
         'simulate.csv':
-            'b86d240cf25f2a4cd3dd6a5c5b3376119aa115b8b1863c9a98f9c7ee1ef3ebae',
+            'adfb8a1e607412cc3f5670f7d76958dc7aaaae87f116b6c153fb7cbebe126eea',
         'simulate.svg':
             '64c864d337d79ab1d30153f5f9903b4b1fb6489893a1c283fd0369fa8c86a1af',
         'stdout':
@@ -172,9 +181,9 @@ DIGESTS = {
     },
     'simulate_ternary': {
         'report.json':
-            '17296411802c3ec94a47d1ea2d259371f2692986d6f7a1b5a7a28f937867dc26',
+            '094be39e8bd75e83cc61df25fe203b54e9387a82211f211aa1af929cb6b836ab',
         'simulate.csv':
-            'bbbe773431f2002ffd2b00a66566862dfd94135e216c660517c64cd7dd22b62b',
+            '5f6f506f4029391978419690c77fb581718df87048c148396058fec160a28af3',
         'simulate.svg':
             '3451ded7ce660ab3b3b25444f4c7e6d5ea1267eac5fafdc62586623a24f08309',
         'stdout':
@@ -193,17 +202,46 @@ DIGESTS = {
 }
 
 
-def _digests(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "table.csv").write_text(TABLE)
-    assert main(argv + ["--output-dir", "out", "--format", "both",
-                        "--plot"]) == 0
-    files = {"stdout": capsys.readouterr().out.encode()}
-    files.update((p.name, p.read_bytes()) for p in (tmp_path / "out").iterdir())
+def _digests(argv):
+    """sha256 of stdout and of every file `argv` writes, run in the cwd."""
+    Path("table.csv").write_text(TABLE)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + ["--output-dir", "out", "--format", "both",
+                            "--plot"])
+    assert code == 0
+    files = {"stdout": stdout.getvalue().encode()}
+    files.update((p.name, p.read_bytes()) for p in Path("out").iterdir())
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in sorted(files.items())}
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_outputs_match_the_frozen_digests(tmp_path, capsys, monkeypatch, run):
-    assert _digests(tmp_path, capsys, monkeypatch, RUNS[run]) == DIGESTS[run]
+def test_outputs_match_the_frozen_digests(tmp_path, monkeypatch, run):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(RUNS[run]) == DIGESTS[run]
+
+
+def _record():
+    """The DIGESTS literal for the current code, laid out as above: the
+    runs in DIGESTS in its order, then any new run."""
+    lines = ["DIGESTS = {"]
+    runs = [r for r in DIGESTS if r in RUNS] \
+        + sorted(RUNS.keys() - DIGESTS.keys())
+    for run in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            home = os.getcwd()
+            os.chdir(tmp)
+            try:
+                digests = _digests(RUNS[run])
+            finally:
+                os.chdir(home)
+        lines.append(f"    {run!r}: {{")
+        for name, digest in digests.items():
+            lines += [f"        {name!r}:", f"            {digest!r},"]
+        lines.append("    },")
+    return "\n".join(lines + ["}"])
+
+
+if __name__ == "__main__":
+    print(_record())
