@@ -35,9 +35,11 @@ NATS_TO_BITS = 1.0 / math.log(2.0)
 
 # the radial rule's panel ends: where rho t crosses each _SNR_CUTS value and
 # where the nearest-neighbour SNR crosses each _PAIR_CUTS value, below _T_MAX
-# (Exp(1) puts e^-50 of its mass beyond)
+# (Exp(1) puts e^-50 of its mass beyond); the fixed _T_EDGES below the
+# smallest of those split the e^-t decay that low SNR leaves to one panel
 _SNR_CUTS = (0.1, 1.0, 4.0, 16.0, 64.0)
 _PAIR_CUTS = (8.0, 16.0, 32.0, 64.0)
+_T_EDGES = (1.0, 4.0, 12.0, 25.0)
 _T_MAX = 50.0
 _NEGLIGIBLE = 1e-20   # quadrature nodes of smaller weight are dropped
 _MAX_NODES = 370      # numpy's hermgauss overflows from 371 nodes on
@@ -152,14 +154,18 @@ def _radial_rule(order, rho, nodes):
     The integrand bends where rho t, the SNR a draw sees, passes 1, and
     decays where kappa rho t, the SNR between nearest neighbours, grows, so
     Gauss-Legendre panels end where either reaches one of its cuts, and at
-    _T_MAX.
+    _T_MAX.  Below the smallest cut, where the integrand is nearly linear in
+    t and e^-t carries the whole curvature, panels also end at _T_EDGES: at
+    low SNR no cut falls below _T_MAX, and one panel would span it all.
     """
     # kappa = |theta_0 - theta_1|^2 / 4, rounded so that a pair cut that
     # equals an SNR cut (QPSK has three) is the same float and one edge
     kappa = round(math.sin(math.pi / order) ** 2, 12)
     cuts = {c / rho for c in _SNR_CUTS if c < _T_MAX * rho}
     cuts |= {c / (kappa * rho) for c in _PAIR_CUTS if c < _T_MAX * kappa * rho}
-    edges = np.array([0.0] + sorted(cuts) + [_T_MAX])
+    low = min(cuts, default=_T_MAX)
+    edges = np.array([0.0] + [t for t in _T_EDGES if t < low] + sorted(cuts)
+                     + [_T_MAX])
     g, w = _legendre(max(nodes // 4, 2))
     width = np.diff(edges)[:, None]
     t = (edges[:-1, None] + width * g).ravel()
@@ -178,8 +184,9 @@ def psk_capacity_quadrature(order: int, rho: float,
     The rule is Gauss-Legendre panels in t (nodes // 4 per panel, _radial_rule)
     times a 2-D Gauss-Hermite rule in Z (`nodes` per real dimension,
     _noise_rule); both node tables are cached.  At the default it matches the
-    BPSK and QPSK references to 1e-10 for rho from 0.1 to 100, and 8-PSK
-    agrees with 128 nodes to 2e-9.
+    BPSK and QPSK references to 1e-10 for rho from 0.1 to 100, 8-PSK
+    agrees with 128 nodes to 2e-9, and J = 2 to 16 agree with 128 nodes to
+    1e-8 relative for rho from 1e-6 to 1e-2.
     """
     if order < 1:
         raise ValueError("constellation order must be >= 1")

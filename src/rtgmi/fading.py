@@ -150,14 +150,16 @@ class ClarkeFading(FadingModel):
             paths = (self._factor(n) @ w).view(np.complex128)
             return np.ascontiguousarray(paths.T)
         out = np.zeros((len(rngs), n), dtype=complex)
+        step = block_step(self.ray_count)
         for path, rng in zip(out, rngs):
             # equal-power rays: arrival angles uniform => Bessel autocorrelation
             angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
             phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
             dopplers = 2.0 * math.pi * self.normalized_doppler * np.cos(angles)
-            # chunked so the (chunk, rays) phase table stays small
-            for k0 in range(0, n, 65536):
-                k = np.arange(k0, min(k0 + 65536, n))
+            # the (n, rays) phase table goes a cache-sized block of rows at a
+            # time; each row sums its own rays, so no bit depends on the block
+            for start in range(0, n, step):
+                k = np.arange(start, min(start + step, n))
                 path[k] = np.exp(1j * (k[:, None] * dopplers[None, :]
                                        + phases)).sum(axis=1)
         out /= math.sqrt(self.ray_count)

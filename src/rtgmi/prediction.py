@@ -36,7 +36,7 @@ class PredictorSpec:
             raise ValueError("order must be positive and match the lag pattern length")
         if pattern[0] < 1 or any(b <= a for a, b in zip(pattern, pattern[1:])):
             raise ValueError("lag pattern must be strictly increasing and >= 1")
-        if not (self.observation_snr > 0.0 or math.isinf(self.observation_snr)):
+        if not self.observation_snr > 0.0:
             raise ValueError("observation SNR must be positive (inf = noiseless)")
 
 
@@ -84,7 +84,7 @@ def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarr
 def _normal_equations(r: np.ndarray, spec: PredictorSpec):
     """(R + I/gamma, r) with R[a, b] = r(l_b - l_a), gathered from r(0), ..., r(l_p)."""
     lags = np.array(spec.lag_pattern)
-    noise = 0.0 if math.isinf(spec.observation_snr) else 1.0 / spec.observation_snr
+    noise = 1.0 / spec.observation_snr  # 0.0 for noiseless observations
     gaps = lags[None, :] - lags[:, None]
     cov = r[np.abs(gaps)]
     np.conjugate(cov, out=cov, where=gaps < 0)
@@ -118,11 +118,11 @@ def _predictor(r: np.ndarray, spec: PredictorSpec) -> PredictionResult:
 
 def prediction_reference(prediction: PredictionResult, obs: np.ndarray,
                          times: np.ndarray):
-    """Predicted fading at `times` and the unit-variance channel reference.
+    """Predicted fading at `times` and the channel reference, always both.
 
     The prediction is sum_a conj(c[a]) * obs[t - tau_a]; the reference scales
-    it by 1 / sqrt(1 - s2).  A degenerate predictor (s2 = 1) predicts nothing
-    and gives no reference (None); each caller supplies its own.  `obs` may
+    it by 1 / sqrt(1 - s2).  A degenerate predictor (s2 = 1) predicts zero,
+    and that is its reference: its rho is 0, so no metric reads it.  `obs` may
     be one path or a (B, n) array of B paths, predicted row by row with the
     same operations, lag after lag, so a row's bits do not depend on B.
     """
@@ -130,7 +130,7 @@ def prediction_reference(prediction: PredictionResult, obs: np.ndarray,
     for a, tau in enumerate(prediction.spec.lag_pattern):
         raw += np.conj(prediction.coefficients[a]) * obs[..., times - tau]
     s2 = prediction.error_variance
-    return raw, (raw / math.sqrt(1.0 - s2) if s2 < 1.0 else None)
+    return raw, (raw / math.sqrt(1.0 - s2) if s2 < 1.0 else raw)
 
 
 def effective_snr(error_variance: float, snr: float) -> float:

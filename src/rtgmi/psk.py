@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingModel, generate_path
-from .prediction import PredictionResult, prediction_reference
+from .prediction import PredictionResult, effective_snr, prediction_reference
 from .utils import block_step, complex_normal, derive_seed
 
 
@@ -227,10 +227,11 @@ def synthesize_psc_block(constellation: PskConstellation, codeword: np.ndarray,
     `fading_samples` is a contiguous true-fading path of length block_length +
     max(lag_pattern); the last block_length entries are the transmitted
     instants and earlier ones feed the predictor.  Each instant is predicted
-    from past noisy observations (observation SNR from the predictor spec),
-    the prediction is scaled to unit variance as the channel reference, and
-    the prediction error plus thermal noise is scaled to unit variance as the
-    residual.  The emitted x satisfies the synthesis identity exactly.
+    from past noisy observations (observation SNR from the predictor spec)
+    by prediction_reference; the error plus thermal noise, sent at `snr`, is
+    scaled to unit variance as the residual, and rho = effective_snr(s2, snr)
+    at that same `snr`.  So x is the physical output (sqrt(snr) h theta +
+    thermal) / sqrt(1 + snr s2), and it satisfies the synthesis identity.
     """
     codeword = np.asarray(codeword)
     fading = np.asarray(fading_samples)
@@ -254,15 +255,12 @@ def synthesize_psc_block(constellation: PskConstellation, codeword: np.ndarray,
 
     raw, h_hat = prediction_reference(prediction, obs,
                                       np.arange(horizon, horizon + n))
-    if h_hat is None:
-        # degenerate predictor (rho = 0): any unit-variance reference works
-        h_hat = complex_normal(rng, n)
     s2 = prediction.error_variance
     err = fading[horizon:] - raw
     thermal = complex_normal(rng, n)
     theta = constellation.points[codeword]
     residual = (math.sqrt(snr) * err * theta + thermal) / math.sqrt(1.0 + snr * s2)
-    rho = prediction.effective_snr
+    rho = effective_snr(s2, snr)
     x = np.sqrt(rho) * h_hat * theta + residual
     return PscBlock(x=x, h_hat=h_hat, s=codeword.copy(), rho=float(rho),
                     residual_noise=residual)

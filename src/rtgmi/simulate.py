@@ -222,8 +222,6 @@ def _trial_errors(config: SchemeConfig, trials: range, const, predictors,
         pred = predictors[l]
         times = data_slots * depth + l
         _, h_ref = prediction_reference(pred, obs, times)
-        if h_ref is None:
-            h_ref = np.zeros((len(trials), n_k), dtype=complex)
         x_block = x_phys[:, times] \
             / math.sqrt(1.0 + config.snr * pred.error_variance)
         fed_back = s_true[:, times]

@@ -3,7 +3,8 @@
 The kernels stream blocks of utils.BLOCK_ELEMENTS elements, in whole rows or
 columns of their tables.  Sizes of 1 and 7 elements give one row or column
 per block, or a few; 1000 gives a few dozen; the default, one block here
-(two for the AR(1) path, which steps through complex samples).  The gmi
+(two for the AR(1) path, which steps through complex samples, and 17 for
+the Clarke ray sum, whose 4099 rows hold 128 rays each).  The gmi
 evaluator rounds its blocks down to whole chunks of gmi._CHUNK columns, at
 least one: 1, 7 and 1000 elements give one chunk per block, the default one
 to a dozen chunks, so its 20 001 columns end in a partial chunk of a partial
@@ -16,7 +17,7 @@ import pytest
 from rtgmi import utils
 from rtgmi.capacity import psk_capacity, psk_capacity_quadrature
 from rtgmi.decoder import decode, pairwise_undercut_probability
-from rtgmi.fading import Ar1Fading, generate_path
+from rtgmi.fading import CHOLESKY_MAX_N, Ar1Fading, ClarkeFading, generate_path
 from rtgmi.gmi import DEFAULT_MU_RANGE, _LogMgfEvaluator
 from rtgmi.psk import (generate_codebook, make_constellation,
                        synthesize_block_at_rho)
@@ -41,6 +42,8 @@ def _outputs():
         "undercut": np.array([undercut.probability, undercut.ci_halfwidth]),
         "capacity": np.array([cap.raw_nats, cap.ci]),
         "ar1_path": generate_path(Ar1Fading(0.99), 20_001, seed=8),
+        "ray_path": generate_path(ClarkeFading(0.05), CHOLESKY_MAX_N + 3,
+                                  seed=8),
     }
     lo, hi = DEFAULT_MU_RANGE
     grid = [*np.geomspace(lo, hi, 33), -1.0, 0.0]

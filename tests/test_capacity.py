@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate
 
 import rtgmi.capacity
-from rtgmi.capacity import (RateLadder, _log_likelihood_ratio_sum,
-                            ladder_capacities, psk_capacity,
-                            psk_capacity_quadrature, rate_ladder)
+from rtgmi.capacity import (QUADRATURE_NODES, RateLadder,
+                            _log_likelihood_ratio_sum, ladder_capacities,
+                            psk_capacity, psk_capacity_quadrature, rate_ladder)
 from rtgmi.fading import Ar1Fading
 from rtgmi.utils import complex_normal
 
@@ -165,6 +165,38 @@ def test_8psk_quadrature_converges_in_its_node_counts(rho):
     fine = psk_capacity_quadrature(8, rho, nodes=128)
     assert abs(psk_capacity_quadrature(8, rho) - fine) <= 2e-9
     assert abs(psk_capacity_quadrature(8, rho, nodes=96) - fine) <= 1e-10
+
+
+# the low-SNR regime, down to where C_J(rho) is rho to within 1e-6 relative
+LOW_ORDERS = [2, 3, 4, 8, 16]
+LOW_RHOS = np.geomspace(1e-6, 1e-2, 9).tolist()
+
+
+@pytest.mark.parametrize("order", LOW_ORDERS)
+def test_low_snr_quadrature_stays_below_the_gaussian_input_capacity(order):
+    # a Gaussian input is optimal with the reference known, and Jensen over
+    # t = |H|^2 gives E log(1 + rho t) <= log(1 + rho)
+    for rho in LOW_RHOS:
+        assert psk_capacity_quadrature(order, rho) <= math.log1p(rho), rho
+
+
+@pytest.mark.parametrize("order", LOW_ORDERS)
+def test_low_snr_quadrature_follows_the_second_order_expansion(order):
+    # C_J(rho) = rho - c2 rho^2 + O(rho^3) with E|H|^4 = 2: c2 = 2 for BPSK,
+    # an improper input, and 1 for J >= 3 (Prelov & Verdu 2004); below 1e-5
+    # the bound 10 rho^3 falls under the rounding of C itself
+    c2 = 2.0 if order == 2 else 1.0
+    for rho in np.geomspace(1e-5, 1e-2, 7).tolist():
+        got = psk_capacity_quadrature(order, rho)
+        assert abs(got - (rho - c2 * rho * rho)) <= 10.0 * rho ** 3, rho
+
+
+@pytest.mark.parametrize("order", LOW_ORDERS)
+def test_low_snr_quadrature_converges_in_its_node_counts(order):
+    for rho in LOW_RHOS:
+        coarse = psk_capacity_quadrature(order, rho)
+        fine = psk_capacity_quadrature(order, rho, nodes=2 * QUADRATURE_NODES)
+        assert abs(coarse - fine) <= 1e-8 * fine, rho
 
 
 def test_trapezoid_oracle_agrees_with_quadrature():

@@ -304,6 +304,25 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "simulate.csv").exists()
 
 
+def test_simulate_white_fading_predicts_nothing(tmp_path, capsys):
+    # no past sample says anything about white fading: every data
+    # subchannel's predictor is degenerate, its zero prediction is its
+    # reference, and at rho = 0 its codebook holds one codeword
+    assert main(["simulate", "--model", "ar1", "--alpha", "0",
+                 "--constellation", "qpsk", "--snr-db", "0", "--L", "3",
+                 "--K", "40", "--rate-fraction", "0.5", "--trials", "20",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["genie"] is False
+    assert payload["rho_linear"] == [0.0, 0.0, 0.0]
+    assert payload["codebook_sizes"] == [0, 1, 1]
+    assert payload["per_psc_block_error"] == [0.0, 0.0, 0.0]
+    assert payload["overall_error"] == 0.0
+    assert payload["propagation_events"] == 0
+    assert payload["achieved_rate_nats"] == 0.0
+
+
 def test_ladder_csv(tmp_path, capsys):
     assert main(["ladder", "--model", "ar1", "--alpha", "0.9",
                  "--constellation", "bpsk", "--snr-db", "0", "--L", "3",

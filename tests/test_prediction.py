@@ -53,8 +53,9 @@ def test_predictor_spec_contracts():
         PredictorSpec(order=2, observation_snr=1.0, lag_pattern=(2, 1))
     with pytest.raises(ValueError):
         PredictorSpec(order=1, observation_snr=1.0, lag_pattern=(0,))
-    with pytest.raises(ValueError):
-        PredictorSpec(order=1, observation_snr=0.0, lag_pattern=(1,))
+    for gamma in (0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PredictorSpec(order=1, observation_snr=gamma, lag_pattern=(1,))
     spec = PredictorSpec(order=1, observation_snr=math.inf, lag_pattern=(1,))
     assert spec.lag_pattern == (1,)
 

@@ -6,11 +6,12 @@ from scipy import stats
 
 from rtgmi.decoder import decode
 from rtgmi.fading import Ar1Fading, generate_path
-from rtgmi.prediction import PredictorSpec, predictor_coefficients
+from rtgmi.prediction import (PredictorSpec, effective_snr,
+                              predictor_coefficients)
 from rtgmi.psk import (PscBlock, PskConstellation, generate_codebook,
                        make_constellation, packing, synthesize_block_at_rho,
                        synthesize_psc_block)
-from rtgmi.utils import block_step
+from rtgmi.utils import block_step, complex_normal
 from test_decoder import assert_outcome_of, row_gather_metrics
 
 
@@ -210,6 +211,28 @@ def test_synthesis_noiseless_observations_reproduce_predictor():
         + np.conj(pred.coefficients[1]) * fading[t - 3]
     want = raw / math.sqrt(1.0 - pred.error_variance)
     assert np.allclose(blk.h_hat, want, atol=1e-14)
+
+
+def test_synthesis_rho_is_set_at_the_operating_snr():
+    # noiseless observations, sent at snr 1: rho and the residual scale both
+    # come from snr, so x is the physical channel output from the same draws
+    c = make_constellation(4)
+    model = Ar1Fading(0.9)
+    spec = PredictorSpec(order=4, observation_snr=math.inf,
+                         lag_pattern=(1, 2, 3, 4))
+    pred = predictor_coefficients(model, spec)
+    snr = 1.0
+    codeword = np.random.default_rng(40).integers(0, 4, size=2000)
+    fading = generate_path(model, len(codeword) + 4, seed=41)
+    blk = synthesize_psc_block(c, codeword, fading, pred, snr=snr, seed=42)
+    s2 = pred.error_variance
+    assert blk.rho == effective_snr(s2, snr)
+    assert blk.rho < pred.effective_snr   # rho at the observation SNR
+    # with gamma = inf the thermal noise is the seed's first draw
+    thermal = complex_normal(np.random.default_rng(42), len(codeword))
+    x_phys = (math.sqrt(snr) * fading[4:] * c.points[codeword] + thermal) \
+        / math.sqrt(1.0 + snr * s2)
+    assert np.max(np.abs(blk.x - x_phys)) <= 1e-12
 
 
 def test_synthesis_contracts():

@@ -257,8 +257,6 @@ def trial_at_a_time_run(config: SchemeConfig) -> RtReport:
             pred = predictors[l]
             times = data_slots * depth + l
             _, h_ref = prediction_reference(pred, obs, times)
-            if h_ref is None:
-                h_ref = np.zeros(n_k, dtype=complex)
             x_block = x_phys[times] \
                 / math.sqrt(1.0 + config.snr * pred.error_variance)
             codeword = codewords[l]
