@@ -11,9 +11,9 @@ values.
 Every parameter is declared once, in SCHEMAS: its config-file key (snr_db)
 is also its flag (--snr-db), and both go through the same parser.
 
-Exit codes: 0 success, 1 numerical fault (a failed self-check or a singular
-linear-algebra problem), 2 configuration error, 3 unwritable output
-directory.
+Exit codes: 0 success, 1 numerical fault (a failed self-check, a singular
+linear-algebra problem, or a nan or infinite value bound for report.json),
+2 configuration error, 3 unwritable output directory.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,8 +305,14 @@ def _plain(value):
 
 
 def _write_json(path, payload):
-    _write(path, json.dumps(payload, indent=2, sort_keys=True,
-                            default=_plain) + "\n")
+    """Strict JSON: a nan or infinite value is a numerical fault, named with
+    the file it would have gone to."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_plain,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericalConsistencyError(f"{path}: {exc}") from None
+    _write(path, text + "\n")
 
 
 def _csv(header, rows):
@@ -385,8 +391,10 @@ def _run_gmi(params):
     model = build_model(params)
     rho = db_to_linear(params["snr_db"])
     const = make_constellation(params["constellation"])
-    block = synthesize_block_at_rho(model, rho, const, params["K"],
-                                    derive_seed(params["seed"], 1))
+    # gmi reads no residual, so none is kept
+    block = replace(synthesize_block_at_rho(model, rho, const, params["K"],
+                                            derive_seed(params["seed"], 1)),
+                    residual_noise=None)
     report = gmi(block, const, mu_range=(params["mu_min"], params["mu_max"]),
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))

@@ -62,10 +62,13 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     smallest of them (a tie with the winner included), inf for one codeword.
     Each block of rows is read from the codebook's byte stream into one
     reused buffer and scored from the bytes while it is in cache; no symbol
-    is unpacked.
+    is unpacked.  A sent message that is not a row of the book is refused.
     """
     if codebook.block_length != block.block_length:
         raise ValueError("codebook block length must match the block")
+    if sent_message is not None and not 0 <= sent_message < codebook.size:
+        raise ValueError(f"sent message {sent_message} is not a row of a "
+                         f"{codebook.size}-row codebook")
     stream = codebook.stream()
     scorer = _Scorer(codebook.constellation, block)
     metrics = np.empty(codebook.size)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
-from scipy.special import j0
 
 from .utils import block_step, complex_normal_rows
 
@@ -133,12 +132,19 @@ class ClarkeFading(FadingModel):
             raise ValueError("need at least 64 rays")
 
     def autocorrelation(self, n):
+        # imported here, so that only Clarke commands load scipy.special
+        from scipy.special import j0
         return j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
 
     def _factorize(self, n):
-        r = self.autocorrelation(n).real
-        cov = scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(n)
-        return scipy.linalg.cholesky(cov, lower=True)
+        # the jitter goes onto the diagonal in place, and the symmetric
+        # matrix is factored as its Fortran-order transpose, so LAPACK
+        # overwrites it rather than a copy: the bits of cholesky(toeplitz(r)
+        # + jitter * eye(n), lower=True), with one n x n array
+        cov = scipy.linalg.toeplitz(self.autocorrelation(n).real)
+        cov.flat[::n + 1] += _PSD_JITTER
+        return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True,
+                                     check_finite=False)
 
     def _sample(self, n, rngs):
         if n <= CHOLESKY_MAX_N:
@@ -210,8 +216,10 @@ class TabulatedFading(FadingModel):
         # positive-semidefiniteness up to the max tabulated lag, by Cholesky
         r = np.zeros(lags[-1] + 1, dtype=complex)
         r[list(lags)] = values
+        cov = scipy.linalg.toeplitz(r)
+        cov.flat[::len(r) + 1] += _PSD_JITTER
         try:
-            np.linalg.cholesky(scipy.linalg.toeplitz(r) + _PSD_JITTER * np.eye(len(r)))
+            np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("tabulated autocorrelation is not positive semidefinite")
         object.__setattr__(self, "_dense_row", r)

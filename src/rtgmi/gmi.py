@@ -30,7 +30,8 @@ safeguarded Newton search on the zero of its derivative; the value at
 mu = -1 is kept alongside because it equals the matched (capacity) rate of
 the memoryless channel with the same marginals.  Uncertainty comes from a
 64-segment contiguous block bootstrap, which stays valid when the block is
-correlated.
+correlated; its segment means are filled a segment at a time, so the block
+needs at least 64 samples and no per-sample vector is ever held.
 """
 
 import math
@@ -81,16 +82,43 @@ def _first_maximum(corr: np.ndarray, top: np.ndarray) -> np.ndarray:
     return hits.astype(np.float64)
 
 
+def _nearest_gaps(x, ref, twice, pick, gaps, dmin):
+    """Write the gaps u and the nearest distances dmin of one run of
+    columns, given its samples x and its references sqrt(rho) h_hat."""
+    order = len(twice)
+    # complex products in place, left operand first: numpy computes
+    # a * b and b * a with different roundings, and may swap the
+    # operands of a large temporary on the right
+    c = np.conj(x)
+    c *= ref
+    re, im = c.real.copy(), c.imag.copy()
+    # twice the correlations (doubling is exact), so top - corr is u
+    corr = re * twice.real[:, None] - im * twice.imag[:, None]
+    top = corr.max(axis=0)
+    coords = pick @ _first_maximum(corr, top)
+    turned, sines = coords[:order - 1], coords[order - 1:-2]
+    turned *= re
+    sines *= im
+    turned -= sines
+    np.subtract(top, turned, out=gaps)
+    nearest = np.empty(len(x), dtype=complex)
+    nearest.real, nearest.imag = coords[-2], coords[-1]
+    nearest *= ref
+    squares = np.subtract(x, nearest, out=nearest).view(np.float64)
+    squares *= squares
+    np.add(squares[0::2], squares[1::2], out=dmin)
+
+
 class _LogMgfEvaluator:
     """The (J - 1, n) table of nonzero gaps u and the nearest distances dmin.
 
     Column k holds u[j, k] for j = j* + 1, ..., j* + J - 1 (mod J), where j*
     is the first symbol of largest correlation, so the nearest symbol's zero
     gap is left out.  Its row order is the order the exponentials are added
-    in.  The table and every evaluation run a cache block of whole _CHUNK
-    columns at a time.  A mean is the math.fsum of the np.sums of fixed
-    _CHUNK-column runs, over n, so neither the block size nor the number of
-    mu values swept together changes a bit.
+    in.  The table is built half a block at a time, and every evaluation
+    runs a cache block of whole _CHUNK columns at a time.  A mean is the
+    math.fsum of the np.sums of fixed _CHUNK-column runs, over n, so neither
+    the block size nor the number of mu values swept together changes a bit.
     """
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
@@ -109,33 +137,15 @@ class _LogMgfEvaluator:
                                constellation.points.real[None],
                                constellation.points.imag[None]])
         root = np.sqrt(block.rho)
-        sums = []
-        for cols in self._blocks():
-            x = block.x[cols]
-            ref = root * block.h_hat[cols]
-            # complex products in place, left operand first: numpy computes
-            # a * b and b * a with different roundings, and may swap the
-            # operands of a large temporary on the right
-            c = np.conj(x)
-            c *= ref
-            re, im = c.real.copy(), c.imag.copy()
-            # twice the correlations (doubling is exact), so top - corr is u
-            corr = re * twice.real[:, None] - im * twice.imag[:, None]
-            top = corr.max(axis=0)
-            coords = pick @ _first_maximum(corr, top)
-            turned, sines = coords[:order - 1], coords[order - 1:-2]
-            turned *= re
-            sines *= im
-            turned -= sines
-            np.subtract(top, turned, out=self.gaps[:, cols])
-            nearest = np.empty(len(x), dtype=complex)
-            nearest.real, nearest.imag = coords[-2], coords[-1]
-            nearest *= ref
-            squares = np.subtract(x, nearest, out=nearest).view(np.float64)
-            squares *= squares
-            dmin = np.add(squares[0::2], squares[1::2], out=self.dmin[cols])
-            sums.append(_chunk_sums(dmin))
-        self.mean_dmin = self._mean(sums)
+        # the build's temporaries are about twice an evaluation's, so it goes
+        # half a block at a time, and each block's die with its call (a
+        # quarter block, smaller still, took 25% longer at QPSK)
+        build = max(1, self.step // 2)
+        for start in range(0, self.n, build):
+            cols = slice(start, start + build)
+            _nearest_gaps(block.x[cols], root * block.h_hat[cols], twice,
+                          pick, self.gaps[:, cols], self.dmin[cols])
+        self.mean_dmin = self._mean([_chunk_sums(self.dmin)])
 
     def _blocks(self):
         return (slice(start, start + self.step)
@@ -157,15 +167,37 @@ class _LogMgfEvaluator:
         total += 1.0
         return total, np.log(total / self.order)
 
+    def _fill(self, mu: float, start: int, out: np.ndarray):
+        """Write the per-sample terms of columns start, ..., start +
+        len(out) - 1 into out, a cache block at a time; a column's bits do
+        not depend on the run it is filled in."""
+        for lo in range(0, len(out), self.step):
+            dest = out[lo:lo + self.step]
+            cols = slice(start + lo, start + lo + len(dest))
+            gaps = self.gaps[:, cols]
+            terms = self._log_terms(gaps, mu, np.empty(gaps.shape))[1]
+            np.multiply(self.dmin[cols], mu, out=dest)
+            dest += terms
+
     def per_sample(self, mu: float) -> np.ndarray:
         """mu * dmin[k] + log((1 + sum_r exp(mu * u[r, k])) / J), k < n."""
         out = np.empty(self.n)
-        for cols in self._blocks():
-            gaps = self.gaps[:, cols]
-            terms = self._log_terms(gaps, mu, np.empty(gaps.shape))[1]
-            np.multiply(self.dmin[cols], mu, out=out[cols])
-            out[cols] += terms
+        self._fill(mu, 0, out)
         return out
+
+    def segment_means(self, mu: float) -> np.ndarray:
+        """The means of per_sample(mu) over the BOOTSTRAP_SEGMENTS runs of
+        np.array_split, bit for bit, with one run held at a time."""
+        size, longer = divmod(self.n, BOOTSTRAP_SEGMENTS)
+        run = np.empty(size + (longer > 0))
+        means = np.empty(BOOTSTRAP_SEGMENTS)
+        start = 0
+        for i in range(BOOTSTRAP_SEGMENTS):
+            values = run[:size + (i < longer)]
+            self._fill(mu, start, values)
+            means[i] = values.mean()
+            start += len(values)
+        return means
 
     def lambdas(self, mus) -> list:
         """lam(mu) for every mu of `mus` (all <= 0) in one sweep of the table.
@@ -198,24 +230,26 @@ class _LogMgfEvaluator:
         u_i)^2 its weighted variance; the nearest symbol's zero gap has
         weight 1 / total.  lam(mu) has the bits of lambda_at(mu).
         """
-        terms, slopes, curvatures = [], [], []
-        for cols in self._blocks():
-            gaps = self.gaps[:, cols]
-            e = np.empty(gaps.shape)
-            total, logs = self._log_terms(gaps, mu, e)
-            terms.append(_chunk_sums(logs))
-            mean = sum_rows(e * gaps)
-            mean /= total
-            slopes.append(_chunk_sums(mean))
-            dev = gaps - mean
-            dev *= dev
-            dev *= e
-            spread = sum_rows(dev)
-            spread += mean * mean
-            spread /= total
-            curvatures.append(_chunk_sums(spread))
+        terms, slopes, curvatures = zip(*(
+            self._moment_sums(self.gaps[:, cols], mu)
+            for cols in self._blocks()))
         return (mu * self.mean_dmin + self._mean(terms),
                 self.mean_dmin + self._mean(slopes), self._mean(curvatures))
+
+    def _moment_sums(self, gaps: np.ndarray, mu: float):
+        """The _CHUNK sums of lam_k - mu dmin, lam_k' - dmin and lam_k''
+        over one block of the table; its arrays die with the call."""
+        e = np.empty(gaps.shape)
+        total, logs = self._log_terms(gaps, mu, e)
+        mean = sum_rows(e * gaps)
+        mean /= total
+        dev = gaps - mean
+        dev *= dev
+        dev *= e
+        spread = sum_rows(dev)
+        spread += mean * mean
+        spread /= total
+        return _chunk_sums(logs), _chunk_sums(mean), _chunk_sums(spread)
 
 
 def lambda_hat(mu: float, block: PscBlock, constellation: PskConstellation) -> float:
@@ -223,9 +257,7 @@ def lambda_hat(mu: float, block: PscBlock, constellation: PskConstellation) -> f
     return _LogMgfEvaluator(block, constellation).lambda_at(mu)
 
 
-def _segment_bootstrap_se(values: np.ndarray, rng: np.random.Generator) -> float:
-    segments = np.array_split(values, BOOTSTRAP_SEGMENTS)
-    means = np.array([float(s.mean()) for s in segments])
+def _segment_bootstrap_se(means: np.ndarray, rng: np.random.Generator) -> float:
     idx = rng.integers(0, BOOTSTRAP_SEGMENTS,
                        size=(BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEGMENTS))
     return float(means[idx].mean(axis=1).std(ddof=1))
@@ -278,13 +310,18 @@ def gmi(block: PscBlock, constellation: PskConstellation,
     Maximizes mu - lambda_hat(mu) over the (negative) search range to a
     Newton step or bracket of 1e-6, audits convexity of the sampled log-MGF
     curve, and reports a clamped-at-zero rate with bootstrap confidence
-    half-widths.
+    half-widths.  A block shorter than BOOTSTRAP_SEGMENTS is refused.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (math.isfinite(lo) and lo < hi < 0.0):
         raise ValueError("mu range must be finite and satisfy lo < hi < 0")
     if curve_points < 1:
         raise ValueError(f"curve_points must be >= 1, got {curve_points}")
+    if block.block_length < BOOTSTRAP_SEGMENTS:
+        raise ValueError(
+            f"gmi needs a block of at least {BOOTSTRAP_SEGMENTS} samples for "
+            f"its {BOOTSTRAP_SEGMENTS}-segment bootstrap, got "
+            f"{block.block_length}")
     ev = _LogMgfEvaluator(block, constellation)
 
     grid = -np.logspace(math.log10(-hi), math.log10(-lo), curve_points)
@@ -303,8 +340,7 @@ def gmi(block: PscBlock, constellation: PskConstellation,
         mu_star, g_star = -1.0, g_m1
 
     rng = np.random.default_rng(int(seed))
-    # one per-sample vector at a time: each is dropped after its bootstrap
-    se_star, se_m1 = (_segment_bootstrap_se(ev.per_sample(mu), rng)
+    se_star, se_m1 = (_segment_bootstrap_se(ev.segment_means(mu), rng)
                       for mu in (mu_star, -1.0))
     clamped = g_star < 0.0
     return GmiReport(

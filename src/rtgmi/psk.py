@@ -276,8 +276,8 @@ def synthesize_block_at_rho(model: FadingModel, rho: float,
     i.i.d. uniform, and x is built from the synthesis identity.  An
     uncorrelated `model` gives the memoryless case.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
     if block_length < 1:
         raise ValueError("block length must be positive")
     h_hat = generate_path(model, block_length, derive_seed(seed, 1))

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -263,19 +264,79 @@ def test_ladder_output_does_not_depend_on_the_seed(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_importing_the_cli_builds_no_quadrature_tables():
-    # setup cost: scipy.integrate serves only the tests' oracles, and the
-    # capacity node tables are built on first use
+def test_importing_the_cli_builds_no_quadrature_tables(tmp_path):
+    # setup cost: scipy.integrate serves only the tests' oracles, the
+    # capacity node tables are built on first use, and scipy.special (J0)
+    # loads with the first Clarke command, not with the CLI or AR(1) ones
     src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, rtgmi.cli\n"
+    out = ["--constellation", "qpsk", "--snr-db", "0", "--output-dir",
+           str(tmp_path)]
+    ar1 = ["--model", "ar1", "--alpha", "0.9", *out]
+    clarke = ["--model", "clarke", "--doppler", "0.05", *out]
+    code = ("import contextlib, io, sys, rtgmi.cli\n"
             "from rtgmi.capacity import _legendre, _noise_rule\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert rtgmi.cli.main(argv) == 0\n"
+            "    return 'scipy.special' in sys.modules\n"
             "print('scipy.integrate' in sys.modules,"
             " _noise_rule.cache_info().currsize,"
-            " _legendre.cache_info().currsize)")
+            " _legendre.cache_info().currsize,"
+            " 'scipy.special' in sys.modules)\n"
+            f"print(run({['gmi', *ar1, '--K', '1000']!r}),"
+            f" run({['ladder', *ar1, '--L', '4']!r}),"
+            f" run({['gmi', *clarke, '--K', '100']!r}))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "0", "0"]
+    assert result.stdout.split() == ["False", "0", "0", "False",
+                                     "False", "False", "True"]
+
+
+def test_gmi_command_holds_the_block_and_the_table_only(tmp_path, capsys):
+    """No residual and no per-sample vector: the command's peak is x, h_hat,
+    s, the (J - 1, n) gap table and dmin, plus 1 MB."""
+    n = 200_000
+    argv = ["gmi", "--model", "ar1", "--alpha", "0.99", "--constellation",
+            "qpsk", "--snr-db", "0", "--K", str(n), "--output-dir",
+            str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    held = (16 + 16 + 8 + 3 * 8 + 8) * n    # x, h_hat, s, 3 gap rows, dmin
+    assert peak <= held + (1 << 20)
+
+
+@pytest.mark.parametrize("k", ["8", "63"])
+def test_gmi_on_fewer_samples_than_bootstrap_segments_exits_2(tmp_path, capsys,
+                                                               k):
+    # it used to exit 0 with a nan CI, after two RuntimeWarnings
+    code = main(["gmi", "--model", "ar1", "--alpha", "0.5", "--constellation",
+                 "qpsk", "--snr-db", "0", "--K", k, "--output-dir",
+                 str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "64" in err and f"got {k}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_nan_bound_for_the_report_exits_1_and_names_the_file(
+        tmp_path, capsys, monkeypatch):
+    # json.dumps used to write a bare NaN, which strict JSON readers refuse
+    def fake(order, rho, n_samples, seed):
+        return CapacityEstimate(nats=float("nan"), ci=0.0,
+                                raw_nats=float("nan"), clamped=False)
+
+    monkeypatch.setattr(cli, "psk_capacity", fake)
+    code = main(["capacity", "--constellation", "qpsk", "--snr-db", "0",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert str(tmp_path / "report.json") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_simulate_command(tmp_path, capsys):

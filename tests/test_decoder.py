@@ -192,6 +192,17 @@ def test_decode_reports_every_metric_and_the_runner_up(size):
     assert out.runner_up_metric == expected
 
 
+@pytest.mark.parametrize("sent", [5, -1, 99])
+def test_decode_refuses_a_sent_message_outside_the_book(sent):
+    # it used to report correct=False for a message no row could match
+    c = make_constellation(2)
+    book = generate_codebook(c, 5, 8, seed=1)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 8, seed=2)
+    with pytest.raises(ValueError, match=f"sent message {sent} is not a row"):
+        decode(book, blk, sent_message=sent)
+    assert decode(book, blk, sent_message=4).correct is not None
+
+
 def test_decode_block_length_mismatch():
     c = make_constellation(2)
     book = generate_codebook(c, 4, 8, seed=1)

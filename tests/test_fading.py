@@ -177,6 +177,35 @@ def test_clarke_small_n_path_is_the_factor_times_the_draw():
     assert np.allclose(generate_path(m, n, seed=4), want, rtol=0, atol=1e-12)
 
 
+def dense_clarke_factor(model, n):
+    """The factor as a sum with a jittered identity, then a copying Cholesky."""
+    r = model.autocorrelation(n).real
+    cov = scipy.linalg.toeplitz(r) + fading._PSD_JITTER * np.eye(n)
+    return scipy.linalg.cholesky(cov, lower=True)
+
+
+@pytest.mark.parametrize("doppler", [0.01, 0.05])
+@pytest.mark.parametrize("n", [8, 300, 768])
+def test_clarke_factor_in_place_is_the_dense_factor_bit_for_bit(doppler, n):
+    got = ClarkeFading(doppler)._factorize(n)
+    want = dense_clarke_factor(ClarkeFading(doppler), n)
+    assert got.flags.f_contiguous and want.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_clarke_factor_holds_one_matrix():
+    # toeplitz, eye, their sum and LAPACK's copy used to take four n x n
+    n = 768
+    model = ClarkeFading(0.01)
+    tracemalloc.start()
+    try:
+        model._factorize(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+
+
 def test_clarke_large_n_ray_synthesis():
     m = ClarkeFading(0.08, ray_count=256)
     n = CHOLESKY_MAX_N + 4000

@@ -352,6 +352,31 @@ def test_gmi_mu_range_contract():
         gmi(blk, c, mu_range=(-0.1, -0.5))
 
 
+@pytest.mark.parametrize("n", [1, 8, 63])
+def test_gmi_refuses_fewer_samples_than_bootstrap_segments(n):
+    # it used to report a nan CI from empty segments, with RuntimeWarnings
+    c = make_constellation(4)
+    blk = synthesize_block_at_rho(Ar1Fading(0.5), 1.0, c, n, seed=1)
+    with pytest.raises(ValueError, match=f"at least 64 samples.*got {n}$"):
+        gmi(blk, c)
+    blk = synthesize_block_at_rho(Ar1Fading(0.5), 1.0, c, 64, seed=1)
+    assert math.isfinite(gmi(blk, c).ci_halfwidth)
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+@pytest.mark.parametrize("n", [64, 65, 127, 20_001])
+def test_segment_means_are_the_array_split_means(order, n):
+    """One segment filled at a time gives the bits of the means of
+    np.array_split over the whole per-sample vector."""
+    c = make_constellation(order)
+    blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.5, c, n, seed=n)
+    ev = _LogMgfEvaluator(blk, c)
+    for mu in (-32.0, -1.0, -0.37, -1e-4):
+        want = [float(seg.mean())
+                for seg in np.array_split(ev.per_sample(mu), 64)]
+        assert ev.segment_means(mu).tolist() == want, mu
+
+
 def test_gmi_rejects_an_infinite_mu_bound():
     # an infinite bound used to pass the lo < hi < 0 check and never return,
     # so the call runs in a child process that a timeout can stop
@@ -422,8 +447,9 @@ def test_newton_search_agrees_with_golden_section(model, rho, order):
 
 def test_gmi_passes_over_a_long_block(monkeypatch):
     """The 33 curve points and mu = -1 in one sweep of the table, a few
-    moment passes, and one per-sample pass for each bootstrap."""
-    calls = {"lambdas": [], "per_sample": 0, "moments": 0}
+    moment passes, and one segment pass for each bootstrap, which holds no
+    per-sample vector."""
+    calls = {"lambdas": [], "per_sample": 0, "moments": 0, "segment_means": 0}
     sweep = _LogMgfEvaluator.lambdas
 
     def counted_sweep(self, mus):
@@ -431,7 +457,7 @@ def test_gmi_passes_over_a_long_block(monkeypatch):
         return sweep(self, mus)
 
     monkeypatch.setattr(_LogMgfEvaluator, "lambdas", counted_sweep)
-    for name in ("per_sample", "moments"):
+    for name in ("per_sample", "moments", "segment_means"):
         inner = getattr(_LogMgfEvaluator, name)
 
         def counted(self, mu, _inner=inner, _name=name):
@@ -443,8 +469,9 @@ def test_gmi_passes_over_a_long_block(monkeypatch):
     blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, 100_000, seed=5)
     gmi(blk, c, seed=6)
     assert calls["lambdas"] == [33 + 1]
-    assert calls["per_sample"] <= 2
+    assert calls["per_sample"] == 0
     assert calls["moments"] <= 8
+    assert calls["segment_means"] <= 2
 
 
 def test_gmi_memory_is_the_table_and_one_vector():

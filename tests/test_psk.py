@@ -277,6 +277,10 @@ def test_block_at_rho_identity_and_determinism():
     assert np.array_equal(a.x, rhs)
     with pytest.raises(ValueError):
         synthesize_block_at_rho(Ar1Fading(0.9), -0.1, c, 10, seed=1)
+    # nan and inf used to give an all-nan x, with a RuntimeWarning
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            synthesize_block_at_rho(Ar1Fading(0.9), rho, c, 10, seed=1)
     with pytest.raises(ValueError):
         synthesize_block_at_rho(Ar1Fading(0.9), 1.0, c, 0, seed=1)
 
