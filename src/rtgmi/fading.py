@@ -6,10 +6,14 @@ numpy's seeded Generator (PCG64); replay is bit-exact for a fixed package
 version, which is all the determinism contract asks for.
 
 generate_paths draws one path per seed as the rows of one array, each from
-its own generator, in one pass of the synthesis (a multi-right-hand-side
-AR(1) solve, one product with the Clarke factor, one banded product); row b
-is bit for bit the path generate_path draws from seeds[b], since
-generate_path is its one-seed case.
+its own generator, in one pass of the synthesis (the AR(1) recursion
+elementwise across the rows, one product with the Clarke factor, one banded
+product); row b is bit for bit the path generate_path draws from seeds[b],
+since generate_path is its one-seed case.
+
+AR(1) synthesis is numpy alone.  scipy (scipy.special's J0 and the
+scipy.linalg Cholesky factors) is imported only by Clarke and tabulated
+synthesis, so commands on other laws never load it.
 """
 
 import cmath
@@ -18,16 +22,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztbtrs
 
-from .utils import block_step, complex_normal_rows
+from .utils import block_step, complex_normal_rows, fill_complex_normal
 
 # exact Cholesky synthesis above this length is too expensive (O(n^3) time,
 # O(n^2) memory); longer Clarke paths switch to a ray-sum approximation
 CHOLESKY_MAX_N = 4096
 DEFAULT_RAY_COUNT = 128
 _PSD_JITTER = 1e-10
+# samples per segment of the AR(1) recursion (see _recur)
+_SEGMENT = 8
 
 
 class FadingModel:
@@ -78,33 +82,103 @@ class Ar1Fading(FadingModel):
         return np.array([self.alpha ** t for t in range(n)], dtype=complex)
 
     def _sample(self, n, rngs):
-        h = complex_normal_rows(rngs, n)
         if self.alpha == 0.0:
-            return h
-        # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1)
-        h[:, 1:] *= math.sqrt(1.0 - self.alpha ** 2)
-        # the recursion as a unit lower-bidiagonal solve, h[k] - a*h[k-1] =
-        # x[k], in place a block at a time, one right-hand side per path
-        # (the columns of the Fortran-order h.T); each block's first row takes
-        # a*h[k-1] from the block before, the very product and sum a
-        # whole-path solve forms there, so the bits do not depend on the
-        # block size or on the number of paths
-        step = block_step(2)
-        ab = np.empty((min(step, n), 2), dtype=complex).T  # Fortran order
-        ab[0] = 1.0
-        ab[1] = -self.alpha
-        cols = h.T
-        for start in range(0, n, step):
-            x = cols[start:start + step]
-            if start:
-                x[0] += self.alpha * cols[start - 1]
-            solved, info = ztbtrs(ab[:, :len(x)], x, uplo="L", diag="U",
-                                  overwrite_b=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"ztbtrs returned info = {info}")
-            if solved is not x:  # a block of several paths is not contiguous
-                x[...] = solved
+            return complex_normal_rows(rngs, n)
+        h = np.empty((len(rngs), n), dtype=complex)
+        scale = math.sqrt(1.0 - self.alpha ** 2)
+
+        def draw(cols):
+            # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1)
+            block = h[:, cols]
+            fill_complex_normal(rngs, block)
+            block[:, 1 if cols.start == 0 else 0:] *= scale
+
+        _recur(h, self.alpha, draw)
         return h
+
+
+def _recur(h: np.ndarray, alpha: float, draw=None):
+    """h[:, k] += alpha * h[:, k - 1] for k = 1, ..., n - 1, in place.
+
+    The (B, n) path is cut into segments of _SEGMENT samples.  Each segment
+    runs the recursion from a zero carry, elementwise across all rows and
+    segments, a cache block at a time, right after draw(cols) has written
+    the block's columns, if a `draw` is given; _add_carries then finishes
+    it.  No step is a BLAS call.
+    """
+    rows, n = h.shape
+    count = n // _SEGMENT
+    # the ends are padded with zeros to whole segments, so the levels below
+    # have no partial segment and their rows run as one strided vector
+    ends = np.empty((rows, -(-count // _SEGMENT) * _SEGMENT), dtype=h.dtype)
+    ends[:, count:] = 0.0
+    for cols in _blocks(h):
+        if draw is not None:
+            draw(cols)
+        _run_from_zero(h, cols, alpha, ends)
+    _add_carries(h, ends, alpha)
+
+
+def _blocks(h: np.ndarray):
+    """Column slices of the (B, n) array h: cache blocks of whole segments."""
+    rows, n = h.shape
+    step = _SEGMENT * block_step(rows * _SEGMENT)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _segments(h: np.ndarray, cols: slice):
+    """The (B, m, S) view of the whole segments of h[:, cols] and the
+    (B, 1, r) view of its partial last one; cols starts a segment."""
+    block = h[:, cols]
+    rows, n = block.shape
+    full = n - n % _SEGMENT
+    return (block[:, :full].reshape(rows, -1, _SEGMENT),
+            block[:, None, full:])
+
+
+def _run_from_zero(h: np.ndarray, cols: slice, alpha: float,
+                   ends: np.ndarray):
+    """Run the recursion within each segment of h[:, cols] from a zero
+    carry, and copy the last sample of each whole segment to `ends`."""
+    whole, tail = _segments(h, cols)
+    for part in (whole, tail):
+        if part.size:
+            for j in range(1, part.shape[2]):
+                part[:, :, j] += alpha * part[:, :, j - 1]
+    first = cols.start // _SEGMENT
+    ends[:, first:first + whole.shape[1]] = whole[:, :, -1]
+
+
+def _add_carries(h: np.ndarray, ends: np.ndarray, alpha: float):
+    """Finish the recursion on h once every segment has run from zero.
+
+    The last sample of whole segment m, e[m], copied to ends[:, m], is
+    then its segment's share of the end value E[m] = alpha^S E[m - 1] +
+    e[m]: the same recursion at alpha^S, which _recur solves on `ends`.
+    Each E[m] goes back to its segment, and sample j < S - 1 of segment m
+    takes alpha^(j + 1) E[m - 1].  A sample's arithmetic depends on its
+    index alone, not on n or on the number of rows, so a shorter path is a
+    prefix of a longer one and each row is the path of its own.
+    """
+    count = h.shape[1] // _SEGMENT
+    if not count:                      # one partial segment: no carry
+        return
+    if count > 1:
+        _recur(ends, alpha ** _SEGMENT)
+    powers = [alpha ** (j + 1) for j in range(_SEGMENT - 1)]
+    for cols in _blocks(h):
+        whole, tail = _segments(h, cols)
+        first = cols.start // _SEGMENT
+        whole[:, :, -1] = ends[:, first:first + whole.shape[1]]
+        if first == 0:                 # the first segment has no carry
+            whole, first = whole[:, 1:], 1
+        carries = ends[:, first - 1:]
+        for part in (whole, tail):
+            taken = carries[:, :part.shape[1]]
+            carries = carries[:, part.shape[1]:]
+            if part.size:
+                for j in range(min(part.shape[2], _SEGMENT - 1)):
+                    part[:, :, j] += powers[j] * taken
 
 
 @dataclass(frozen=True)
@@ -132,16 +206,20 @@ class ClarkeFading(FadingModel):
             raise ValueError("need at least 64 rays")
 
     def autocorrelation(self, n):
-        # imported here, so that only Clarke commands load scipy.special
+        # imported here, so that only Clarke commands load scipy; the
+        # factor's scipy.linalg loads with it, at a command's first read of
+        # the law and before the arrays of its job exist
+        import scipy.linalg  # noqa: F401
         from scipy.special import j0
         return j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
 
     def _factorize(self, n):
+        import scipy.linalg
         # the jitter goes onto the diagonal in place, and the symmetric
         # matrix is factored as its Fortran-order transpose, so LAPACK
         # overwrites it rather than a copy: the bits of cholesky(toeplitz(r)
         # + jitter * eye(n), lower=True), with one n x n array
-        cov = scipy.linalg.toeplitz(self.autocorrelation(n).real)
+        cov = _toeplitz(self.autocorrelation(n).real)
         cov.flat[::n + 1] += _PSD_JITTER
         return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True,
                                      check_finite=False)
@@ -170,6 +248,18 @@ class ClarkeFading(FadingModel):
                                        + phases)).sum(axis=1)
         out /= math.sqrt(self.ray_count)
         return out
+
+
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    """The (n, n) Hermitian Toeplitz matrix of r = r(0), ..., r(n - 1):
+    entry [i, j] is r(i - j) on and below the diagonal and conj(r(j - i))
+    above it, the matrix scipy.linalg.toeplitz(r) builds.  Row i is the
+    window line[n - 1 - i : 2n - 1 - i] of line = [r(n - 1), ..., r(1),
+    r(0), conj(r(1)), ..., conj(r(n - 1))], gathered into one C-order
+    array."""
+    n = len(r)
+    line = np.concatenate([r[::-1], np.conj(r[1:])])
+    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1].copy()
 
 
 def whole_lag(t) -> int:
@@ -216,7 +306,7 @@ class TabulatedFading(FadingModel):
         # positive-semidefiniteness up to the max tabulated lag, by Cholesky
         r = np.zeros(lags[-1] + 1, dtype=complex)
         r[list(lags)] = values
-        cov = scipy.linalg.toeplitz(r)
+        cov = _toeplitz(r)
         cov.flat[::len(r) + 1] += _PSD_JITTER
         try:
             np.linalg.cholesky(cov)
@@ -250,6 +340,7 @@ class TabulatedFading(FadingModel):
         return self._dense_row[:n].copy()
 
     def _factorize(self, n):
+        import scipy.linalg
         band = min(self.lags[-1], n - 1)
         # lower banded storage: ab[d, j] = cov[j + d, j] = r(d), zero beyond table
         ab = np.repeat(self.autocorrelation(band + 1)[:, None], n, axis=1)

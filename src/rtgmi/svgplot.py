@@ -4,8 +4,8 @@ Good enough for rate and error curves; not a plotting library.  Everything is
 laid out in a fixed 720x480 viewport with a 10-tick linear axis on each side.
 """
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 WIDTH = 720
 HEIGHT = 480
@@ -14,6 +14,13 @@ MARGIN_R = 24
 MARGIN_T = 40
 MARGIN_B = 56
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def _escape(text) -> str:
+    """Text with &, < and > as entities: the bytes of
+    xml.sax.saxutils.escape, whose import brings urllib, http.client, ssl
+    and email along."""
+    return html.escape(str(text), quote=False)
 
 
 def _nice_ticks(lo, hi, n=6):
@@ -118,18 +125,18 @@ class LinePlot:
                          f'x2="{MARGIN_L + pw - 126}" y2="{ly - 4}" '
                          f'stroke="{color}" stroke-width="1.8"/>')
             parts.append(f'<text x="{MARGIN_L + pw - 120}" y="{ly}" {font}>'
-                         f'{escape(str(label))}</text>')
+                         f'{_escape(label)}</text>')
         if self.title:
             parts.append(f'<text x="{WIDTH / 2}" y="24" {font} '
                          f'font-size="15" text-anchor="middle">'
-                         f'{escape(self.title)}</text>')
+                         f'{_escape(self.title)}</text>')
         if self.xlabel:
             parts.append(f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 16}" '
                          f'{font} text-anchor="middle">'
-                         f'{escape(self.xlabel)}</text>')
+                         f'{_escape(self.xlabel)}</text>')
         if self.ylabel:
             parts.append(f'<text x="18" y="{MARGIN_T + ph / 2}" {font} '
                          f'text-anchor="middle" transform="rotate(-90 18 '
-                         f'{MARGIN_T + ph / 2})">{escape(self.ylabel)}</text>')
+                         f'{MARGIN_T + ph / 2})">{_escape(self.ylabel)}</text>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

@@ -293,6 +293,36 @@ def test_importing_the_cli_builds_no_quadrature_tables(tmp_path):
                                      "False", "False", "True"]
 
 
+def test_ar1_capacity_and_sweep_commands_never_load_scipy(tmp_path):
+    # scipy serves Clarke and tabulated synthesis alone: the CLI's import
+    # and its AR(1), capacity and sweep commands leave it unloaded, and a
+    # Clarke command loads it
+    src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = ["--constellation", "qpsk", "--output-dir", str(tmp_path),
+           "--plot"]
+    ar1 = ["--model", "ar1", "--alpha", "0.9", "--snr-db", "0", *out]
+    runs = [["gmi", *ar1, "--K", "1000"],
+            ["ladder", *ar1, "--L", "4"],
+            ["simulate", *ar1, "--L", "3", "--K", "16", "--rate-fraction",
+             "0.5", "--trials", "20", "--gmi-K", "2000",
+             "--predictor-order", "4"],
+            ["capacity", "--snr-db", "0", *out, "--samples", "2000"],
+            ["sweep", "--snr-db=-3:3:3", *out, "--samples", "2000"],
+            ["gmi", "--model", "clarke", "--doppler", "0.05", "--snr-db",
+             "0", *out, "--K", "100"]]
+    code = ("import contextlib, io, sys, rtgmi.cli\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert rtgmi.cli.main(argv) == 0\n"
+            "    return 'scipy' in sys.modules\n"
+            "print('scipy' in sys.modules,"
+            f" *(run(argv) for argv in {runs!r}))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False"] * 6 + ["True"]
+
+
 def test_gmi_command_holds_the_block_and_the_table_only(tmp_path, capsys):
     """No residual and no per-sample vector: the command's peak is x, h_hat,
     s, the (J - 1, n) gap table and dmin, plus 1 MB."""

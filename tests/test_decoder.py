@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rtgmi.decoder import decode, metric, pairwise_undercut_probability
+from rtgmi.decoder import (_Scorer, decode, metric,
+                           pairwise_undercut_probability)
 from rtgmi.fading import Ar1Fading
 from rtgmi.psk import (generate_codebook, make_constellation, packing,
                        synthesize_block_at_rho)
@@ -153,6 +155,59 @@ def test_decode_seeded_equals_decode_of_the_stored_codebook(order):
         for sent in (None, size - 1):
             assert_outcome_of(decode(book, blk, sent_message=sent), expected,
                               sent)
+
+
+def fresh_array_metrics(codebook, block):
+    """Every candidate's metric by the scorer's formula on fresh arrays:
+    the byte table gathered at the book's bytes plus the group offsets,
+    summed per row, then max(base - 2 * (sum / K), 0).  decode runs the
+    same arithmetic in place, in the buffers it reuses."""
+    scorer = _Scorer(codebook.constellation, block)
+    rows = np.empty((codebook.size, codebook.groups), dtype=np.uint8)
+    codebook.stream().fill(rows.reshape(-1))
+    picked = np.take(scorer.table, rows + scorer.offsets)
+    return np.maximum(
+        scorer.base - 2.0 * (picked.sum(axis=-1) / scorer.block_length), 0.0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8])
+def test_decode_metrics_equal_the_fresh_array_formula(order):
+    # bit for bit, at an odd K, for books of one row to several blocks
+    # decoded in an order whose sizes change from call to call, with a book
+    # of another row width decoded in between
+    c = make_constellation(order)
+    n = 97
+    step = block_step(-(-n // packing(order)[0]))
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=order)
+    other = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, 31, seed=order)
+    for size in (3 * step + 5, 1, step, 2, step + 1, 3 * step + 5):
+        book = generate_codebook(c, size, n, seed=order + size)
+        assert np.array_equal(decode(book, blk).metrics,
+                              fresh_array_metrics(book, blk)), size
+        decode(generate_codebook(c, 40, 31, seed=1), other)
+
+
+@pytest.mark.parametrize("n", [17, 240])
+def test_a_repeated_decode_allocates_no_per_block_buffers(n):
+    # after a first decode at a row width, a decode of any size holds its
+    # metrics (and their partition), the block's byte table and its build,
+    # and 128 KiB of small arrays; the table indices or the gathered entries
+    # of one block alone take 256 KiB, a buffered np.take as much again
+    c = make_constellation(4)
+    groups = -(-n // packing(4)[0])
+    step = block_step(groups)
+    blk = synthesize_block_at_rho(Ar1Fading(0.0), 0.8, c, n, seed=3)
+    decode(generate_codebook(c, 4 * step, n, seed=1), blk)
+    table = groups * 256 * 8
+    for size in (step + 1, 700, 2):
+        book = generate_codebook(c, size, n, seed=size)
+        tracemalloc.start()
+        try:
+            decode(book, blk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * size + 3 * table + (128 << 10), (size, peak)
 
 
 def test_decode_seeded_ties_go_to_the_lowest_index():

@@ -1,5 +1,10 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,18 +80,79 @@ def test_ar1_prefix_stability():
     assert np.array_equal(a, b[:100])
 
 
+# samples of one path in a cache block of the AR(1) recursion
+AR1_BLOCK = fading._SEGMENT * block_step(fading._SEGMENT)
+
+
+def plain_ar1_path(alpha, n, seed):
+    """h[0] = w[0], h[k] = alpha * h[k-1] + sqrt(1 - alpha^2) * w[k], one
+    sample at a time in Python complex arithmetic."""
+    w = complex_normal(np.random.default_rng(seed), n)
+    scale = math.sqrt(1.0 - alpha ** 2)
+    path = [complex(w[0])]
+    for k in range(1, n):
+        path.append(alpha * path[-1] + scale * complex(w[k]))
+    return np.array(path)
+
+
+def assert_within_rounding(path, want, alpha):
+    """path is want up to the rounding of the recursion.
+
+    Each step rounds by about an ulp of max|h|, and the recursion carries
+    an error on at gain alpha, so independent roundings add up to about
+    1/sqrt(1 - alpha^2) ulps; the bound allows 8 times that.  A wrong
+    carry or power is off by O(max|h|), some 1e16 ulps.
+    """
+    assert path.shape == want.shape
+    ulps = np.abs(path - want).max() / np.spacing(np.abs(want).max())
+    assert ulps <= 8.0 / math.sqrt(1.0 - alpha ** 2), ulps
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999])
 def test_ar1_path_matches_plain_recursion(alpha):
-    # oracle: h[0] = w[0], h[k] = alpha * h[k-1] + sqrt(1 - alpha^2) * w[k];
-    # the banded solve does the same arithmetic in the same order
+    # the segmented recursion rounds differently from the plain one, by a
+    # few ulps; n = 300 is not a whole number of segments
     n = 300
-    w = complex_normal(np.random.default_rng(21), n)
-    scale = math.sqrt(1.0 - alpha ** 2)
-    expected = [complex(w[0])]
-    for k in range(1, n):
-        expected.append(alpha * expected[-1] + scale * complex(w[k]))
-    path = generate_path(Ar1Fading(alpha), n, seed=21)
-    assert np.array_equal(path, expected)
+    assert_within_rounding(generate_path(Ar1Fading(alpha), n, seed=21),
+                           plain_ar1_path(alpha, n, 21), alpha)
+
+
+def exact_ar1_path(alpha, x):
+    """The recursion h[k] = alpha * h[k-1] + x[k] from h[0] = x[0] in exact
+    rational arithmetic, on the float alpha and the float inputs x."""
+    a = Fraction(alpha)
+    re, im = Fraction(x[0].real), Fraction(x[0].imag)
+    path = [(re, im)]
+    for v in x[1:]:
+        re = a * re + Fraction(v.real)
+        im = a * im + Fraction(v.imag)
+        path.append((re, im))
+    return path
+
+
+def ulps_from_exact(path, exact, top):
+    """max_k |path[k] - exact[k]| per part, in ulps of top."""
+    worst = max(max(abs(Fraction(p.real) - re), abs(Fraction(p.imag) - im))
+                for p, (re, im) in zip(path.tolist(), exact))
+    return float(worst) / float(np.spacing(top))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_ar1_path_rounds_like_the_plain_recursion(alpha):
+    # against the exact recursion on the same inputs, the segmented route's
+    # error is of the plain recursion's own order: n = 601 takes four
+    # levels of segment ends and ends in a partial segment
+    n, seed = 601, 5
+    w = complex_normal(np.random.default_rng(seed), n)
+    x = math.sqrt(1.0 - alpha ** 2) * w
+    x[0] = w[0]
+    exact = exact_ar1_path(alpha, x)
+    top = max(abs(complex(float(re), float(im))) for re, im in exact)
+    plain = ulps_from_exact(plain_ar1_path(alpha, n, seed), exact, top)
+    segmented = ulps_from_exact(generate_path(Ar1Fading(alpha), n, seed),
+                                exact, top)
+    assert plain <= 8.0 / math.sqrt(1.0 - alpha ** 2)
+    assert segmented <= 2.0 * max(plain, 1.0), (segmented, plain)
 
 
 def solve_banded_ar1_path(alpha, n, seed):
@@ -104,22 +170,52 @@ def solve_banded_ar1_path(alpha, n, seed):
 @pytest.mark.parametrize("steps, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
                                           (2, 1)])
 def test_ar1_path_matches_the_whole_path_solve(alpha, steps, extra):
-    # n = 1, step - 1, step, step + 1 and 2 step + 1: one, two and three
-    # blocks of the in-place solve
-    n = steps * block_step(2) + extra
-    path = generate_path(Ar1Fading(alpha), n, seed=23)
-    assert np.array_equal(path, solve_banded_ar1_path(alpha, n, 23))
+    # n = 1, block - 1, block, block + 1 and 2 block + 1: one, two and three
+    # cache blocks of the recursion, against LAPACK's banded solve
+    n = steps * AR1_BLOCK + extra
+    assert_within_rounding(generate_path(Ar1Fading(alpha), n, seed=23),
+                           solve_banded_ar1_path(alpha, n, 23), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.99])
+def test_ar1_paths_are_prefixes_of_longer_ones_across_segments(alpha):
+    # a sample's arithmetic depends on its index alone: every length, whole
+    # segments or not, one cache block or more, is a prefix of a longer path
+    longest = generate_path(Ar1Fading(alpha), 2 * AR1_BLOCK + 70, seed=3)
+    for n in (1, 7, 8, 9, 63, 64, 65, 513, AR1_BLOCK - 1, AR1_BLOCK + 9):
+        assert np.array_equal(generate_path(Ar1Fading(alpha), n, seed=3),
+                              longest[:n]), n
 
 
 def test_ar1_path_allocates_little_beyond_its_output():
-    n = 2 ** 20
-    tracemalloc.start()
-    try:
-        generate_path(Ar1Fading(0.99), n, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 16 * n
+    # the segment ends (n / 7 samples over all levels) and one cache block
+    # of temporaries; 2^20 + 3 ends in a partial segment
+    for n in (2 ** 20, 2 ** 20 + 3):
+        tracemalloc.start()
+        try:
+            generate_path(Ar1Fading(0.99), n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * n, n
+
+
+def test_ar1_path_does_not_depend_on_the_blas_thread_count():
+    # no BLAS call in the recursion: the path hashes alike on one and on
+    # two OpenBLAS threads
+    src = pathlib.Path(fading.__file__).resolve().parent.parent
+    code = ("import hashlib\n"
+            "from rtgmi.fading import Ar1Fading, generate_paths\n"
+            "h = generate_paths(Ar1Fading(0.999), 70001, [1, 2, 3])\n"
+            "print(hashlib.sha256(h.tobytes()).hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert len(digests) == 1
 
 
 def test_clarke_autocorrelation_vs_series_oracle():
@@ -247,13 +343,13 @@ def test_reused_model_draws_the_paths_of_a_fresh_one(make, _):
 @pytest.mark.parametrize("make, routine", _FACTORIZED_MODELS)
 def test_one_factorization_per_path_length(make, routine, monkeypatch):
     calls = []
-    inner = getattr(fading.scipy.linalg, routine)
+    inner = getattr(scipy.linalg, routine)
 
     def counted(*args, **kwargs):
         calls.append(routine)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(fading.scipy.linalg, routine, counted)
+    monkeypatch.setattr(scipy.linalg, routine, counted)
     model = make()
     paths = [generate_path(model, 64, seed) for seed in range(20)]
     assert len(calls) == 1
@@ -269,9 +365,9 @@ def test_one_factorization_per_path_length(make, routine, monkeypatch):
 
 
 _BATCHED_MODELS = [
-    # n > block_step(2): the AR(1) solve crosses a block boundary
-    pytest.param(lambda: Ar1Fading(0.0), block_step(2) + 5, id="ar1-white"),
-    pytest.param(lambda: Ar1Fading(0.99), block_step(2) + 5, id="ar1"),
+    # n > AR1_BLOCK: the AR(1) recursion crosses a block boundary
+    pytest.param(lambda: Ar1Fading(0.0), AR1_BLOCK + 5, id="ar1-white"),
+    pytest.param(lambda: Ar1Fading(0.99), AR1_BLOCK + 5, id="ar1"),
     pytest.param(lambda: ClarkeFading(0.05), 300, id="clarke-cholesky"),
     pytest.param(lambda: ClarkeFading(0.05), CHOLESKY_MAX_N + 3,
                  id="clarke-rays"),

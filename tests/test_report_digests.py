@@ -11,12 +11,14 @@ Run as a script, `PYTHONPATH=src python tests/test_report_digests.py`
 prints the DIGESTS literal for the current code: each run goes in a fresh
 temporary directory and is hashed as the test hashes it.
 
-The bits also depend on the BLAS thread count.  The digests were recorded
-with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1 (the
-benchmark's pin) the gmi_clarke report.json hashes differently, because the
-Cholesky factor of the Clarke covariance rounds differently on one thread.
-The simulate_clarke_genie paths are short enough to hash alike on one and
-on two threads.
+The Clarke bits also depend on the BLAS thread count.  The digests were
+recorded with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1
+(the benchmark's pin) the gmi_clarke report.json hashes differently,
+because the Cholesky factor of the Clarke covariance rounds differently on
+one thread.  The simulate_clarke_genie paths are short enough to hash alike
+on one and on two threads.  AR(1) synthesis makes no BLAS call (its
+recursion is elementwise numpy), so AR(1) paths hash alike on any thread
+count.
 """
 
 import contextlib
@@ -91,11 +93,11 @@ DIGESTS = {
     },
     'gmi_ar1': {
         'lambda_curve.csv':
-            '1ae42f28b9829480ed4c4715e792df5884977a7931cac1d51e07e7070201589a',
+            '9da9284cd92c2ea2dea7ed4e0be88564758042ea0ed2a96d78cf9b7f7bd34758',
         'lambda_curve.svg':
             '46f35d7eccdffbf4c2aeb58e87f2060b382780cca7cd7a77fce4ecf044324131',
         'report.json':
-            '802206003013e00f24b25cde6ad64e6a03a844c0339e89ca727a11a849ab606d',
+            '7ec5d3bb95695d45cf8d0248bc26dd4c390eec34d241d4caa02f1c81ee0159e3',
         'stdout':
             'ec4fb273296414023cf3a380d38d5883427f6b531d3c2d628740c289f56c8a1a',
     },
