@@ -11,9 +11,11 @@ elementwise across the rows, one product with the Clarke factor, one banded
 product); row b is bit for bit the path generate_path draws from seeds[b],
 since generate_path is its one-seed case.
 
-AR(1) synthesis is numpy alone.  scipy (scipy.special's J0 and the
-scipy.linalg Cholesky factors) is imported only by Clarke and tabulated
-synthesis, so commands on other laws never load it.
+AR(1) and Clarke synthesis are numpy alone: the AR(1) recursion is
+elementwise, Clarke's J0 is a port of the Cephes rational approximations
+and its covariance is factored by the Schur algorithm.  scipy (the banded
+scipy.linalg Cholesky factor) is imported only by tabulated synthesis, so
+commands on other laws never load it.
 """
 
 import cmath
@@ -188,11 +190,12 @@ class ClarkeFading(FadingModel):
     `normalized_doppler` is the maximum Doppler shift in cycles per symbol.
     Paths up to CHOLESKY_MAX_N samples are synthesized exactly by a Cholesky
     factor of the Toeplitz autocorrelation matrix (tiny diagonal jitter keeps
-    the numerically band-limited matrix factorizable).  The factor is
+    the numerically band-limited matrix factorizable), which the Schur
+    algorithm computes in O(n^2) elementwise numpy steps.  The factor is
     computed once per path length and reused by the instance for every
     further path of that length.  Longer paths use a seeded equal-power ray
     sum with `ray_count` rays, whose autocorrelation converges to the same
-    Bessel law as the ray count grows.
+    Bessel law as the ray count grows.  No Clarke path loads scipy.
     """
 
     normalized_doppler: float
@@ -206,23 +209,13 @@ class ClarkeFading(FadingModel):
             raise ValueError("need at least 64 rays")
 
     def autocorrelation(self, n):
-        # imported here, so that only Clarke commands load scipy; the
-        # factor's scipy.linalg loads with it, at a command's first read of
-        # the law and before the arrays of its job exist
-        import scipy.linalg  # noqa: F401
-        from scipy.special import j0
-        return j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
+        return _j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
 
     def _factorize(self, n):
-        import scipy.linalg
-        # the jitter goes onto the diagonal in place, and the symmetric
-        # matrix is factored as its Fortran-order transpose, so LAPACK
-        # overwrites it rather than a copy: the bits of cholesky(toeplitz(r)
-        # + jitter * eye(n), lower=True), with one n x n array
-        cov = _toeplitz(self.autocorrelation(n).real)
-        cov.flat[::n + 1] += _PSD_JITTER
-        return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True,
-                                     check_finite=False)
+        # the jitter goes onto r(0), the diagonal of the Toeplitz matrix
+        r = self.autocorrelation(n).real.copy()
+        r[0] += _PSD_JITTER
+        return _schur_factor(r)
 
     def _sample(self, n, rngs):
         if n <= CHOLESKY_MAX_N:
@@ -248,6 +241,109 @@ class ClarkeFading(FadingModel):
                                        + phases)).sum(axis=1)
         out /= math.sqrt(self.ray_count)
         return out
+
+
+# Cephes j0, the routine scipy.special.j0 evaluates, with its coefficients
+# in its order (highest power first; a leading 1.0 is Cephes' p1evl): on
+# [0, 5] the zeros DR1 and DR2 of J0 (in z = x^2) times RP(z)/RQ(z), and
+# beyond it the asymptotic form in 25/x^2 at the phase x - pi/4
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12,
+          -2.49248344360967716204e14, 9.70862251047306323952e15)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5,
+          4.84409658339962045305e7, 1.11855537045356834862e10,
+          2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2,
+          1.23953371646414299388e0, 5.44725003058768775090e0,
+          8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2,
+          1.25352743901058953537e0, 5.47097740330417105182e0,
+          8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0,
+          -1.95539544257735972385e1, -9.32060152123768231369e1,
+          -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2,
+          3.88240183605401609683e3, 7.24046774195652478189e3,
+          5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+_SQRT_2_OVER_PI = 7.9788456080286535587989e-1
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule, highest coefficient first, in Cephes' order of
+    operations.  A leading 1.0 stands for p1evl's implied one: 1.0 * x is
+    exact, so both of Cephes' evaluators are this one."""
+    value = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        value = value * x + c
+    return value
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """The Bessel function J0, elementwise, with the bits of
+    scipy.special.j0: the Cephes rational approximations, operation for
+    operation."""
+    x = np.abs(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(x)
+    near = x <= 5.0
+    small = x[near]
+    z = small * small
+    p = (z - _J0_DR1) * (z - _J0_DR2)
+    p = p * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ)
+    out[near] = np.where(small < 1e-5, 1.0 - z / 4.0, p)
+    far = x[~near]
+    w = 5.0 / far
+    q = 25.0 / (far * far)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+    phase = far - math.pi / 4.0
+    p = p * np.cos(phase) - w * q * np.sin(phase)
+    out[~near] = p * _SQRT_2_OVER_PI / np.sqrt(far)
+    return out
+
+
+def _schur_factor(r: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the real symmetric Toeplitz matrix T
+    with first column r, by the Schur algorithm, as one F-order array.
+
+    With Z the down shift, T - Z T Z' = u u' - v v' for the generators
+    u = r / sqrt(r(0)) and v = u with v(0) = 0.  Row k of U = L' is u[k:];
+    then u shifts down one place, and a hyperbolic rotation zeroes v[k + 1]:
+    with g = v[k + 1] / u[k + 1] and s = sqrt((1 - g)(1 + g)),
+    u <- (u - g v) / s, and v <- s v - g u in the mixed form that keeps the
+    factor stable (Bojanczyk, Brent, de Hoog & Sweet, SIAM J. Matrix Anal.
+    Appl. 16(1), 1995).  The shifted u is row k of U itself, so each
+    rotation writes row k + 1 from row k and nothing is copied.  Every step
+    is elementwise: no bit depends on the BLAS thread count.  Raises
+    LinAlgError unless T is positive definite (|g| < 1 at every step).
+    """
+    n = len(r)
+    if not r[0] > 0.0:
+        raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+    upper = np.zeros((n, n))
+    upper[0] = r / math.sqrt(r[0])
+    v = upper[0].copy()
+    v[0] = 0.0
+    scratch = np.empty(n)
+    # a step costs its numpy calls more than its arithmetic at these n, so
+    # the loop holds them to five, with positional outputs
+    multiply, subtract = np.multiply, np.subtract
+    for k, (row, below) in enumerate(zip(upper[:-1], upper[1:])):
+        u, u_next, vk, t = row[k:-1], below[k + 1:], v[k + 1:], scratch[k + 1:]
+        g = vk.item(0) / u.item(0)
+        if not abs(g) < 1.0:
+            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+        s = math.sqrt((1.0 - g) * (1.0 + g))
+        subtract(u, multiply(vk, g, t), u_next)
+        u_next /= s
+        vk *= s
+        vk -= multiply(u_next, g, t)
+    return upper.T
 
 
 def _toeplitz(r: np.ndarray) -> np.ndarray:

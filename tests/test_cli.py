@@ -266,8 +266,8 @@ def test_ladder_output_does_not_depend_on_the_seed(tmp_path, capsys):
 
 def test_importing_the_cli_builds_no_quadrature_tables(tmp_path):
     # setup cost: scipy.integrate serves only the tests' oracles, the
-    # capacity node tables are built on first use, and scipy.special (J0)
-    # loads with the first Clarke command, not with the CLI or AR(1) ones
+    # capacity node tables are built on first use, and scipy.special loads
+    # with no command: J0 is rtgmi's own, for AR(1) and Clarke alike
     src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = ["--constellation", "qpsk", "--snr-db", "0", "--output-dir",
@@ -290,27 +290,33 @@ def test_importing_the_cli_builds_no_quadrature_tables(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["False", "0", "0", "False",
-                                     "False", "False", "True"]
+                                     "False", "False", "False"]
 
 
 def test_ar1_capacity_and_sweep_commands_never_load_scipy(tmp_path):
-    # scipy serves Clarke and tabulated synthesis alone: the CLI's import
-    # and its AR(1), capacity and sweep commands leave it unloaded, and a
-    # Clarke command loads it
+    # scipy serves tabulated synthesis alone: the CLI's import and its
+    # AR(1), Clarke, capacity and sweep commands leave it unloaded, and a
+    # tabulated command loads it
     src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = ["--constellation", "qpsk", "--output-dir", str(tmp_path),
            "--plot"]
     ar1 = ["--model", "ar1", "--alpha", "0.9", "--snr-db", "0", *out]
+    clarke = ["--model", "clarke", "--doppler", "0.05", "--snr-db", "0",
+              *out]
+    table = tmp_path / "table.csv"
+    table.write_text("lag,re,im\n0,1.0,0.0\n1,0.5,0.0\n")
+    sim = ["--L", "3", "--K", "16", "--rate-fraction", "0.5", "--trials",
+           "20", "--gmi-K", "2000", "--predictor-order", "4"]
     runs = [["gmi", *ar1, "--K", "1000"],
             ["ladder", *ar1, "--L", "4"],
-            ["simulate", *ar1, "--L", "3", "--K", "16", "--rate-fraction",
-             "0.5", "--trials", "20", "--gmi-K", "2000",
-             "--predictor-order", "4"],
+            ["simulate", *ar1, *sim],
             ["capacity", "--snr-db", "0", *out, "--samples", "2000"],
             ["sweep", "--snr-db=-3:3:3", *out, "--samples", "2000"],
-            ["gmi", "--model", "clarke", "--doppler", "0.05", "--snr-db",
-             "0", *out, "--K", "100"]]
+            ["gmi", *clarke, "--K", "100"],
+            ["simulate", *clarke, *sim, "--genie"],
+            ["gmi", "--model", "tabulated", "--table", str(table),
+             "--snr-db", "0", *out, "--K", "100"]]
     code = ("import contextlib, io, sys, rtgmi.cli\n"
             "def run(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -320,7 +326,7 @@ def test_ar1_capacity_and_sweep_commands_never_load_scipy(tmp_path):
             f" *(run(argv) for argv in {runs!r}))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False"] * 6 + ["True"]
+    assert result.stdout.split() == ["False"] * 8 + ["True"]
 
 
 def test_gmi_command_holds_the_block_and_the_table_only(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import pathlib
@@ -273,20 +274,88 @@ def test_clarke_small_n_path_is_the_factor_times_the_draw():
     assert np.allclose(generate_path(m, n, seed=4), want, rtol=0, atol=1e-12)
 
 
-def dense_clarke_factor(model, n):
-    """The factor as a sum with a jittered identity, then a copying Cholesky."""
-    r = model.autocorrelation(n).real
-    cov = scipy.linalg.toeplitz(r) + fading._PSD_JITTER * np.eye(n)
-    return scipy.linalg.cholesky(cov, lower=True)
+def test_j0_is_scipy_j0_bit_for_bit():
+    # both branches of the Cephes routine: its 1 - x^2/4 below 1e-5, the
+    # rational form up to x = 5, the asymptotic form past 5's next float,
+    # and every argument a Clarke path factor reads, up to pi * 4096
+    rng = np.random.default_rng(25)
+    x = np.concatenate([
+        rng.uniform(0.0, 2e4, 200_000), rng.uniform(0.0, 6.0, 200_000),
+        np.geomspace(1e-9, 1e-4, 20_000),
+        np.linspace(0.0, math.pi * 4096, 100_001),
+        [0.0, 1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 5.0,
+         np.nextafter(5.0, 0.0), np.nextafter(5.0, 6.0), math.pi * 4096]])
+    assert np.array_equal(fading._j0(x).view(np.uint64), j0(x).view(np.uint64))
 
 
-@pytest.mark.parametrize("doppler", [0.01, 0.05])
-@pytest.mark.parametrize("n", [8, 300, 768])
-def test_clarke_factor_in_place_is_the_dense_factor_bit_for_bit(doppler, n):
-    got = ClarkeFading(doppler)._factorize(n)
-    want = dense_clarke_factor(ClarkeFading(doppler), n)
-    assert got.flags.f_contiguous and want.flags.f_contiguous
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def jittered_clarke_column(doppler, n):
+    """First column of the Toeplitz covariance the Clarke factor factors."""
+    r = ClarkeFading(doppler).autocorrelation(n).real.copy()
+    r[0] += fading._PSD_JITTER
+    return r
+
+
+@pytest.mark.parametrize("r", [
+    pytest.param(0.5 ** np.arange(300.0), id="ar1-0.5"),
+    pytest.param(jittered_clarke_column(0.5, 768), id="clarke-0.5"),
+])
+def test_schur_factor_is_the_cholesky_factor_when_well_conditioned(r):
+    got = fading._schur_factor(r)
+    want = scipy.linalg.cholesky(scipy.linalg.toeplitz(r), lower=True)
+    assert got.flags.f_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def toeplitz_residual(factor, r):
+    """max |L L' - T| for T the symmetric Toeplitz matrix of r, a block of
+    rows of L L' at a time."""
+    n = len(r)
+    worst = 0.0
+    for start in range(0, n, 512):
+        rows = factor[start:start + 512] @ factor.T
+        lags = np.abs(np.arange(start, start + len(rows))[:, None]
+                      - np.arange(n))
+        worst = max(worst, float(np.max(np.abs(rows - r[lags]))))
+    return worst
+
+
+@pytest.mark.parametrize("doppler", [0.01, 0.05, 0.5])
+@pytest.mark.parametrize("n", [8, 300, 768, 4096])
+def test_schur_factor_reproduces_the_clarke_covariance(doppler, n):
+    # f_d = 0.01 has pivots down to 1.3e-5, so the factor differs from
+    # LAPACK's by about 1e-6 entrywise; its product must not
+    factor = ClarkeFading(doppler)._factorize(n)
+    assert factor.flags.f_contiguous
+    assert not np.triu(factor, 1).any()
+    assert toeplitz_residual(factor, jittered_clarke_column(doppler, n)) <= 2e-13
+
+
+def test_schur_factor_refuses_a_matrix_that_is_not_positive_definite():
+    # tridiagonal 1, 0.6: its smallest eigenvalue is 1 - 1.2 cos(pi / 51)
+    r = np.zeros(50)
+    r[:2] = 1.0, 0.6
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cholesky(scipy.linalg.toeplitz(r))
+    with pytest.raises(np.linalg.LinAlgError):
+        fading._schur_factor(r)
+
+
+def test_clarke_factor_does_not_depend_on_the_blas_thread_count():
+    # the Schur steps are elementwise: the factor hashes alike on one and
+    # on two OpenBLAS threads
+    src = pathlib.Path(fading.__file__).resolve().parent.parent
+    code = ("import hashlib\n"
+            "from rtgmi.fading import ClarkeFading\n"
+            "f = ClarkeFading(0.05)._factorize(771)\n"
+            "print(hashlib.sha256(f.tobytes(order='A')).hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert len(digests) == 1
 
 
 def test_clarke_factor_holds_one_matrix():
@@ -326,8 +395,9 @@ def test_tabulated_bartlett_sampling():
 
 
 _FACTORIZED_MODELS = [
-    pytest.param(lambda: ClarkeFading(0.01), "cholesky", id="clarke"),
-    pytest.param(_bartlett, "cholesky_banded", id="tabulated"),
+    pytest.param(lambda: ClarkeFading(0.01), "rtgmi.fading._schur_factor",
+                 id="clarke"),
+    pytest.param(_bartlett, "scipy.linalg.cholesky_banded", id="tabulated"),
 ]
 
 
@@ -343,13 +413,14 @@ def test_reused_model_draws_the_paths_of_a_fresh_one(make, _):
 @pytest.mark.parametrize("make, routine", _FACTORIZED_MODELS)
 def test_one_factorization_per_path_length(make, routine, monkeypatch):
     calls = []
-    inner = getattr(scipy.linalg, routine)
+    module, name = routine.rsplit(".", 1)
+    inner = getattr(importlib.import_module(module), name)
 
     def counted(*args, **kwargs):
         calls.append(routine)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, routine, counted)
+    monkeypatch.setattr(routine, counted)
     model = make()
     paths = [generate_path(model, 64, seed) for seed in range(20)]
     assert len(calls) == 1

@@ -13,12 +13,14 @@ temporary directory and is hashed as the test hashes it.
 
 The Clarke bits also depend on the BLAS thread count.  The digests were
 recorded with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1
-(the benchmark's pin) the gmi_clarke report.json hashes differently,
-because the Cholesky factor of the Clarke covariance rounds differently on
-one thread.  The simulate_clarke_genie paths are short enough to hash alike
-on one and on two threads.  AR(1) synthesis makes no BLAS call (its
-recursion is elementwise numpy), so AR(1) paths hash alike on any thread
-count.
+(the benchmark's pin) the gmi_clarke report.json hashes differently.  The
+factor of the Clarke covariance is not the cause: its Schur steps are
+elementwise numpy, so it hashes alike on any thread count.  The BLAS
+product of the factor with the draws is: a 3000-sample path (gmi_clarke's)
+or a batch of 16 paths of 771 samples rounds differently on one thread and
+on two.  The simulate_clarke_genie paths are short enough to hash alike on
+one and on two threads.  AR(1) synthesis makes no BLAS call (its recursion
+is elementwise numpy), so AR(1) paths hash alike on any thread count.
 """
 
 import contextlib
@@ -103,11 +105,11 @@ DIGESTS = {
     },
     'gmi_clarke': {
         'lambda_curve.csv':
-            'a4d3d165ddbfd393052ae216c8b0d5551c4b257fb283b5aa8e4b19c74f6d7f10',
+            '17226199af15e255dbdb4ecc5ebcef5c369a58d5d17ef948f798f867e3bf98c9',
         'lambda_curve.svg':
             'df265717753678919cda824e25f5ae5ac2d97c864cb7c935bf5d6e6e5fff3fc9',
         'report.json':
-            '629c7c3effae237224e87c75a352bd6d5223adfe55d2d33999d6de21262578f4',
+            '8d45b7cbbf7523dd8fa8915c6508af8c6959406c59c8055607a8228ec02764e4',
         'stdout':
             'cb06572cdd6fd022958bd5f634f70259d4d85f277be99fde6ad13d648d246951',
     },
