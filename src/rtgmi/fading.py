@@ -7,15 +7,14 @@ version, which is all the determinism contract asks for.
 
 generate_paths draws one path per seed as the rows of one array, each from
 its own generator, in one pass of the synthesis (the AR(1) recursion
-elementwise across the rows, one product with the Clarke factor, one banded
-product); row b is bit for bit the path generate_path draws from seeds[b],
-since generate_path is its one-seed case.
+elementwise across the rows, one product with the Clarke factor, one
+inverse FFT of the tabulated circulant); row b is bit for bit the path
+generate_path draws from seeds[b], since generate_path is its one-seed case.
 
-AR(1) and Clarke synthesis are numpy alone: the AR(1) recursion is
+Synthesis is numpy alone, so no command loads scipy: the AR(1) recursion is
 elementwise, Clarke's J0 is a port of the Cephes rational approximations
-and its covariance is factored by the Schur algorithm.  scipy (the banded
-scipy.linalg Cholesky factor) is imported only by tabulated synthesis, so
-commands on other laws never load it.
+and its covariance is factored by the Schur algorithm, and a tabulated
+path is one inverse FFT of a circulant embedding.
 """
 
 import cmath
@@ -371,13 +370,11 @@ class TabulatedFading(FadingModel):
 
     Lags must start at 0 (value exactly 1) and ascend; lags the table skips
     read as zero.  A read beyond the largest tabulated lag is rejected.
-    Path synthesis extends the table by zero correlation beyond the maximum
-    lag, which makes the covariance banded; the banded extension is not
-    guaranteed positive semidefinite for every table, and synthesis raises a
-    ValueError when its factorization fails.  The banded Cholesky factor is
-    computed once per path length and reused by the instance for every
-    further path of that length; a failed factorization is not kept, so
-    every call at that length raises again.
+    Path synthesis extends the table by zero correlation beyond its largest
+    lag b and embeds that Toeplitz covariance exactly in a circulant (Davies
+    & Harte 1987; Wood & Chan 1994): one inverse FFT per path, no scipy.  A
+    length whose circulant has an eigenvalue < 0 (the spectrum S < 0 on its
+    grid) raises a ValueError on every call, and so does every longer one.
     """
 
     lags: tuple = field()
@@ -436,25 +433,28 @@ class TabulatedFading(FadingModel):
         return self._dense_row[:n].copy()
 
     def _factorize(self, n):
-        import scipy.linalg
-        band = min(self.lags[-1], n - 1)
-        # lower banded storage: ab[d, j] = cov[j + d, j] = r(d), zero beyond table
-        ab = np.repeat(self.autocorrelation(band + 1)[:, None], n, axis=1)
-        ab[0, :] += _PSD_JITTER
-        try:
-            return scipy.linalg.cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "zero-extended tabulated autocorrelation is not positive "
-                "semidefinite at this path length") from exc
+        return _circulant_root(self._dense_row, n)
 
     def _sample(self, n, rngs):
-        fac = self._factor(n)
-        w = complex_normal_rows(rngs, n)
-        out = np.zeros_like(w)
-        for d in range(len(fac)):  # h = L @ w with L lower-banded, per row
-            out[:, d:] += fac[d, :n - d] * w[:, :n - d]
-        return out
+        root = self._factor(n)
+        w = complex_normal_rows(rngs, len(root))
+        w *= root
+        return np.fft.ifft(w, norm="ortho")[:, :n].copy()
+
+
+def _circulant_root(r: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(eigenvalues) of the smallest power-of-two circulant, m >= max(n,
+    b + 1) + b, with first column r(0 ... b), zeros, conj(r(b ... 1)) and
+    _PSD_JITTER on r(0); the b + 1 keeps r(b) off its conjugate if n <= b."""
+    b = len(r) - 1
+    m = 1 << (max(n, b + 1) + b - 1).bit_length()
+    col = np.concatenate([r, np.zeros(m - 2 * b - 1), np.conj(r[:0:-1])])
+    col[0] += _PSD_JITTER
+    lam = np.fft.fft(col).real         # the spectrum of r at f = j / m
+    if lam.min() < 0.0:
+        raise ValueError("zero-extended table is not positive semidefinite: "
+                         f"its circulant has eigenvalue {lam.min():.3g}")
+    return np.sqrt(lam)
 
 
 def generate_path(model: FadingModel, n: int, seed: int) -> np.ndarray:

@@ -293,10 +293,10 @@ def test_importing_the_cli_builds_no_quadrature_tables(tmp_path):
                                      "False", "False", "False"]
 
 
-def test_ar1_capacity_and_sweep_commands_never_load_scipy(tmp_path):
-    # scipy serves tabulated synthesis alone: the CLI's import and its
-    # AR(1), Clarke, capacity and sweep commands leave it unloaded, and a
-    # tabulated command loads it
+def test_no_command_loads_scipy(tmp_path):
+    # scipy serves the tests' oracles alone: the CLI's import and its AR(1),
+    # Clarke, tabulated, capacity and sweep commands leave it unloaded, and
+    # the import leaves numpy.fft, which tabulated synthesis loads, unloaded
     src = pathlib.Path(rtgmi.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = ["--constellation", "qpsk", "--output-dir", str(tmp_path),
@@ -322,11 +322,11 @@ def test_ar1_capacity_and_sweep_commands_never_load_scipy(tmp_path):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert rtgmi.cli.main(argv) == 0\n"
             "    return 'scipy' in sys.modules\n"
-            "print('scipy' in sys.modules,"
+            "print('numpy.fft' in sys.modules, 'scipy' in sys.modules,"
             f" *(run(argv) for argv in {runs!r}))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False"] * 8 + ["True"]
+    assert result.stdout.split() == ["False"] * 10
 
 
 def test_gmi_command_holds_the_block_and_the_table_only(tmp_path, capsys):

@@ -16,6 +16,7 @@ from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
                           TabulatedFading, generate_path, generate_paths)
 from rtgmi.utils import block_step, complex_normal
+from test_prediction import _GRID_MAX_LAG, gapped_complex_table
 
 
 def bessel_j0_series(x: float, terms: int = 48) -> float:
@@ -201,22 +202,28 @@ def test_ar1_path_allocates_little_beyond_its_output():
         assert peak <= 1.25 * 16 * n, n
 
 
+def assert_same_output_on_one_and_two_blas_threads(code):
+    """Run `code` in a fresh interpreter on one and on two OpenBLAS threads;
+    both print the same."""
+    src = pathlib.Path(fading.__file__).resolve().parent.parent
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert len(outputs) == 1
+
+
 def test_ar1_path_does_not_depend_on_the_blas_thread_count():
     # no BLAS call in the recursion: the path hashes alike on one and on
     # two OpenBLAS threads
-    src = pathlib.Path(fading.__file__).resolve().parent.parent
     code = ("import hashlib\n"
             "from rtgmi.fading import Ar1Fading, generate_paths\n"
             "h = generate_paths(Ar1Fading(0.999), 70001, [1, 2, 3])\n"
             "print(hashlib.sha256(h.tobytes()).hexdigest())\n")
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        digests.add(subprocess.run([sys.executable, "-c", code], env=env,
-                                   capture_output=True, text=True,
-                                   check=True).stdout)
-    assert len(digests) == 1
+    assert_same_output_on_one_and_two_blas_threads(code)
 
 
 def test_clarke_autocorrelation_vs_series_oracle():
@@ -343,19 +350,11 @@ def test_schur_factor_refuses_a_matrix_that_is_not_positive_definite():
 def test_clarke_factor_does_not_depend_on_the_blas_thread_count():
     # the Schur steps are elementwise: the factor hashes alike on one and
     # on two OpenBLAS threads
-    src = pathlib.Path(fading.__file__).resolve().parent.parent
     code = ("import hashlib\n"
             "from rtgmi.fading import ClarkeFading\n"
             "f = ClarkeFading(0.05)._factorize(771)\n"
             "print(hashlib.sha256(f.tobytes(order='A')).hexdigest())\n")
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        digests.add(subprocess.run([sys.executable, "-c", code], env=env,
-                                   capture_output=True, text=True,
-                                   check=True).stdout)
-    assert len(digests) == 1
+    assert_same_output_on_one_and_two_blas_threads(code)
 
 
 def test_clarke_factor_holds_one_matrix():
@@ -394,10 +393,65 @@ def test_tabulated_bartlett_sampling():
     assert empirical_autocorr(h, 3).real == pytest.approx(0.25, abs=0.03)
 
 
+def _bartlett_65():
+    """The digest's Bartlett window: b = 64, spectrum >= 0 (it touches 0)."""
+    return TabulatedFading(lags=tuple(range(65)),
+                           values=tuple(1 - k / 65 for k in range(65)))
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(_bartlett_65(), id="bartlett"),
+    # the prediction grid's complex table, r(b) != 0 at b = 513; its
+    # zero-extended spectrum stays above 0.007
+    pytest.param(gapped_complex_table(_GRID_MAX_LAG), id="gapped-complex"),
+])
+@pytest.mark.parametrize("length", ["1", "b", "b+1", "1500"])
+def test_circulant_block_is_the_toeplitz_covariance(model, length):
+    # the leading n x n block of the circulant with eigenvalues root^2 is
+    # the Toeplitz matrix of the zero-extended, jittered table, n <= b too
+    b = model.lags[-1]
+    n = {"1": 1, "b": b, "b+1": b + 1, "1500": 1500}[length]
+    root = fading._circulant_root(model._dense_row, n)
+    m = len(root)
+    assert m & (m - 1) == 0 and m >= max(n, b + 1) + b
+    col = np.fft.ifft(root ** 2)
+    block = scipy.linalg.toeplitz(col[:n], col[-np.arange(n) % m])
+    r = np.zeros(n, dtype=complex)
+    r[:min(n, b + 1)] = model._dense_row[:n]
+    r[0] += fading._PSD_JITTER
+    assert np.max(np.abs(block - scipy.linalg.toeplitz(r))) <= 1e-14
+
+
+def test_tabulated_path_does_not_depend_on_the_blas_thread_count():
+    # pocketfft makes no BLAS call: the paths hash alike on one and on two
+    # OpenBLAS threads
+    code = ("import hashlib\n"
+            "from rtgmi.fading import TabulatedFading, generate_paths\n"
+            "m = TabulatedFading(lags=tuple(range(65)),"
+            " values=tuple(1 - k / 65 for k in range(65)))\n"
+            "h = generate_paths(m, 70001, [1, 2, 3])\n"
+            "print(hashlib.sha256(h.tobytes()).hexdigest())\n")
+    assert_same_output_on_one_and_two_blas_threads(code)
+
+
+def test_tabulated_path_holds_a_few_circulant_vectors():
+    # a 10^6-sample path embeds in m = 2^20 points; the factor, the draws
+    # and the inverse FFT take at most four complex m-vectors together
+    model = _bartlett_65()
+    tracemalloc.start()
+    try:
+        generate_path(model, 10 ** 6, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model._cached_factor[1]) == 2 ** 20
+    assert peak <= 4 * 16 * 2 ** 20
+
+
 _FACTORIZED_MODELS = [
     pytest.param(lambda: ClarkeFading(0.01), "rtgmi.fading._schur_factor",
                  id="clarke"),
-    pytest.param(_bartlett, "scipy.linalg.cholesky_banded", id="tabulated"),
+    pytest.param(_bartlett, "rtgmi.fading._circulant_root", id="tabulated"),
 ]
 
 
@@ -458,18 +512,25 @@ def test_every_row_of_a_batch_is_the_path_of_its_seed(make, n, batch):
 
 
 def test_failed_banded_factorization_raises_on_every_call():
-    # PSD over the table's span, but the zero-extended tridiagonal Toeplitz
-    # matrix has eigenvalue 1 + 1.2 cos(k pi / (n + 1)) < 0 for long paths
-    model = TabulatedFading(lags=(0, 1), values=(1.0, 0.6))
+    # PSD over the table's span (the 3 x 3 section), but the spectrum
+    # 1 + 1.3 cos(2 pi f) + 0.8 cos(4 pi f) of the zero extension dips
+    # below 0: the circulant's grid f = j / m misses the dip at m = 8
+    # (n <= 6, smallest eigenvalue +0.081) and meets it at m = 64 (n = 50,
+    # about -0.063).  The grid at m is a subset of the grid at 2m, so a
+    # length that is refused refuses every longer length too.
+    table = dict(lags=(0, 1, 2), values=(1.0, 0.65, 0.4))
+    model = TabulatedFading(**table)
     for seed in range(3):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             generate_path(model, 50, seed)
     assert np.array_equal(
         generate_path(model, 2, seed=4),
-        generate_path(TabulatedFading(lags=(0, 1), values=(1.0, 0.6)), 2,
-                      seed=4))
+        generate_path(TabulatedFading(**table), 2, seed=4))
     with pytest.raises(ValueError, match="not positive semidefinite"):
         generate_path(model, 50, seed=5)
+    # r = (1, 0.6) has S(1/2) = -0.2, on the grid of every m >= 4
+    with pytest.raises(ValueError, match="eigenvalue -0.2$"):
+        generate_path(TabulatedFading(lags=(0, 1), values=(1.0, 0.6)), 2, 4)
 
 
 def test_tabulated_contract_errors():

@@ -19,8 +19,10 @@ elementwise numpy, so it hashes alike on any thread count.  The BLAS
 product of the factor with the draws is: a 3000-sample path (gmi_clarke's)
 or a batch of 16 paths of 771 samples rounds differently on one thread and
 on two.  The simulate_clarke_genie paths are short enough to hash alike on
-one and on two threads.  AR(1) synthesis makes no BLAS call (its recursion
-is elementwise numpy), so AR(1) paths hash alike on any thread count.
+one and on two threads.  AR(1) and tabulated synthesis make no BLAS call
+(the AR(1) recursion is elementwise numpy, and a tabulated path is one
+numpy FFT of a circulant embedding), so AR(1) and tabulated paths hash
+alike on any thread count; only the Clarke product factor @ w does not.
 """
 
 import contextlib
@@ -115,13 +117,13 @@ DIGESTS = {
     },
     'gmi_tabulated': {
         'lambda_curve.csv':
-            'b0b7fd80423d2dde83f443300bbd1a07f1416077c8c488c87a0ed43f9fe50e14',
+            'd70c4d5595769cba775032db05027fa391dc5105494596bbb82a7704a23f1eb1',
         'lambda_curve.svg':
-            'b8d45f9347e7b4d316f3fc6ba4df6309f47029aefed5bc3e5ecec1b7fcf86732',
+            'f63b88e464bc46b14fb4a28defaf805c3961835085bdc088a14c7e5f3ec1a5d1',
         'report.json':
-            '83b32999027bada911094560ffba1c566996cfaa46e422ea1e9885adee4cc366',
+            'edbc7aae892145d2eb6533f237031ca5351afc373cd81ad98964ccd4656fb09e',
         'stdout':
-            'a1393f53629b33cad3c08a45b3d8389268fbfde43786308f8d928b6d9b020ee9',
+            'ac3f3a0cfa6603ea116b242e03b70fa77aa16a50240a7856b762f11e7ec193dc',
     },
     'ladder': {
         'ladder.csv':

@@ -375,3 +375,45 @@ def test_run_memory_does_not_grow_with_the_trial_count(monkeypatch):
     # the check can fail: 200 trials in one batch do hold more
     monkeypatch.setattr(rtgmi.simulate, "_BATCH", 200)
     assert peak(200) > batch + (32 << 10)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(dict(interleave_depth=6, block_length=20, rate_fraction=1.2,
+                      model=Ar1Fading(0.9)), id="ar1"),
+    pytest.param(dict(interleave_depth=4, block_length=30, rate_fraction=0.9,
+                      model=ClarkeFading(0.05)), id="clarke"),
+    pytest.param(dict(interleave_depth=3, block_length=70, rate_fraction=1.5,
+                      model=Ar1Fading(0.99), snr=0.12), id="ar1-low-snr"),
+])
+def test_decision_directed_and_genie_runs_fail_the_same_trials(case,
+                                                               monkeypatch):
+    """With one master seed both modes draw the same paths, noise, messages
+    and codebooks, and coincide until a trial's first decoding error: they
+    fail the same trials, first at the same subchannel.  A decision-directed
+    error at l lies between "the first error is at l" and "at or before l".
+    40 trials leave a partial last batch."""
+    inner = rtgmi.simulate._trial_errors
+
+    def trial_errors(genie):
+        rows = []
+
+        def recording(*args):
+            rows.append(inner(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(rtgmi.simulate, "_trial_errors", recording)
+        report = run(small_config(n_trials=40, genie=genie, **case))
+        return report, np.concatenate(rows)
+
+    directed, errs = trial_errors(False)
+    genie, genie_errs = trial_errors(True)
+    failed = errs.any(axis=1)
+    first = np.where(failed, errs.argmax(axis=1), -1)
+    assert 0 < failed.sum() < 40
+    assert np.array_equal(failed, genie_errs.any(axis=1))
+    assert np.array_equal(first, np.where(failed, genie_errs.argmax(axis=1), -1))
+    assert directed.overall_error == genie.overall_error == failed.mean()
+    counts = errs.sum(axis=0)
+    assert np.array_equal(directed.per_psc_block_error, counts / 40)
+    at = np.array([np.count_nonzero(first == l) for l in range(len(counts))])
+    assert np.all(at <= counts) and np.all(counts <= np.cumsum(at))
