@@ -7,9 +7,10 @@ version, which is all the determinism contract asks for.
 
 generate_paths draws one path per seed as the rows of one array, each from
 its own generator, in one pass of the synthesis (the AR(1) recursion
-elementwise across the rows, one product with the Clarke factor, one
-inverse FFT of the tabulated circulant); row b is bit for bit the path
-generate_path draws from seeds[b], since generate_path is its one-seed case.
+elementwise across the rows, padded to whole segments, one product with
+the Clarke factor, one inverse FFT of the tabulated circulant); row b is
+bit for bit the path generate_path draws from seeds[b], since generate_path
+is its one-seed case.
 
 Synthesis is numpy alone, so no command loads scipy: the AR(1) recursion is
 elementwise, Clarke's J0 is a port of the Cephes rational approximations
@@ -70,7 +71,13 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class Ar1Fading(FadingModel):
-    """First-order Gauss-Markov fading: h[k] = a*h[k-1] + sqrt(1-a^2)*w[k]."""
+    """First-order Gauss-Markov fading: h[k] = a*h[k-1] + sqrt(1-a^2)*w[k].
+
+    Paths are drawn padded to whole segments of _SEGMENT samples, which
+    _recur runs through.  The pad is drawn after each path's last sample,
+    so no sample depends on it.  A batch of several paths whose length is
+    not a whole number of segments is copied once, to drop the pad.
+    """
 
     alpha: float
 
@@ -85,101 +92,62 @@ class Ar1Fading(FadingModel):
     def _sample(self, n, rngs):
         if self.alpha == 0.0:
             return complex_normal_rows(rngs, n)
-        h = np.empty((len(rngs), n), dtype=complex)
+        h = np.empty((len(rngs), -(-n // _SEGMENT) * _SEGMENT), dtype=complex)
         scale = math.sqrt(1.0 - self.alpha ** 2)
 
         def draw(cols):
-            # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1)
-            block = h[:, cols]
-            fill_complex_normal(rngs, block)
-            block[:, 1 if cols.start == 0 else 0:] *= scale
+            fill_complex_normal(rngs, h[:, cols])
+            # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1);
+            # row by row, since numpy copies a strided block to scale it
+            for row in h[:, cols]:
+                row[1 if cols.start == 0 else 0:] *= scale
 
         _recur(h, self.alpha, draw)
-        return h
+        return np.ascontiguousarray(h[:, :n])
 
 
 def _recur(h: np.ndarray, alpha: float, draw=None):
-    """h[:, k] += alpha * h[:, k - 1] for k = 1, ..., n - 1, in place.
+    """h[:, k] += alpha * h[:, k - 1] for k = 1, ..., n - 1, in place, on a
+    (B, n) array of whole segments of _SEGMENT samples.
 
-    The (B, n) path is cut into segments of _SEGMENT samples.  Each segment
-    runs the recursion from a zero carry, elementwise across all rows and
-    segments, a cache block at a time, right after draw(cols) has written
-    the block's columns, if a `draw` is given; _add_carries then finishes
-    it.  No step is a BLAS call.
+    Each segment first runs the recursion from a zero carry, elementwise
+    across all rows and segments, a cache block at a time, right after
+    draw(cols) has written the block's columns, if a `draw` is given.  The
+    last sample of segment m, e[m], is then its segment's share of the end
+    value E[m] = alpha^S E[m - 1] + e[m]: the same recursion at alpha^S,
+    which _recur solves on the ends, zero-padded to whole segments.  Each
+    E[m] goes back to its segment, and sample j < S - 1 of segment m takes
+    alpha^(j + 1) E[m - 1].  A sample's arithmetic depends on its index
+    alone, not on n or on the number of rows, so a shorter path is a prefix
+    of a longer one and each row is the path of its own.  No step is a
+    BLAS call.
     """
     rows, n = h.shape
-    count = n // _SEGMENT
-    # the ends are padded with zeros to whole segments, so the levels below
-    # have no partial segment and their rows run as one strided vector
-    ends = np.empty((rows, -(-count // _SEGMENT) * _SEGMENT), dtype=h.dtype)
-    ends[:, count:] = 0.0
-    for cols in _blocks(h):
+    segments = h.reshape(rows, -1, _SEGMENT)
+    count = segments.shape[1]
+    step = block_step(rows * _SEGMENT)
+    blocks = [slice(first, min(first + step, count))
+              for first in range(0, count, step)]
+    ends = np.zeros((rows, -(-count // _SEGMENT) * _SEGMENT), dtype=h.dtype)
+    for block in blocks:
         if draw is not None:
-            draw(cols)
-        _run_from_zero(h, cols, alpha, ends)
-    _add_carries(h, ends, alpha)
-
-
-def _blocks(h: np.ndarray):
-    """Column slices of the (B, n) array h: cache blocks of whole segments."""
-    rows, n = h.shape
-    step = _SEGMENT * block_step(rows * _SEGMENT)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
-def _segments(h: np.ndarray, cols: slice):
-    """The (B, m, S) view of the whole segments of h[:, cols] and the
-    (B, 1, r) view of its partial last one; cols starts a segment."""
-    block = h[:, cols]
-    rows, n = block.shape
-    full = n - n % _SEGMENT
-    return (block[:, :full].reshape(rows, -1, _SEGMENT),
-            block[:, None, full:])
-
-
-def _run_from_zero(h: np.ndarray, cols: slice, alpha: float,
-                   ends: np.ndarray):
-    """Run the recursion within each segment of h[:, cols] from a zero
-    carry, and copy the last sample of each whole segment to `ends`."""
-    whole, tail = _segments(h, cols)
-    for part in (whole, tail):
-        if part.size:
-            for j in range(1, part.shape[2]):
-                part[:, :, j] += alpha * part[:, :, j - 1]
-    first = cols.start // _SEGMENT
-    ends[:, first:first + whole.shape[1]] = whole[:, :, -1]
-
-
-def _add_carries(h: np.ndarray, ends: np.ndarray, alpha: float):
-    """Finish the recursion on h once every segment has run from zero.
-
-    The last sample of whole segment m, e[m], copied to ends[:, m], is
-    then its segment's share of the end value E[m] = alpha^S E[m - 1] +
-    e[m]: the same recursion at alpha^S, which _recur solves on `ends`.
-    Each E[m] goes back to its segment, and sample j < S - 1 of segment m
-    takes alpha^(j + 1) E[m - 1].  A sample's arithmetic depends on its
-    index alone, not on n or on the number of rows, so a shorter path is a
-    prefix of a longer one and each row is the path of its own.
-    """
-    count = h.shape[1] // _SEGMENT
-    if not count:                      # one partial segment: no carry
+            draw(slice(block.start * _SEGMENT, block.stop * _SEGMENT))
+        part = segments[:, block]
+        for j in range(1, _SEGMENT):
+            part[:, :, j] += alpha * part[:, :, j - 1]
+        ends[:, block] = part[:, :, -1]
+    if count == 1:                     # one segment: no carry
         return
-    if count > 1:
-        _recur(ends, alpha ** _SEGMENT)
+    _recur(ends, alpha ** _SEGMENT)
     powers = [alpha ** (j + 1) for j in range(_SEGMENT - 1)]
-    for cols in _blocks(h):
-        whole, tail = _segments(h, cols)
-        first = cols.start // _SEGMENT
-        whole[:, :, -1] = ends[:, first:first + whole.shape[1]]
-        if first == 0:                 # the first segment has no carry
-            whole, first = whole[:, 1:], 1
-        carries = ends[:, first - 1:]
-        for part in (whole, tail):
-            taken = carries[:, :part.shape[1]]
-            carries = carries[:, part.shape[1]:]
-            if part.size:
-                for j in range(min(part.shape[2], _SEGMENT - 1)):
-                    part[:, :, j] += powers[j] * taken
+    for block in blocks:
+        segments[:, block, -1] = ends[:, block]
+        # segment m takes the end of segment m - 1; the first has no carry
+        first = max(block.start, 1)
+        part = segments[:, first:block.stop]
+        carries = ends[:, first - 1:block.stop - 1]
+        for j in range(_SEGMENT - 1):
+            part[:, :, j] += powers[j] * carries
 
 
 @dataclass(frozen=True)
@@ -479,7 +447,8 @@ def generate_paths(model: FadingModel, n: int, seeds) -> np.ndarray:
 
     Row b is bit for bit generate_path(model, n, seeds[b]): each path has its
     own generator, and the synthesis treats the rows alike whatever their
-    number.  One seed adds no copy to the path.
+    number.  One seed adds no copy to the path; an AR(1) batch of several
+    seeds whose n is not a whole number of segments is copied once.
     """
     if n < 1:
         raise ValueError("path length must be positive")

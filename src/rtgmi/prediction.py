@@ -19,6 +19,8 @@ import numpy as np
 from .fading import FadingModel, whole_lag
 
 DEFAULT_PREDICTOR_ORDER = 16
+# the (p, p) complex normal equations of this order take 67 MB
+MAX_PREDICTOR_ORDER = 2048
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,9 @@ def schedule_predictors(model: FadingModel, interleave_depth: int, snr: float,
     """Per-subchannel PredictionResult list, None for the pilot; one model read."""
     if interleave_depth < 1:
         raise ValueError("interleave depth must be >= 1")
-    if predictor_order < 1:
-        raise ValueError("predictor order must be >= 1")
+    if not 1 <= predictor_order <= MAX_PREDICTOR_ORDER:
+        raise ValueError(f"predictor order must be in [1, "
+                         f"{MAX_PREDICTOR_ORDER}], got {predictor_order}")
     if not snr > 0.0:
         raise ValueError("snr must be positive")
     patterns = [schedule_lag_pattern(l, interleave_depth, predictor_order)

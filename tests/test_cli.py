@@ -4,12 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import rtgmi
-from rtgmi import cli
+from rtgmi import cli, prediction
 from rtgmi.capacity import CapacityEstimate, psk_capacity_quadrature
 from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
                        _parse_constellation, _parse_finite, _parse_grid,
@@ -18,6 +19,7 @@ from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
 from rtgmi.errors import ConfigurationError
 from rtgmi.fading import Ar1Fading, ClarkeFading
 from rtgmi.gmi import gmi
+from rtgmi.prediction import MAX_PREDICTOR_ORDER
 from rtgmi.psk import make_constellation, synthesize_block_at_rho
 from rtgmi.simulate import SchemeConfig, run
 from rtgmi.utils import derive_seed
@@ -491,6 +493,26 @@ def test_simulate_refuses_orders_past_256_with_exit_2(tmp_path, capsys):
     argv[argv.index("--constellation") + 1] = "257"
     assert main(argv + ["--trials", "1", "--output-dir", str(tmp_path)]) == 2
     assert "[2, 256]" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ladder", "--model", "ar1", "--alpha", "0.9",
+                  "--constellation", "qpsk", "--snr-db", "0", "--L", "3",
+                  "--predictor-order", "8"], id="ladder"),
+    pytest.param(_SMALL_SIMULATE, id="simulate"),
+])
+def test_predictor_order_past_the_cap_exits_2_quickly(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # order 20000 used to die in an uncaught MemoryError under a 4 GB
+    # address-space limit; the cap refuses it before any lag pattern
+    monkeypatch.setattr(prediction, "schedule_lag_pattern", None)
+    argv = list(argv)
+    argv[argv.index("--predictor-order") + 1] = str(MAX_PREDICTOR_ORDER + 1)
+    start = time.perf_counter()
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert f"[1, {MAX_PREDICTOR_ORDER}]" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

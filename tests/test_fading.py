@@ -202,6 +202,36 @@ def test_ar1_path_allocates_little_beyond_its_output():
         assert peak <= 1.25 * 16 * n, n
 
 
+@pytest.mark.parametrize("batch", [2, 16])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 513, AR1_BLOCK - 1,
+                               AR1_BLOCK + 1, 2 * AR1_BLOCK + 3])
+def test_ar1_batch_drops_its_pad_row_by_row(n, batch):
+    # the batch is drawn padded to whole segments; whatever the pad, each
+    # row is its seed's path and the batch is one C-contiguous array
+    seeds = [40 + 3 * b for b in range(batch)]
+    paths = generate_paths(Ar1Fading(0.99), n, seeds)
+    assert paths.shape == (batch, n) and paths.flags.c_contiguous
+    for seed, row in zip(seeds, paths):
+        assert np.array_equal(row, generate_path(Ar1Fading(0.99), n, seed))
+
+
+def test_ar1_batch_holds_its_padded_paths_the_ends_and_one_copy():
+    # the simulate_dd shape: 16 paths of 771 samples, padded to 776.  The
+    # padded array, the segment ends (under a seventh of it over all
+    # levels) and the copy without the pad bound the peak: 424 192 bytes.
+    # Before the pad it measured 483 848 bytes, when numpy copied each
+    # strided block to scale it; 409 992 after
+    batch, n = 16, 771
+    padded = -(-n // fading._SEGMENT) * fading._SEGMENT
+    tracemalloc.start()
+    try:
+        generate_paths(Ar1Fading(0.99), n, range(batch))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * batch * (padded + padded // 7 + n)
+
+
 def assert_same_output_on_one_and_two_blas_threads(code):
     """Run `code` in a fresh interpreter on one and on two OpenBLAS threads;
     both print the same."""

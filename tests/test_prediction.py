@@ -7,7 +7,8 @@ from scipy.linalg import toeplitz
 
 from rtgmi import prediction
 from rtgmi.fading import Ar1Fading, ClarkeFading, FadingModel, TabulatedFading
-from rtgmi.prediction import (PredictorSpec, _normal_equations, effective_snr,
+from rtgmi.prediction import (MAX_PREDICTOR_ORDER, PredictorSpec,
+                              _normal_equations, effective_snr,
                               predictor_coefficients, rho_sequence,
                               schedule_lag_pattern, schedule_predictors,
                               schedule_rhos, solve_hermitian_toeplitz)
@@ -199,6 +200,20 @@ def test_schedule_predictors_layout():
         assert preds[l].spec.lag_pattern == schedule_lag_pattern(l, 5, 6)
 
 
+@pytest.mark.parametrize("order", [0, MAX_PREDICTOR_ORDER + 1, 10 ** 8])
+def test_schedule_refuses_an_order_past_the_cap_before_any_pattern(
+        order, monkeypatch):
+    # order 10^8 used to build its Python lag list for minutes; the cap
+    # holds a (p, p) complex system to 67 MB
+    def unreachable(*args):
+        raise AssertionError("a lag pattern was built")
+
+    monkeypatch.setattr(prediction, "schedule_lag_pattern", unreachable)
+    for call in (schedule_predictors, rho_sequence):
+        with pytest.raises(ValueError, match=rf"\[1, {MAX_PREDICTOR_ORDER}\]"):
+            call(Ar1Fading(0.9), 3, 1.0, order)
+
+
 def normal_equations_oracle(r, spec):
     """The normal equations built entry by entry, each lag read through a memo."""
     lags = np.array(spec.lag_pattern)
@@ -224,9 +239,12 @@ def normal_equations_oracle(r, spec):
 
 
 def gapped_complex_table(max_lag):
-    """a^t e^{i w t} (1 + cos(pi t / 2)) / 2 on lags 0..max_lag: a Schur
-    product of PSD sequences, so PSD, and zero at every lag t = 2 mod 4,
-    which the table leaves out."""
+    """a^t e^{i w t} (1 + cos(pi t / 2)) / 2 on lags 0..max_lag, zero at
+    every lag t = 2 mod 4, which the table leaves out.  The infinite
+    sequence is a Schur product of PSD sequences, so its (b + 1)-section
+    is PSD, b = max_lag; the zero extension past b need not be: at
+    b = 225 (order 8) its spectrum falls to -0.27, and generate_path
+    refuses the table."""
     lags = [t for t in range(max_lag + 1) if t % 4 != 2]
     values = [0.99 ** t * cmath.exp(0.3j * t) * (1.0 + math.cos(math.pi * t / 2)) / 2
               for t in lags]
