@@ -391,10 +391,11 @@ def _run_gmi(params):
     model = build_model(params)
     rho = db_to_linear(params["snr_db"])
     const = make_constellation(params["constellation"])
-    # gmi reads no residual, so none is kept
+    # gmi reads neither the residual nor the symbols, so neither is kept
+    # while it runs: it holds x, h_hat, its gap table and one index each
     block = replace(synthesize_block_at_rho(model, rho, const, params["K"],
                                             derive_seed(params["seed"], 1)),
-                    residual_noise=None)
+                    s=None, residual_noise=None)
     report = gmi(block, const, mu_range=(params["mu_min"], params["mu_max"]),
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))

@@ -20,18 +20,21 @@ symbol j* has a gap of exactly 0.  Hence
               + mean_k log( (1 + sum_{j != j*} exp(mu * u[j, k])) / J ),
 
 J - 1 exponentials per sample, read from a (J - 1, n) table built once.
-The whole lambda curve is one sweep over that table, a cache block at a
-time.  Every mean is the math.fsum of np.sums over fixed runs of _CHUNK
-samples, so its bits depend neither on the block size nor on which mu values
-are swept together.
+Beside the table only j* is held, one byte per sample for J <= 256: dmin is
+summed once for its mean and recomputed from j* where a per-sample value
+needs it.  The whole lambda curve is one sweep over that table, a cache
+block at a time.  Every mean is the math.fsum of np.sums over fixed runs of
+_CHUNK samples, so its bits depend neither on the block size nor on which mu
+values are swept together.
 
 The reported rate is sup over mu < 0 of (mu - lam(mu)), located by a
 safeguarded Newton search on the zero of its derivative; the value at
 mu = -1 is kept alongside because it equals the matched (capacity) rate of
 the memoryless channel with the same marginals.  Uncertainty comes from a
 64-segment contiguous block bootstrap, which stays valid when the block is
-correlated; its segment means are filled a segment at a time, so the block
-needs at least 64 samples and no per-sample vector is ever held.
+correlated; its segment means at mu* and at mu = -1 are filled together, a
+segment at a time, so the block needs at least 64 samples and no per-sample
+vector is ever held.
 """
 
 import math
@@ -82,9 +85,9 @@ def _first_maximum(corr: np.ndarray, top: np.ndarray) -> np.ndarray:
     return hits.astype(np.float64)
 
 
-def _nearest_gaps(x, ref, twice, pick, gaps, dmin):
-    """Write the gaps u and the nearest distances dmin of one run of
-    columns, given its samples x and its references sqrt(rho) h_hat."""
+def _nearest_gaps(x, ref, twice, pick, gaps, nearest):
+    """Write the gaps u and the nearest symbols j* of one run of columns,
+    given its samples x and its references sqrt(rho) h_hat."""
     order = len(twice)
     # complex products in place, left operand first: numpy computes
     # a * b and b * a with different roundings, and may swap the
@@ -96,29 +99,28 @@ def _nearest_gaps(x, ref, twice, pick, gaps, dmin):
     corr = re * twice.real[:, None] - im * twice.imag[:, None]
     top = corr.max(axis=0)
     coords = pick @ _first_maximum(corr, top)
-    turned, sines = coords[:order - 1], coords[order - 1:-2]
+    turned, sines = coords[:order - 1], coords[order - 1:-1]
     turned *= re
     sines *= im
     turned -= sines
     np.subtract(top, turned, out=gaps)
-    nearest = np.empty(len(x), dtype=complex)
-    nearest.real, nearest.imag = coords[-2], coords[-1]
-    nearest *= ref
-    squares = np.subtract(x, nearest, out=nearest).view(np.float64)
-    squares *= squares
-    np.add(squares[0::2], squares[1::2], out=dmin)
+    nearest[...] = coords[-1]
 
 
 class _LogMgfEvaluator:
-    """The (J - 1, n) table of nonzero gaps u and the nearest distances dmin.
+    """The (J - 1, n) table of nonzero gaps u and the nearest symbols j*.
 
     Column k holds u[j, k] for j = j* + 1, ..., j* + J - 1 (mod J), where j*
     is the first symbol of largest correlation, so the nearest symbol's zero
     gap is left out.  Its row order is the order the exponentials are added
-    in.  The table is built half a block at a time, and every evaluation
-    runs a cache block of whole _CHUNK columns at a time.  A mean is the
-    math.fsum of the np.sums of fixed _CHUNK-column runs, over n, so neither
-    the block size nor the number of mu values swept together changes a bit.
+    in.  j* is held, a byte per sample for J <= 256, in place of the
+    distance dmin: the build sums dmin over its _CHUNK runs for mean(dmin),
+    and a fill recomputes it run by run with the build's operations, so
+    with its bits.  The build's runs are whole _CHUNK columns, about half a
+    cache block; the lambda sweeps go a cache block of whole chunks at a
+    time.  A mean is the math.fsum of the np.sums of fixed _CHUNK-column
+    runs, over n, so neither the block size nor the number of mu values
+    swept together changes a bit.
     """
 
     def __init__(self, block: PscBlock, constellation: PskConstellation):
@@ -127,25 +129,53 @@ class _LogMgfEvaluator:
         self.n = block.block_length
         self.step = _CHUNK * max(1, block_step(order) // _CHUNK)
         self.gaps = np.empty((order - 1, self.n))
-        self.dmin = np.empty(self.n)
+        self.nearest = np.empty(self.n, dtype=np.min_scalar_type(order - 1))
+        self.points = constellation.points
+        self.x, self.h_hat = block.x, block.h_hat
+        self.root = np.sqrt(block.rho)
         twice = 2.0 * constellation.points
         # a one-hot column of the nearest symbol selects, by an exact product,
-        # twice the coordinates of symbols j* + 1, ..., j* + J - 1 and the
-        # coordinates of j* itself
+        # twice the coordinates of symbols j* + 1, ..., j* + J - 1, and j*
         turn = (np.arange(order) + np.arange(1, order)[:, None]) % order
         pick = np.concatenate([twice.real[turn], twice.imag[turn],
-                               constellation.points.real[None],
-                               constellation.points.imag[None]])
-        root = np.sqrt(block.rho)
+                               np.arange(order)[None]])
         # the build's temporaries are about twice an evaluation's, so it goes
         # half a block at a time, and each block's die with its call (a
-        # quarter block, smaller still, took 25% longer at QPSK)
-        build = max(1, self.step // 2)
-        for start in range(0, self.n, build):
-            cols = slice(start, start + build)
-            _nearest_gaps(block.x[cols], root * block.h_hat[cols], twice,
-                          pick, self.gaps[:, cols], self.dmin[cols])
-        self.mean_dmin = self._mean([_chunk_sums(self.dmin)])
+        # quarter block, smaller still, took 25% longer at QPSK); its runs
+        # are whole chunks, so the chunk sums of dmin are those of one vector
+        self.build = _CHUNK * max(1, self.step // (2 * _CHUNK))
+        sums = []
+        for run in self._runs(0, self.n):
+            _nearest_gaps(self.x[run], self.root * self.h_hat[run], twice,
+                          pick, self.gaps[:, run], self.nearest[run])
+            sums.append(_chunk_sums(self._run_distances(run)))
+        self.mean_dmin = self._mean(sums)
+
+    def _runs(self, start: int, stop: int):
+        """The build's runs that meet columns start, ..., stop - 1."""
+        for lo in range(start - start % self.build, stop, self.build):
+            yield slice(lo, min(lo + self.build, self.n))
+
+    def _run_distances(self, run: slice) -> np.ndarray:
+        """dmin = |x - sqrt(rho) h_hat theta[j*]|^2 over one of the build's
+        runs, with the build's operations.
+
+        A whole run, because numpy rounds the in-place complex product of
+        a one-element run unlike its vector loop: a run the build made of
+        one column must be recomputed as one column, and no other.
+        """
+        closest = np.take(self.points, self.nearest[run])
+        closest *= self.root * self.h_hat[run]
+        squares = np.subtract(self.x[run], closest, out=closest)
+        squares = squares.view(np.float64)
+        squares *= squares
+        return squares[0::2] + squares[1::2]
+
+    def distances(self) -> np.ndarray:
+        """dmin[k] = |x[k] - sqrt(rho) h_hat[k] theta[j*]|^2 over the block,
+        recomputed with the bits the build summed."""
+        return np.concatenate([self._run_distances(run)
+                               for run in self._runs(0, self.n)])
 
     def _blocks(self):
         return (slice(start, start + self.step)
@@ -167,37 +197,47 @@ class _LogMgfEvaluator:
         total += 1.0
         return total, np.log(total / self.order)
 
-    def _fill(self, mu: float, start: int, out: np.ndarray):
-        """Write the per-sample terms of columns start, ..., start +
-        len(out) - 1 into out, a cache block at a time; a column's bits do
-        not depend on the run it is filled in."""
-        for lo in range(0, len(out), self.step):
-            dest = out[lo:lo + self.step]
-            cols = slice(start + lo, start + lo + len(dest))
-            gaps = self.gaps[:, cols]
-            terms = self._log_terms(gaps, mu, np.empty(gaps.shape))[1]
-            np.multiply(self.dmin[cols], mu, out=dest)
-            dest += terms
+    def _fill(self, mus, start: int, out: np.ndarray):
+        """Write the per-sample terms at mus[i] of columns start, ...,
+        start + width - 1 into row i of out, (len(mus), width), one run of
+        the build at a time; a run's distances are recomputed once for all
+        mus, and a column's bits do not depend on what is filled with it."""
+        stop = start + out.shape[1]
+        for run in self._runs(start, stop):
+            lo, hi = max(run.start, start), min(run.stop, stop)
+            dmin = self._run_distances(run)[lo - run.start:hi - run.start]
+            gaps = self.gaps[:, lo:hi]
+            e = np.empty(gaps.shape)
+            for mu, row in zip(mus, out[:, lo - start:hi - start]):
+                terms = self._log_terms(gaps, mu, e)[1]
+                np.multiply(dmin, mu, out=row)
+                row += terms
 
     def per_sample(self, mu: float) -> np.ndarray:
         """mu * dmin[k] + log((1 + sum_r exp(mu * u[r, k])) / J), k < n."""
-        out = np.empty(self.n)
-        self._fill(mu, 0, out)
-        return out
+        out = np.empty((1, self.n))
+        self._fill([mu], 0, out)
+        return out[0]
 
-    def segment_means(self, mu: float) -> np.ndarray:
+    def segment_means(self, mu) -> np.ndarray:
         """The means of per_sample(mu) over the BOOTSTRAP_SEGMENTS runs of
-        np.array_split, bit for bit, with one run held at a time."""
+        np.array_split, bit for bit, with one segment held at a time.
+
+        For a sequence of mu values, row i holds those of mu[i], from one
+        pass that recomputes each distance once.
+        """
+        mus = np.atleast_1d(mu).tolist()
         size, longer = divmod(self.n, BOOTSTRAP_SEGMENTS)
-        run = np.empty(size + (longer > 0))
-        means = np.empty(BOOTSTRAP_SEGMENTS)
+        run = np.empty((len(mus), size + (longer > 0)))
+        means = np.empty((len(mus), BOOTSTRAP_SEGMENTS))
         start = 0
         for i in range(BOOTSTRAP_SEGMENTS):
-            values = run[:size + (i < longer)]
-            self._fill(mu, start, values)
-            means[i] = values.mean()
-            start += len(values)
-        return means
+            values = run[:, :size + (i < longer)]
+            self._fill(mus, start, values)
+            for row, mean in zip(values, means):
+                mean[i] = row.mean()
+            start += values.shape[1]
+        return means if np.ndim(mu) else means[0]
 
     def lambdas(self, mus) -> list:
         """lam(mu) for every mu of `mus` (all <= 0) in one sweep of the table.
@@ -340,8 +380,8 @@ def gmi(block: PscBlock, constellation: PskConstellation,
         mu_star, g_star = -1.0, g_m1
 
     rng = np.random.default_rng(int(seed))
-    se_star, se_m1 = (_segment_bootstrap_se(ev.segment_means(mu), rng)
-                      for mu in (mu_star, -1.0))
+    se_star, se_m1 = (_segment_bootstrap_se(means, rng)
+                      for means in ev.segment_means([mu_star, -1.0]))
     clamped = g_star < 0.0
     return GmiReport(
         mu_star=float(mu_star),

@@ -275,6 +275,11 @@ def synthesize_block_at_rho(model: FadingModel, rho: float,
     (each sample is CN(0,1) regardless of the correlation), the symbols are
     i.i.d. uniform, and x is built from the synthesis identity.  An
     uncorrelated `model` gives the memoryless case.
+
+    x is formed a cache block at a time, in the order of
+    np.sqrt(rho) * h_hat * points[s] + residual, so it has that
+    expression's bits without its full-length temporaries.  h_hat and the
+    residual are separate paths, and dropping the residual frees it.
     """
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
@@ -284,5 +289,15 @@ def synthesize_block_at_rho(model: FadingModel, rho: float,
     residual = generate_path(model, block_length, derive_seed(seed, 2))
     rng = np.random.default_rng(derive_seed(seed, 3))
     s = rng.integers(0, constellation.order, size=block_length)
-    x = np.sqrt(rho) * h_hat * constellation.points[s] + residual
+    root = np.sqrt(rho)
+    x = np.empty(block_length, dtype=complex)
+    step = block_step(2)        # two float64 per complex sample
+    for start in range(0, block_length, step):
+        cols = slice(start, start + step)
+        # left operands first, as in the expression (see gmi._nearest_gaps),
+        # and the complex product into a separate output: numpy rounds an
+        # in-place complex product of one element unlike its vector loop
+        part = np.multiply(root * h_hat[cols], constellation.points[s[cols]],
+                           out=x[cols])
+        part += residual[cols]
     return PscBlock(x=x, h_hat=h_hat, s=s, rho=float(rho), residual_noise=residual)

@@ -3,11 +3,12 @@
 The kernels stream blocks of utils.BLOCK_ELEMENTS elements, in whole rows or
 columns of their tables.  Sizes of 1 and 7 elements give one row or column
 per block, or a few; 1000 gives a few dozen; the default, one block here
-(two for the AR(1) path, which steps through complex samples, and 17 for
-the Clarke ray sum, whose 4099 rows hold 128 rays each).  The gmi
+(the AR(1) path too, whose recursion steps through blocks of
+block_step(8) segments of 8 samples, 32 768 samples against its 20 001, and
+17 for the Clarke ray sum, whose 4099 rows hold 128 rays each).  The gmi
 evaluator rounds its blocks down to whole chunks of gmi._CHUNK columns, at
-least one: 1, 7 and 1000 elements give one chunk per block, the default one
-to a dozen chunks, so its 20 001 columns end in a partial chunk of a partial
+least one: 1, 7 and 1000 elements give one chunk per block, the default 2
+to 16 chunks, so its 20 001 columns end in a partial chunk of a partial
 block.
 """
 
@@ -52,7 +53,7 @@ def _outputs():
         blk = synthesize_block_at_rho(Ar1Fading(0.9), 1.3, c, 20_001,
                                       seed=order)
         ev = _LogMgfEvaluator(blk, c)
-        out[f"gaps {order}"], out[f"dmin {order}"] = ev.gaps, ev.dmin
+        out[f"gaps {order}"], out[f"dmin {order}"] = ev.gaps, ev.distances()
         out[f"lambdas {order}"] = np.array(ev.lambdas(grid))
         for mu in (-3.1, -1.0, 0.0):
             out[f"per_sample {order} {mu}"] = ev.per_sample(mu)

@@ -181,7 +181,7 @@ def test_per_sample_equals_the_row_major_formula(order):
     gaps, dmin = gap_oracle(blk, c)
     ev = _LogMgfEvaluator(blk, c)
     assert np.array_equal(ev.gaps, gaps.T)
-    assert np.array_equal(ev.dmin, dmin)
+    assert np.array_equal(ev.distances(), dmin)
     assert gaps.min() >= 0.0
     for mu in (-32.0, -1.0, -1e-4, 0.0):
         got = ev.per_sample(mu)
@@ -203,10 +203,10 @@ def test_first_maximum_breaks_ties_at_the_lowest_symbol(order):
     gaps, dmin = gap_oracle(blk, c)
     ev = _LogMgfEvaluator(blk, c)
     assert np.array_equal(ev.gaps, gaps.T)
-    assert np.array_equal(ev.dmin, dmin)
+    assert np.array_equal(ev.distances(), dmin)
     assert not ev.gaps[:, ::3].any()
     ref = np.sqrt(blk.rho) * blk.h_hat[::3]
-    assert np.array_equal(ev.dmin[::3], ref.real ** 2 + ref.imag ** 2)
+    assert np.array_equal(ev.distances()[::3], ref.real ** 2 + ref.imag ** 2)
 
 
 def test_the_curve_sweep_has_the_bits_of_lone_evaluations():
@@ -475,10 +475,10 @@ def test_gmi_passes_over_a_long_block(monkeypatch):
 
 
 def test_gmi_memory_is_the_table_and_one_vector():
-    """gmi holds the (J - 1, n) gap table, dmin and one bootstrap segment
-    of the per-sample terms, and no per-sample vector: its peak stays below
-    those plus a fixed 1 MiB for its cache blocks (0.73 MB at n = 200 000,
-    and about as much at n = 100 000 and 400 000)."""
+    """gmi holds the (J - 1, n) gap table, a byte of nearest symbol per
+    sample and one bootstrap segment of the per-sample terms at mu* and at
+    mu = -1, and no per-sample vector: its peak stays below those plus a
+    fixed 1 MiB for its cache blocks (0.69 MB at n = 200 000)."""
     c = make_constellation(4)
     n = 200_000
     blk = synthesize_block_at_rho(Ar1Fading(0.99), 1.0, c, n, seed=5)
@@ -488,5 +488,5 @@ def test_gmi_memory_is_the_table_and_one_vector():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = ((c.order - 1) * n + n + -(-n // BOOTSTRAP_SEGMENTS)) * 8
+    held = ((c.order - 1) * n + 2 * -(-n // BOOTSTRAP_SEGMENTS)) * 8 + n
     assert peak < held + (1 << 20)
