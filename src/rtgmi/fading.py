@@ -7,10 +7,10 @@ version, which is all the determinism contract asks for.
 
 generate_paths draws one path per seed as the rows of one array, each from
 its own generator, in one pass of the synthesis (the AR(1) recursion
-elementwise across the rows, padded to whole segments, one product with
-the Clarke factor, one inverse FFT of the tabulated circulant); row b is
-bit for bit the path generate_path draws from seeds[b], since generate_path
-is its one-seed case.
+elementwise across the rows, padded to whole segments, one product per row
+block of the Clarke factor, one inverse FFT of the tabulated circulant);
+row b is bit for bit the path generate_path draws from seeds[b], since
+generate_path is its one-seed case.
 
 Synthesis is numpy alone, so no command loads scipy: the AR(1) recursion is
 elementwise, Clarke's J0 is a port of the Cephes rational approximations
@@ -50,8 +50,9 @@ class FadingModel:
     # (n, factor) of the most recent path length, set by _factor
     _cached_factor = None
 
-    def _factor(self, n: int) -> np.ndarray:
-        """The covariance factor at path length n, computed once per n.
+    def _factor(self, n: int):
+        """The covariance factor at path length n, computed once per n:
+        one array, or a tuple of arrays, each of them made read-only.
 
         The instance keeps the factor of the most recent length only, so
         repeated draws at one length factor once and memory stays at one
@@ -61,11 +62,12 @@ class FadingModel:
         if cached is not None and cached[0] == n:
             return cached[1]
         factor = self._factorize(n)
-        factor.flags.writeable = False
+        for part in factor if isinstance(factor, tuple) else (factor,):
+            part.flags.writeable = False
         object.__setattr__(self, "_cached_factor", (n, factor))
         return factor
 
-    def _factorize(self, n: int) -> np.ndarray:
+    def _factorize(self, n: int):
         raise NotImplementedError
 
 
@@ -158,11 +160,13 @@ class ClarkeFading(FadingModel):
     Paths up to CHOLESKY_MAX_N samples are synthesized exactly by a Cholesky
     factor of the Toeplitz autocorrelation matrix (tiny diagonal jitter keeps
     the numerically band-limited matrix factorizable), which the Schur
-    algorithm computes in O(n^2) elementwise numpy steps.  The factor is
-    computed once per path length and reused by the instance for every
-    further path of that length.  Longer paths use a seeded equal-power ray
-    sum with `ray_count` rays, whose autocorrelation converges to the same
-    Bessel law as the ray count grows.  No Clarke path loads scipy.
+    algorithm computes in O(n^2) elementwise numpy steps and stores as row
+    blocks of its transpose, without the zeros left of the blocks.  The
+    factor is computed once per path length and reused by the instance for
+    every further path of that length.  Longer paths use a seeded
+    equal-power ray sum with `ray_count` rays, whose autocorrelation
+    converges to the same Bessel law as the ray count grows.  No Clarke
+    path loads scipy.
     """
 
     normalized_doppler: float
@@ -186,13 +190,23 @@ class ClarkeFading(FadingModel):
 
     def _sample(self, n, rngs):
         if n <= CHOLESKY_MAX_N:
-            # the factor is real: one real product with the (n, 2B) float
-            # view of the draws, path b in columns 2b and 2b + 1, instead of
-            # numpy casting the factor to complex each call
+            # the factor is real: real products with the (n, 2B) float view
+            # of the draws, path b in columns 2b and 2b + 1, instead of numpy
+            # casting the factor to complex each call.  Block b, rows kb on
+            # of U = L', adds U_b' w[kb:kb + m] to samples kb on: the paths
+            # are L w without the products of its zero half.  A product sums
+            # over a block's rows, at most 181 at the default block size, and
+            # rounds alike on one and on two BLAS threads
+            # (tests/test_fading.py); the blocks are added in order
             w = complex_normal_rows(rngs, n).view(np.float64)
             w = w.reshape(len(rngs), n, 2).transpose(1, 0, 2).reshape(n, -1)
-            paths = (self._factor(n) @ w).view(np.complex128)
-            return np.ascontiguousarray(paths.T)
+            first, *rest = self._factor(n)
+            paths = first.T @ w[:len(first)]
+            start = len(first)
+            for block in rest:
+                paths[start:] += block.T @ w[start:start + len(block)]
+                start += len(block)
+            return np.ascontiguousarray(paths.view(np.complex128).T)
         out = np.zeros((len(rngs), n), dtype=complex)
         step = block_step(self.ray_count)
         for path, rng in zip(out, rngs):
@@ -274,43 +288,52 @@ def _j0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur_factor(r: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of the real symmetric Toeplitz matrix T
-    with first column r, by the Schur algorithm, as one F-order array.
+def _schur_factor(r: np.ndarray) -> tuple:
+    """The lower Cholesky factor L of the real symmetric Toeplitz matrix T
+    with first column r, by the Schur algorithm, as row blocks of U = L'.
 
-    With Z the down shift, T - Z T Z' = u u' - v v' for the generators
-    u = r / sqrt(r(0)) and v = u with v(0) = 0.  Row k of U = L' is u[k:];
-    then u shifts down one place, and a hyperbolic rotation zeroes v[k + 1]:
-    with g = v[k + 1] / u[k + 1] and s = sqrt((1 - g)(1 + g)),
-    u <- (u - g v) / s, and v <- s v - g u in the mixed form that keeps the
-    factor stable (Bojanczyk, Brent, de Hoog & Sweet, SIAM J. Matrix Anal.
-    Appl. 16(1), 1995).  The shifted u is row k of U itself, so each
-    rotation writes row k + 1 from row k and nothing is copied.  Every step
-    is elementwise: no bit depends on the BLAS thread count.  Raises
-    LinAlgError unless T is positive definite (|g| < 1 at every step).
+    Block b holds rows kb, ..., kb + m - 1 of U from column kb on, as one
+    C-order array, with m = block_step(n) (the last block may be shorter):
+    the zeros left of the blocks are not stored, those below the diagonal
+    within a block are.  With Z the down shift, T - Z T Z' = u u' - v v'
+    for the generators u = r / sqrt(r(0)) and v = u with v(0) = 0.  Row k
+    of U is u[k:]; then u shifts down one place, and a hyperbolic rotation
+    zeroes v[k + 1]: with g = v[k + 1] / u[k + 1] and s = sqrt((1 - g)(1 +
+    g)), u <- (u - g v) / s, and v <- s v - g u in the mixed form that
+    keeps the factor stable (Bojanczyk, Brent, de Hoog & Sweet, SIAM J.
+    Matrix Anal. Appl. 16(1), 1995).  The shifted u is row k of U itself,
+    so each rotation writes row k + 1 from row k, into the block that holds
+    it, and nothing is copied: an entry's bits do not depend on the blocks.
+    Every step is elementwise: no bit depends on the BLAS thread count.
+    Raises LinAlgError unless T is positive definite (|g| < 1 at every
+    step).
     """
     n = len(r)
     if not r[0] > 0.0:
         raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-    upper = np.zeros((n, n))
-    upper[0] = r / math.sqrt(r[0])
-    v = upper[0].copy()
+    step = block_step(n)
+    blocks = tuple(np.zeros((min(step, n - first), n - first))
+                   for first in range(0, n, step))
+    # U[k, k:], a view into the block that holds row k
+    rows = [row[i:] for block in blocks for i, row in enumerate(block)]
+    np.divide(r, math.sqrt(r[0]), out=rows[0])
+    v = rows[0].copy()
     v[0] = 0.0
     scratch = np.empty(n)
     # a step costs its numpy calls more than its arithmetic at these n, so
     # the loop holds them to five, with positional outputs
     multiply, subtract = np.multiply, np.subtract
-    for k, (row, below) in enumerate(zip(upper[:-1], upper[1:])):
-        u, u_next, vk, t = row[k:-1], below[k + 1:], v[k + 1:], scratch[k + 1:]
+    for k, (row, below) in enumerate(zip(rows[:-1], rows[1:])):
+        u, vk, t = row[:-1], v[k + 1:], scratch[k + 1:]
         g = vk.item(0) / u.item(0)
         if not abs(g) < 1.0:
             raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
         s = math.sqrt((1.0 - g) * (1.0 + g))
-        subtract(u, multiply(vk, g, t), u_next)
-        u_next /= s
+        subtract(u, multiply(vk, g, t), below)
+        below /= s
         vk *= s
-        vk -= multiply(u_next, g, t)
-    return upper.T
+        vk -= multiply(below, g, t)
+    return blocks
 
 
 def _toeplitz(r: np.ndarray) -> np.ndarray:

@@ -89,11 +89,11 @@ def _nearest_gaps(x, ref, twice, pick, gaps, nearest):
     """Write the gaps u and the nearest symbols j* of one run of columns,
     given its samples x and its references sqrt(rho) h_hat."""
     order = len(twice)
-    # complex products in place, left operand first: numpy computes
-    # a * b and b * a with different roundings, and may swap the
-    # operands of a large temporary on the right
-    c = np.conj(x)
-    c *= ref
+    # complex products out of place, left operand first: numpy computes
+    # a * b and b * a with different roundings, may swap the operands of a
+    # large temporary on the right, and rounds an in-place product of one
+    # element unlike its vector loop
+    c = np.multiply(np.conj(x), ref)
     re, im = c.real.copy(), c.imag.copy()
     # twice the correlations (doubling is exact), so top - corr is u
     corr = re * twice.real[:, None] - im * twice.imag[:, None]
@@ -160,12 +160,11 @@ class _LogMgfEvaluator:
         """dmin = |x - sqrt(rho) h_hat theta[j*]|^2 over one of the build's
         runs, with the build's operations.
 
-        A whole run, because numpy rounds the in-place complex product of
-        a one-element run unlike its vector loop: a run the build made of
-        one column must be recomputed as one column, and no other.
+        The complex product is out of place, left operand first, as in
+        _nearest_gaps, so a run of one column rounds as the vector loop does.
         """
-        closest = np.take(self.points, self.nearest[run])
-        closest *= self.root * self.h_hat[run]
+        closest = np.multiply(np.take(self.points, self.nearest[run]),
+                              self.root * self.h_hat[run])
         squares = np.subtract(self.x[run], closest, out=closest)
         squares = squares.view(np.float64)
         squares *= squares

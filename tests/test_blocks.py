@@ -9,7 +9,10 @@ block_step(8) segments of 8 samples, 32 768 samples against its 20 001, and
 evaluator rounds its blocks down to whole chunks of gmi._CHUNK columns, at
 least one: 1, 7 and 1000 elements give one chunk per block, the default 2
 to 16 chunks, so its 20 001 columns end in a partial chunk of a partial
-block.
+block, and a 2049-column build at J = 3 ends in a run of one column at every
+size but the default.  The exact Clarke path is left out: its factor is
+stored as blocks of block_step(n) rows, which set the order in which its
+product is summed (each stored entry keeps its bits).
 """
 
 import numpy as np
@@ -58,6 +61,15 @@ def _outputs():
         for mu in (-3.1, -1.0, 0.0):
             out[f"per_sample {order} {mu}"] = ev.per_sample(mu)
             out[f"moments {order} {mu}"] = np.array(ev.moments(mu))
+    # 2049 columns: every block size but the default ends the build in a
+    # run of one column (seed 2 moved the gaps when that run's complex
+    # products were in place)
+    c = make_constellation(3)
+    ev = _LogMgfEvaluator(synthesize_block_at_rho(Ar1Fading(0.9), 1.3, c,
+                                                  2049, seed=2), c)
+    out["gaps 2049"], out["dmin 2049"] = ev.gaps, ev.distances()
+    out["mean_dmin 2049"] = np.array(ev.mean_dmin)
+    out["lambdas 2049"] = np.array(ev.lambdas(grid))
     cap = psk_capacity(8, 0.7, n_samples=3001, seed=6)
     out["capacity 8"] = np.array([cap.raw_nats, cap.ci])
     for order in (3, 8):

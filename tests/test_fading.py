@@ -15,7 +15,7 @@ from scipy.special import j0
 from rtgmi import fading
 from rtgmi.fading import (CHOLESKY_MAX_N, Ar1Fading, ClarkeFading,
                           TabulatedFading, generate_path, generate_paths)
-from rtgmi.utils import block_step, complex_normal
+from rtgmi.utils import block_step, complex_normal, complex_normal_rows
 from test_prediction import _GRID_MAX_LAG, gapped_complex_table
 
 
@@ -304,10 +304,10 @@ def test_clarke_small_n_sampling_matches_autocorrelation():
 
 
 def test_clarke_small_n_path_is_the_factor_times_the_draw():
-    # the real product on the float view equals numpy's complex product
+    # the real products on the float view equal numpy's complex product
     m = ClarkeFading(0.05)
     n = 300
-    want = m._factor(n) @ complex_normal(np.random.default_rng(4), n)
+    want = dense_factor(m._factor(n)) @ complex_normal(np.random.default_rng(4), n)
     assert np.allclose(generate_path(m, n, seed=4), want, rtol=0, atol=1e-12)
 
 
@@ -325,6 +325,48 @@ def test_j0_is_scipy_j0_bit_for_bit():
     assert np.array_equal(fading._j0(x).view(np.uint64), j0(x).view(np.uint64))
 
 
+def dense_factor(blocks):
+    """The dense lower factor L whose transpose the row blocks hold."""
+    n = blocks[0].shape[1]
+    upper = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        upper[start:start + len(block), start:] = block
+        start += len(block)
+    return upper.T
+
+
+def assert_row_block_layout(blocks, n):
+    """Block b is rows kb, ..., kb + m - 1 of U = L' from column kb on, one
+    C-order array, m = block_step(n); only the last block may be shorter."""
+    step = block_step(n)
+    assert isinstance(blocks, tuple)
+    assert [b.shape for b in blocks] == [(min(step, n - first), n - first)
+                                         for first in range(0, n, step)]
+    assert all(b.flags.c_contiguous and b.dtype == np.float64 for b in blocks)
+
+
+def dense_schur_factor(r):
+    """The Schur steps of fading._schur_factor on one dense n x n U = L':
+    the oracle the row blocks must match bit for bit."""
+    n = len(r)
+    upper = np.zeros((n, n))
+    upper[0] = r / math.sqrt(r[0])
+    v = upper[0].copy()
+    v[0] = 0.0
+    scratch = np.empty(n)
+    for k in range(n - 1):
+        u, below = upper[k, k:-1], upper[k + 1, k + 1:]
+        vk, t = v[k + 1:], scratch[k + 1:]
+        g = vk.item(0) / u.item(0)
+        s = math.sqrt((1.0 - g) * (1.0 + g))
+        np.subtract(u, np.multiply(vk, g, t), below)
+        below /= s
+        vk *= s
+        vk -= np.multiply(below, g, t)
+    return upper
+
+
 def jittered_clarke_column(doppler, n):
     """First column of the Toeplitz covariance the Clarke factor factors."""
     r = ClarkeFading(doppler).autocorrelation(n).real.copy()
@@ -337,10 +379,10 @@ def jittered_clarke_column(doppler, n):
     pytest.param(jittered_clarke_column(0.5, 768), id="clarke-0.5"),
 ])
 def test_schur_factor_is_the_cholesky_factor_when_well_conditioned(r):
-    got = fading._schur_factor(r)
+    blocks = fading._schur_factor(r)
     want = scipy.linalg.cholesky(scipy.linalg.toeplitz(r), lower=True)
-    assert got.flags.f_contiguous
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert_row_block_layout(blocks, len(r))
+    assert np.max(np.abs(dense_factor(blocks) - want)) <= 1e-12
 
 
 def toeplitz_residual(factor, r):
@@ -361,8 +403,10 @@ def toeplitz_residual(factor, r):
 def test_schur_factor_reproduces_the_clarke_covariance(doppler, n):
     # f_d = 0.01 has pivots down to 1.3e-5, so the factor differs from
     # LAPACK's by about 1e-6 entrywise; its product must not
-    factor = ClarkeFading(doppler)._factorize(n)
-    assert factor.flags.f_contiguous
+    blocks = ClarkeFading(doppler)._factorize(n)
+    assert_row_block_layout(blocks, n)
+    # the entries below the diagonal within a block are stored as zeros
+    factor = dense_factor(blocks)
     assert not np.triu(factor, 1).any()
     assert toeplitz_residual(factor, jittered_clarke_column(doppler, n)) <= 2e-13
 
@@ -383,12 +427,49 @@ def test_clarke_factor_does_not_depend_on_the_blas_thread_count():
     code = ("import hashlib\n"
             "from rtgmi.fading import ClarkeFading\n"
             "f = ClarkeFading(0.05)._factorize(771)\n"
-            "print(hashlib.sha256(f.tobytes(order='A')).hexdigest())\n")
+            "print(hashlib.sha256(b''.join(f)).hexdigest())\n")
     assert_same_output_on_one_and_two_blas_threads(code)
 
 
+def test_clarke_path_does_not_depend_on_the_blas_thread_count():
+    # one BLAS product per row block, each over at most block_step(n) rows:
+    # a batch of 16 paths of 771 samples and one path of 3000 hash alike on
+    # one and on two OpenBLAS threads
+    code = ("import hashlib\n"
+            "from rtgmi.fading import ClarkeFading, generate_paths\n"
+            "m = ClarkeFading(0.05)\n"
+            "for n, seeds in ((771, range(16)), (3000, [1])):\n"
+            "    h = generate_paths(m, n, seeds)\n"
+            "    print(hashlib.sha256(h.tobytes()).hexdigest())\n")
+    assert_same_output_on_one_and_two_blas_threads(code)
+
+
+@pytest.mark.parametrize("doppler, n", [
+    (0.05, 1), (0.05, 8), (0.05, 181), (0.05, 182), (0.01, 771),
+    (0.5, 1000), (0.05, 3000)])
+def test_clarke_row_blocks_are_the_dense_schur_factor(doppler, n):
+    # n = 181 is one block (block_step(181) = 181), 182 two, ending in a
+    # 2-row block; each stored entry has the bits of the dense steps', and
+    # the blocked paths are the dense product to rounding
+    model = ClarkeFading(doppler)
+    blocks = model._factor(n)
+    assert all(not b.flags.writeable for b in blocks)
+    upper = dense_schur_factor(jittered_clarke_column(doppler, n))
+    start = 0
+    for block in blocks:
+        want = upper[start:start + len(block), start:]
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        start += len(block)
+    seeds = range(3)
+    w = complex_normal_rows([np.random.default_rng(s) for s in seeds], n)
+    got = generate_paths(model, n, seeds)
+    assert np.allclose(got, (upper.T @ w.T).T, rtol=0, atol=1e-14)
+
+
 def test_clarke_factor_holds_one_matrix():
-    # toeplitz, eye, their sum and LAPACK's copy used to take four n x n
+    # toeplitz, eye, their sum and LAPACK's copy used to take four n x n;
+    # the row blocks take the trapezoids m x (n - kb), about 0.53 * 8n^2
+    # at n = 768 (m = 42), with a few n-vectors and the row views
     n = 768
     model = ClarkeFading(0.01)
     tracemalloc.start()
@@ -397,7 +478,7 @@ def test_clarke_factor_holds_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= 0.6 * 8 * n * n
 
 
 def test_clarke_large_n_ray_synthesis():

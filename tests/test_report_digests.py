@@ -11,24 +11,25 @@ Run as a script, `PYTHONPATH=src python tests/test_report_digests.py`
 prints the DIGESTS literal for the current code: each run goes in a fresh
 temporary directory and is hashed as the test hashes it.
 
-The Clarke bits also depend on the BLAS thread count.  The digests were
-recorded with OpenBLAS's default thread count; under OPENBLAS_NUM_THREADS=1
-(the benchmark's pin) the gmi_clarke report.json hashes differently.  The
-factor of the Clarke covariance is not the cause: its Schur steps are
-elementwise numpy, so it hashes alike on any thread count.  The BLAS
-product of the factor with the draws is: a 3000-sample path (gmi_clarke's)
-or a batch of 16 paths of 771 samples rounds differently on one thread and
-on two.  The simulate_clarke_genie paths are short enough to hash alike on
-one and on two threads.  AR(1) and tabulated synthesis make no BLAS call
+No digest depends on the BLAS thread count, and the test below checks the
+Clarke runs under OPENBLAS_NUM_THREADS=1 (the benchmark's pin) as well as
+at OpenBLAS's default.  AR(1) and tabulated synthesis make no BLAS call
 (the AR(1) recursion is elementwise numpy, and a tabulated path is one
-numpy FFT of a circulant embedding), so AR(1) and tabulated paths hash
-alike on any thread count; only the Clarke product factor @ w does not.
+numpy FFT of a circulant embedding).  The Clarke factor comes from
+elementwise Schur steps, and a Clarke path is one small BLAS product per
+row block of the factor, each over at most block_step(n) rows; those
+products round alike on one thread and on two, as the dense product of a
+3000-sample path (gmi_clarke's) or of a batch of 16 paths of 771 samples
+with the whole factor did not.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -107,11 +108,11 @@ DIGESTS = {
     },
     'gmi_clarke': {
         'lambda_curve.csv':
-            '17226199af15e255dbdb4ecc5ebcef5c369a58d5d17ef948f798f867e3bf98c9',
+            '329c944ece68a64054f8a7c7603dc4cf4b5266db97a5d2215ea04422ba267e69',
         'lambda_curve.svg':
             'df265717753678919cda824e25f5ae5ac2d97c864cb7c935bf5d6e6e5fff3fc9',
         'report.json':
-            '8d45b7cbbf7523dd8fa8915c6508af8c6959406c59c8055607a8228ec02764e4',
+            '8840c993043e82d482c87c558508c4c4ac72db96cc4f6db111a6aca789771861',
         'stdout':
             'cb06572cdd6fd022958bd5f634f70259d4d85f277be99fde6ad13d648d246951',
     },
@@ -226,6 +227,29 @@ def _digests(argv):
 def test_outputs_match_the_frozen_digests(tmp_path, monkeypatch, run):
     monkeypatch.chdir(tmp_path)
     assert _digests(RUNS[run]) == DIGESTS[run]
+
+
+def test_clarke_outputs_match_the_frozen_digests_on_one_blas_thread(tmp_path):
+    # the byte-identical promise at the benchmark's thread pin: a fresh
+    # interpreter under OPENBLAS_NUM_THREADS=1, each run in its own directory
+    runs = ["gmi_clarke", "simulate_clarke_genie"]
+    code = ("import json, os, sys\n"
+            "from test_report_digests import RUNS, _digests\n"
+            "home = os.getcwd()\n"
+            "out = {}\n"
+            "for run in sys.argv[1:]:\n"
+            "    os.mkdir(run)\n"
+            "    os.chdir(run)\n"
+            "    out[run] = _digests(RUNS[run])\n"
+            "    os.chdir(home)\n"
+            "print(json.dumps(out))\n")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, *runs], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {run: DIGESTS[run] for run in runs}
 
 
 def _record():
