@@ -10,9 +10,10 @@ estimated either by seeded Monte Carlo over (H, Z) (with a standard-error
 CI) or by a radial quadrature rule: rotation invariance leaves t = |H|^2
 as the only channel variable, integrated by Gauss-Legendre panels, and the
 noise gets a 2-D Gauss-Hermite rule.  The rule has no sampling noise and
-matches the exact BPSK and QPSK capacities to 1e-10, so it validates the
-Monte Carlo route and gives the per-subchannel capacity ladders of
-interleaved training schedules exactly.
+matches the exact BPSK and QPSK capacities to 1e-10, so it gives every rate
+the command line reports (capacity, sweep and the per-subchannel ladders of
+interleaved training schedules), and the Monte Carlo route stays as the
+tests' independent check of it.
 """
 
 import functools
@@ -43,6 +44,10 @@ _T_EDGES = (1.0, 4.0, 12.0, 25.0)
 _T_MAX = 50.0
 _NEGLIGIBLE = 1e-20   # quadrature nodes of smaller weight are dropped
 _MAX_NODES = 370      # numpy's hermgauss overflows from 371 nodes on
+# rho t (t <= _T_MAX) and a^2 |d|^2 <= 4 rho t overflow a float from rho near
+# 1e306 on, while from rho = 1e100 on the rule returns log J to the last bit
+# (J = 2 ... 256), so a larger rho is taken as _RHO_MAX
+_RHO_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -186,16 +191,21 @@ def psk_capacity_quadrature(order: int, rho: float,
     _noise_rule); both node tables are cached.  At the default it matches the
     BPSK and QPSK references to 1e-10 for rho from 0.1 to 100, 8-PSK
     agrees with 128 nodes to 2e-9, and J = 2 to 16 agree with 128 nodes to
-    1e-8 relative for rho from 1e-6 to 1e-2.
+    1e-8 relative for rho from 1e-6 to 1e-2.  A rho above _RHO_MAX is
+    integrated at _RHO_MAX, where the rule already returns log J; a rho that
+    is not finite is refused.
     """
     if order < 1:
         raise ValueError("constellation order must be >= 1")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
     if not 2 <= nodes <= _MAX_NODES:
         raise ValueError(f"nodes = {nodes}: need 2 to {_MAX_NODES} nodes")
     if rho == 0.0:
         return 0.0  # every symbol looks the same
+    rho = min(rho, _RHO_MAX)
     z, z_weight = _noise_rule(nodes)
     t, t_weight = _radial_rule(order, rho, nodes)
     d = 1.0 - make_constellation(order).points

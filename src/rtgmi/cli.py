@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import (DEFAULT_MC_SAMPLES, NATS_TO_BITS, psk_capacity,
+# perfbench/tracing.py wraps psk_capacity here; no command calls it, since
+# every rate a command reports is exact
+from .capacity import (NATS_TO_BITS, psk_capacity,  # noqa: F401
                        psk_capacity_quadrature, rate_ladder)
 from .errors import ConfigurationError, NumericalConsistencyError
 from .fading import Ar1Fading, ClarkeFading, TabulatedFading
@@ -145,11 +147,15 @@ class Param:
 
 
 _COMMON = {
-    "seed": Param(_parse_seed, default=0),
     "output_dir": Param(str, default="."),
     "format": Param(_parse_format, default="both", help="json | csv | both"),
     "plot": Param(_parse_bool, default=False),
 }
+
+# the master seed, taken by the commands that take a fading model; capacity
+# and sweep draw nothing, and the ladder, which draws nothing either, ignores
+# it as it ignores samples
+_SEED = {"seed": Param(_parse_seed, default=0)}
 
 _MODEL_KEYS = {
     "model": Param(str, required=True, help="ar1 | clarke | tabulated"),
@@ -163,11 +169,9 @@ SCHEMAS = {
         **_COMMON,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(_parse_db, required=True),
-        "samples": Param(int, default=DEFAULT_MC_SAMPLES),
-        "quadrature": Param(_parse_bool, default=False),
     },
     "gmi": {
-        **_COMMON, **_MODEL_KEYS,
+        **_COMMON, **_SEED, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(_parse_db, required=True),
         "K": Param(int, default=100_000, help="block length"),
@@ -176,7 +180,7 @@ SCHEMAS = {
         "mu_max": Param(_parse_finite, default=DEFAULT_MU_RANGE[1]),
     },
     "ladder": {
-        **_COMMON, **_MODEL_KEYS,
+        **_COMMON, **_SEED, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
@@ -186,7 +190,7 @@ SCHEMAS = {
         "samples": Param(int, help="ignored: the ladder is exact"),
     },
     "simulate": {
-        **_COMMON, **_MODEL_KEYS,
+        **_COMMON, **_SEED, **_MODEL_KEYS,
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(_parse_db, required=True),
         "L": Param(int, required=True, help="interleave depth"),
@@ -206,7 +210,6 @@ SCHEMAS = {
         "constellation": Param(_parse_constellation, required=True),
         "snr_db": Param(_parse_grid, required=True,
                         help="START:STEP:STOP in dB"),
-        "samples": Param(int, default=DEFAULT_MC_SAMPLES),
     },
 }
 
@@ -347,11 +350,11 @@ def _emit(params, out: _Outputs):
     print(out.summary)
 
 
-def _report_head(command, params):
+def _report_head(command, params, schema_version):
     """Report keys shared by every command."""
-    return {"schema_version": 1, "command": command,
+    return {"schema_version": schema_version, "command": command,
             "constellation_order": params["constellation"],
-            "snr_db": params["snr_db"], "seed": params["seed"]}
+            "snr_db": params["snr_db"]}
 
 
 def _model_keys(params):
@@ -359,30 +362,27 @@ def _model_keys(params):
     return {key: params[key] for key in _MODEL_KEYS if params[key] is not None}
 
 
-_CAPACITY_COLUMNS = "snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats"
+_CAPACITY_COLUMNS = "snr_db,rho_linear,capacity_nats,capacity_bits"
+
+
+def _capacity_row(order, snr_db):
+    """(snr_db, rho, nats, bits): the exact capacity at one SNR."""
+    rho = db_to_linear(snr_db)
+    nats = psk_capacity_quadrature(order, rho)
+    return snr_db, rho, nats, nats * NATS_TO_BITS
 
 
 def _run_capacity(params):
-    rho = db_to_linear(params["snr_db"])
-    est = psk_capacity(params["constellation"], rho, params["samples"],
-                       params["seed"])
+    row = _capacity_row(params["constellation"], params["snr_db"])
+    _, rho, nats, bits = row
     payload = {
-        **_report_head("capacity", params),
+        **_report_head("capacity", params, 2),
         "rho_linear": rho,
-        "samples": params["samples"],
-        "capacity_nats": est.nats,
-        "capacity_bits": est.bits,
-        "ci_nats": est.ci,
-        "clamped": est.clamped,
+        "capacity_nats": nats,
+        "capacity_bits": bits,
     }
-    if params["quadrature"]:
-        payload["quadrature_nats"] = psk_capacity_quadrature(
-            params["constellation"], rho)
-    row = (params["snr_db"], rho, est.nats, est.bits, est.ci)
-    return _Outputs(
-        "capacity", payload, _csv(_CAPACITY_COLUMNS, [row]),
-        None, f"capacity: {est.bits:.6f} bits/symbol "
-              f"+/- {est.ci * NATS_TO_BITS:.6f} (95% CI)")
+    return _Outputs("capacity", payload, _csv(_CAPACITY_COLUMNS, [row]), None,
+                    f"capacity: {bits:.6f} bits/symbol")
 
 
 def _run_gmi(params):
@@ -400,7 +400,8 @@ def _run_gmi(params):
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))
     payload = {
-        **_report_head("gmi", params), **_model_keys(params),
+        **_report_head("gmi", params, 1), **_model_keys(params),
+        "seed": params["seed"],
         "rho_linear": rho,
         "block_length": params["K"],
         "mu_star": report.mu_star,
@@ -428,8 +429,7 @@ def _run_ladder(params):
     ladder = rate_ladder(model, params["L"], snr, params["constellation"],
                          params["predictor_order"])
     payload = {
-        **_report_head("ladder", params), **_model_keys(params),
-        "schema_version": 3,
+        **_report_head("ladder", params, 3), **_model_keys(params),
         "snr_linear": snr,
         "interleave_depth": params["L"],
         "predictor_order": params["predictor_order"],
@@ -440,7 +440,6 @@ def _run_ladder(params):
         "rt_estimate_nats": ladder.l_average,
         "convergence_gap_nats": ladder.convergence_gap,
     }
-    del payload["seed"]  # nothing in the ladder is random; --seed is ignored
     plot = LinePlot(title="per-subchannel rate ladder",
                     xlabel="subchannel index", ylabel="rate (bits/symbol)")
     bits = ladder.capacity_nats * NATS_TO_BITS
@@ -476,8 +475,8 @@ def _run_simulate(params):
     budget = psc_error_budget(config.error_target, config.interleave_depth)
     plot.add("budget", ls, np.full(len(ls), budget))
     payload = {
-        **_report_head("simulate", params), **_model_keys(params),
-        "schema_version": 2,
+        **_report_head("simulate", params, 2), **_model_keys(params),
+        "seed": params["seed"],
         "interleave_depth": config.interleave_depth,
         "block_length": config.block_length,
         "predictor_order": config.predictor_order,
@@ -511,19 +510,13 @@ def _run_simulate(params):
 
 
 def _run_sweep(params):
-    rows = []
-    for i, snr_db in enumerate(params["snr_db"]):
-        rho = db_to_linear(snr_db)
-        est = psk_capacity(params["constellation"], rho, params["samples"],
-                           derive_seed(params["seed"], i))
-        rows.append((snr_db, rho, est.nats, est.bits, est.ci))
-    _, _, nats, bits, cis = zip(*rows)
+    rows = [_capacity_row(params["constellation"], snr_db)
+            for snr_db in params["snr_db"]]
+    _, _, nats, bits = zip(*rows)
     payload = {
-        **_report_head("sweep", params),
-        "samples": params["samples"],
+        **_report_head("sweep", params, 2),
         "capacity_nats": nats,
         "capacity_bits": bits,
-        "ci_nats": cis,
     }
     plot = LinePlot(title="capacity vs SNR",
                     xlabel="SNR (dB)", ylabel="capacity (bits/symbol)")
@@ -531,8 +524,7 @@ def _run_sweep(params):
     return _Outputs(
         "sweep", payload, _csv(_CAPACITY_COLUMNS, rows), plot,
         f"sweep: {len(rows)} points, capacity {min(bits):.6f}.."
-        f"{max(bits):.6f} bits/symbol, max CI +/- "
-        f"{max(cis) * NATS_TO_BITS:.6f}")
+        f"{max(bits):.6f} bits/symbol")
 
 
 _RUNNERS = {

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import block_step, complex_normal_rows, fill_complex_normal
+from .utils import block_step, complex_normal_rows
 
 # exact Cholesky synthesis above this length is too expensive (O(n^3) time,
 # O(n^2) memory); longer Clarke paths switch to a ray-sum approximation
 CHOLESKY_MAX_N = 4096
-DEFAULT_RAY_COUNT = 128
+RAY_COUNT = 128
 _PSD_JITTER = 1e-10
 # samples per segment of the AR(1) recursion (see _recur)
 _SEGMENT = 8
@@ -94,35 +94,29 @@ class Ar1Fading(FadingModel):
     def _sample(self, n, rngs):
         if self.alpha == 0.0:
             return complex_normal_rows(rngs, n)
-        h = np.empty((len(rngs), -(-n // _SEGMENT) * _SEGMENT), dtype=complex)
+        h = complex_normal_rows(rngs, -(-n // _SEGMENT) * _SEGMENT)
         scale = math.sqrt(1.0 - self.alpha ** 2)
-
-        def draw(cols):
-            fill_complex_normal(rngs, h[:, cols])
-            # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1);
-            # row by row, since numpy copies a strided block to scale it
-            for row in h[:, cols]:
-                row[1 if cols.start == 0 else 0:] *= scale
-
-        _recur(h, self.alpha, draw)
+        # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1);
+        # row by row, since numpy copies a strided block to scale it
+        for row in h:
+            row[1:] *= scale
+        _recur(h, self.alpha)
         return np.ascontiguousarray(h[:, :n])
 
 
-def _recur(h: np.ndarray, alpha: float, draw=None):
+def _recur(h: np.ndarray, alpha: float):
     """h[:, k] += alpha * h[:, k - 1] for k = 1, ..., n - 1, in place, on a
     (B, n) array of whole segments of _SEGMENT samples.
 
     Each segment first runs the recursion from a zero carry, elementwise
-    across all rows and segments, a cache block at a time, right after
-    draw(cols) has written the block's columns, if a `draw` is given.  The
-    last sample of segment m, e[m], is then its segment's share of the end
-    value E[m] = alpha^S E[m - 1] + e[m]: the same recursion at alpha^S,
-    which _recur solves on the ends, zero-padded to whole segments.  Each
-    E[m] goes back to its segment, and sample j < S - 1 of segment m takes
-    alpha^(j + 1) E[m - 1].  A sample's arithmetic depends on its index
-    alone, not on n or on the number of rows, so a shorter path is a prefix
-    of a longer one and each row is the path of its own.  No step is a
-    BLAS call.
+    across all rows and segments, a cache block at a time.  The last sample
+    of segment m, e[m], is then its segment's share of the end value E[m] =
+    alpha^S E[m - 1] + e[m]: the same recursion at alpha^S, which _recur
+    solves on the ends, zero-padded to whole segments.  Each E[m] goes back
+    to its segment, and sample j < S - 1 of segment m takes alpha^(j + 1)
+    E[m - 1].  A sample's arithmetic depends on its index alone, not on n
+    or on the number of rows, so a shorter path is a prefix of a longer one
+    and each row is the path of its own.  No step is a BLAS call.
     """
     rows, n = h.shape
     segments = h.reshape(rows, -1, _SEGMENT)
@@ -132,8 +126,6 @@ def _recur(h: np.ndarray, alpha: float, draw=None):
               for first in range(0, count, step)]
     ends = np.zeros((rows, -(-count // _SEGMENT) * _SEGMENT), dtype=h.dtype)
     for block in blocks:
-        if draw is not None:
-            draw(slice(block.start * _SEGMENT, block.stop * _SEGMENT))
         part = segments[:, block]
         for j in range(1, _SEGMENT):
             part[:, :, j] += alpha * part[:, :, j - 1]
@@ -164,20 +156,17 @@ class ClarkeFading(FadingModel):
     blocks of its transpose, without the zeros left of the blocks.  The
     factor is computed once per path length and reused by the instance for
     every further path of that length.  Longer paths use a seeded
-    equal-power ray sum with `ray_count` rays, whose autocorrelation
+    equal-power ray sum with RAY_COUNT rays, whose autocorrelation
     converges to the same Bessel law as the ray count grows.  No Clarke
     path loads scipy.
     """
 
     normalized_doppler: float
-    ray_count: int = DEFAULT_RAY_COUNT
 
     def __post_init__(self):
         if not 0.0 < self.normalized_doppler <= 0.5:
             raise ValueError(
                 f"normalized_doppler must be in (0, 0.5], got {self.normalized_doppler}")
-        if self.ray_count < 64:
-            raise ValueError("need at least 64 rays")
 
     def autocorrelation(self, n):
         return _j0(2.0 * math.pi * self.normalized_doppler * np.arange(n)).astype(complex)
@@ -208,11 +197,11 @@ class ClarkeFading(FadingModel):
                 start += len(block)
             return np.ascontiguousarray(paths.view(np.complex128).T)
         out = np.zeros((len(rngs), n), dtype=complex)
-        step = block_step(self.ray_count)
+        step = block_step(RAY_COUNT)
         for path, rng in zip(out, rngs):
             # equal-power rays: arrival angles uniform => Bessel autocorrelation
-            angles = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
-            phases = rng.uniform(0.0, 2.0 * math.pi, self.ray_count)
+            angles = rng.uniform(0.0, 2.0 * math.pi, RAY_COUNT)
+            phases = rng.uniform(0.0, 2.0 * math.pi, RAY_COUNT)
             dopplers = 2.0 * math.pi * self.normalized_doppler * np.cos(angles)
             # the (n, rays) phase table goes a cache-sized block of rows at a
             # time; each row sums its own rays, so no bit depends on the block
@@ -220,7 +209,7 @@ class ClarkeFading(FadingModel):
                 k = np.arange(start, min(start + step, n))
                 path[k] = np.exp(1j * (k[:, None] * dopplers[None, :]
                                        + phases)).sum(axis=1)
-        out /= math.sqrt(self.ray_count)
+        out /= math.sqrt(RAY_COUNT)
         return out
 
 

@@ -152,16 +152,18 @@ class _LogMgfEvaluator:
         self.mean_dmin = self._mean(sums)
 
     def _runs(self, start: int, stop: int):
-        """The build's runs that meet columns start, ..., stop - 1."""
-        for lo in range(start - start % self.build, stop, self.build):
-            yield slice(lo, min(lo + self.build, self.n))
+        """Columns start, ..., stop - 1 in runs of the build's width."""
+        for lo in range(start, stop, self.build):
+            yield slice(lo, min(lo + self.build, stop))
 
     def _run_distances(self, run: slice) -> np.ndarray:
-        """dmin = |x - sqrt(rho) h_hat theta[j*]|^2 over one of the build's
-        runs, with the build's operations.
+        """dmin = |x - sqrt(rho) h_hat theta[j*]|^2 over one run of
+        columns, with the build's operations.
 
-        The complex product is out of place, left operand first, as in
-        _nearest_gaps, so a run of one column rounds as the vector loop does.
+        Every step is elementwise, and the complex product is out of place,
+        left operand first, as in _nearest_gaps, so a run of one column
+        rounds as the vector loop does: a column's bits do not depend on the
+        run it is computed in.
         """
         closest = np.multiply(np.take(self.points, self.nearest[run]),
                               self.root * self.h_hat[run])
@@ -198,16 +200,16 @@ class _LogMgfEvaluator:
 
     def _fill(self, mus, start: int, out: np.ndarray):
         """Write the per-sample terms at mus[i] of columns start, ...,
-        start + width - 1 into row i of out, (len(mus), width), one run of
-        the build at a time; a run's distances are recomputed once for all
-        mus, and a column's bits do not depend on what is filled with it."""
-        stop = start + out.shape[1]
-        for run in self._runs(start, stop):
-            lo, hi = max(run.start, start), min(run.stop, stop)
-            dmin = self._run_distances(run)[lo - run.start:hi - run.start]
-            gaps = self.gaps[:, lo:hi]
+        start + width - 1 into row i of out, (len(mus), width), a run of the
+        build's width at a time; a run's distances are recomputed once for
+        all mus, and a column's bits do not depend on what is filled with
+        it."""
+        for run in self._runs(start, start + out.shape[1]):
+            dmin = self._run_distances(run)
+            gaps = self.gaps[:, run]
             e = np.empty(gaps.shape)
-            for mu, row in zip(mus, out[:, lo - start:hi - start]):
+            cols = slice(run.start - start, run.stop - start)
+            for mu, row in zip(mus, out[:, cols]):
                 terms = self._log_terms(gaps, mu, e)[1]
                 np.multiply(dmin, mu, out=row)
                 row += terms

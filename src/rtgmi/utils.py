@@ -35,21 +35,13 @@ def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 def complex_normal_rows(rngs, n: int) -> np.ndarray:
     """(len(rngs), n): row b is complex_normal(rngs[b], n), drawn in place."""
     out = np.empty((len(rngs), n), dtype=complex)
-    fill_complex_normal(rngs, out)
-    return out
-
-
-def fill_complex_normal(rngs, out: np.ndarray):
-    """Write the next out.shape[1] CN(0, 1) samples of generator rngs[b]
-    into row b of the complex (B, m) array `out`, whose rows are each
-    contiguous.  Draws continue each generator's stream, so filling a row
-    in pieces writes the samples one draw would."""
     pairs = out.view(np.float64)
     for row, rng in zip(pairs, rngs):
         rng.standard_normal(out=row)
     # numpy divides a complex array by a real scalar as a product with the
     # reciprocal, so scaling the real pairs by 1/sqrt(2) gives the same bits
     pairs *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 def sum_rows(a: np.ndarray) -> np.ndarray:

@@ -224,6 +224,10 @@ def test_quadrature_monotone_in_snr():
 
 def test_quadrature_saturates_at_log_order():
     assert psk_capacity_quadrature(4, 1e6) == pytest.approx(math.log(4.0), abs=1e-4)
+    # rho t and a^2 |d|^2 used to overflow from rho near 1e306 on, with a
+    # RuntimeWarning and a nan at the largest floats
+    for rho in (1e300, 1e306, 1.7e308):
+        assert psk_capacity_quadrature(4, rho) == math.log(4.0)
 
 
 def test_capacity_contracts():
@@ -237,6 +241,9 @@ def test_capacity_contracts():
         psk_capacity_quadrature(2, 1.0, nodes=1)
     with pytest.raises(ValueError):
         psk_capacity_quadrature(2, -1.0)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            psk_capacity_quadrature(2, rho)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])

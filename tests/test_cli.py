@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import rtgmi
 from rtgmi import cli, prediction
-from rtgmi.capacity import CapacityEstimate, psk_capacity_quadrature
+from rtgmi.capacity import psk_capacity_quadrature
 from rtgmi.cli import (MAX_GRID_POINTS, SCHEMAS, _flag_values, _parse_bool,
                        _parse_constellation, _parse_finite, _parse_grid,
                        build_model, build_parser, db_to_linear, main,
@@ -83,7 +84,7 @@ def test_merge_flags_override_file():
         {"snr_db": 10.0})
     assert params["snr_db"] == 10.0
     assert params["constellation"] == 2
-    assert params["samples"] > 0  # default filled in
+    assert params["format"] == "both"  # default filled in
 
 
 def test_merge_missing_required():
@@ -129,8 +130,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_capacity_runs_and_is_byte_identical(tmp_path, capsys):
-    args = ["capacity", "--constellation", "qpsk", "--snr-db", "0",
-            "--samples", "50000", "--seed", "7"]
+    args = ["capacity", "--constellation", "qpsk", "--snr-db", "0"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--output-dir", str(d1)]) == 0
     assert main(args + ["--output-dir", str(d2)]) == 0
@@ -141,25 +141,42 @@ def test_capacity_runs_and_is_byte_identical(tmp_path, capsys):
     r2 = (d2 / "report.json").read_bytes()
     assert r1 == r2
     payload = json.loads(r1)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["rho_linear"] == 1.0
+    assert payload["capacity_nats"] == psk_capacity_quadrature(4, 1.0)
+    assert "seed" not in payload and "ci_nats" not in payload
     csv_lines = (d1 / "capacity.csv").read_text().splitlines()
-    assert csv_lines[0] == "snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats"
+    assert csv_lines[0] == "snr_db,rho_linear,capacity_nats,capacity_bits"
 
 
-def test_capacity_quadrature_flag(tmp_path, capsys):
-    assert main(["capacity", "--constellation", "bpsk", "--snr-db", "0",
-                 "--samples", "50000", "--quadrature",
+@pytest.mark.parametrize("command", ["capacity", "sweep"])
+@pytest.mark.parametrize("option", ["--samples=100", "--quadrature",
+                                    "--seed=7"])
+def test_retired_capacity_options_exit_2(tmp_path, capsys, command, option):
+    # every rate they print is exact, so they sample nothing and take no seed
+    argv = [command, "--constellation", "qpsk", "--snr-db",
+            "0:1:2" if command == "sweep" else "0", option,
+            "--output-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_capacity_saturates_at_the_largest_snr(tmp_path, capsys):
+    # 3080 dB (rho = 1e308) used to overflow the quadrature: RuntimeWarnings,
+    # then a nan bound for report.json and exit 1
+    assert main(["capacity", "--constellation", "qpsk", "--snr-db", "3080",
                  "--output-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     payload = json.loads((tmp_path / "report.json").read_text())
-    sigma = payload["ci_nats"] / 1.96
-    assert abs(payload["capacity_nats"] - payload["quadrature_nats"]) <= 4 * sigma
+    assert payload["capacity_nats"] == math.log(4.0)
 
 
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("constellation=bpsk\nsnr_db=0\nsamples=20000\n")
+    cfg.write_text("constellation=bpsk\nsnr_db=0\nformat=json\n")
     assert main(["capacity", "--config", str(cfg), "--snr-db", "10",
                  "--output-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -169,8 +186,7 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 
 def test_format_selects_outputs(tmp_path, capsys):
-    base = ["capacity", "--constellation", "bpsk", "--snr-db", "0",
-            "--samples", "5000"]
+    base = ["capacity", "--constellation", "bpsk", "--snr-db", "0"]
     d1, d2 = tmp_path / "json_only", tmp_path / "csv_only"
     assert main(base + ["--format", "json", "--output-dir", str(d1)]) == 0
     assert main(base + ["--format", "csv", "--output-dir", str(d2)]) == 0
@@ -185,7 +201,6 @@ def test_unwritable_output_dir_exits_3(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     code = main(["capacity", "--constellation", "bpsk", "--snr-db", "0",
-                 "--samples", "5000",
                  "--output-dir", str(blocker / "sub")])
     assert code == 3
     assert "error" in capsys.readouterr().err
@@ -313,8 +328,8 @@ def test_no_command_loads_scipy(tmp_path):
     runs = [["gmi", *ar1, "--K", "1000"],
             ["ladder", *ar1, "--L", "4"],
             ["simulate", *ar1, *sim],
-            ["capacity", "--snr-db", "0", *out, "--samples", "2000"],
-            ["sweep", "--snr-db=-3:3:3", *out, "--samples", "2000"],
+            ["capacity", "--snr-db", "0", *out],
+            ["sweep", "--snr-db=-3:3:3", *out],
             ["gmi", *clarke, "--K", "100"],
             ["simulate", *clarke, *sim, "--genie"],
             ["gmi", "--model", "tabulated", "--table", str(table),
@@ -367,11 +382,10 @@ def test_gmi_on_fewer_samples_than_bootstrap_segments_exits_2(tmp_path, capsys,
 def test_a_nan_bound_for_the_report_exits_1_and_names_the_file(
         tmp_path, capsys, monkeypatch):
     # json.dumps used to write a bare NaN, which strict JSON readers refuse
-    def fake(order, rho, n_samples, seed):
-        return CapacityEstimate(nats=float("nan"), ci=0.0,
-                                raw_nats=float("nan"), clamped=False)
+    def fake(order, rho):
+        return float("nan")
 
-    monkeypatch.setattr(cli, "psk_capacity", fake)
+    monkeypatch.setattr(cli, "psk_capacity_quadrature", fake)
     code = main(["capacity", "--constellation", "qpsk", "--snr-db", "0",
                  "--output-dir", str(tmp_path)])
     assert code == 1
@@ -551,18 +565,21 @@ def test_simulate_report_is_plain_json(tmp_path, capsys):
 
 def test_sweep_command_grid_and_monotone(tmp_path, capsys):
     assert main(["sweep", "--constellation", "qpsk", "--snr-db", "0:2:10",
-                 "--samples", "30000", "--seed", "5",
                  "--plot", "--output-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("sweep: 6 points")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "snr_db,rho_linear,capacity_nats,capacity_bits,ci_nats"
+    assert lines[0] == "snr_db,rho_linear,capacity_nats,capacity_bits"
     assert len(lines) == 7
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     caps = [r[2] for r in rows]
-    cis = [r[4] for r in rows]
     for i in range(5):
-        assert caps[i + 1] >= caps[i] - (cis[i] + cis[i + 1])
+        assert caps[i + 1] > caps[i]
+    # every point is the exact oracle, bit for bit
+    assert caps == [psk_capacity_quadrature(4, r[1]) for r in rows]
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["schema_version"] == 2
+    assert payload["capacity_nats"] == caps
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.lstrip().startswith("<svg")
 
@@ -578,12 +595,13 @@ def test_reports_are_deterministic_across_commands(tmp_path, capsys):
 
 
 # every subcommand's option strings as the hand-written parser declared them
-# before the parser was generated from SCHEMAS
-_COMMON_OPTIONS = {"--config", "--format", "--output-dir", "--plot", "--seed"}
-_MODEL_OPTIONS = {"--alpha", "--doppler", "--model", "--table"}
+# before the parser was generated from SCHEMAS, less capacity's and sweep's
+# --samples, --quadrature and --seed: those two commands print exact rates
+_COMMON_OPTIONS = {"--config", "--format", "--output-dir", "--plot"}
+# the commands that take a fading model, and only they, take a seed
+_MODEL_OPTIONS = {"--alpha", "--doppler", "--model", "--seed", "--table"}
 FROZEN_OPTIONS = {
-    "capacity": _COMMON_OPTIONS | {"--constellation", "--quadrature",
-                                   "--samples", "--snr-db"},
+    "capacity": _COMMON_OPTIONS | {"--constellation", "--snr-db"},
     "gmi": _COMMON_OPTIONS | _MODEL_OPTIONS | {
         "--K", "--constellation", "--curve-points", "--mu-max", "--mu-min",
         "--snr-db"},
@@ -594,7 +612,7 @@ FROZEN_OPTIONS = {
         "--K", "--L", "--constellation", "--error-target", "--genie",
         "--gmi-K", "--predictor-order", "--rate-fraction", "--snr-db",
         "--trials"},
-    "sweep": _COMMON_OPTIONS | {"--constellation", "--samples", "--snr-db"},
+    "sweep": _COMMON_OPTIONS | {"--constellation", "--snr-db"},
 }
 
 
@@ -613,7 +631,7 @@ _SAMPLE_TEXT = {
     "seed": "7", "output_dir": "out", "format": "csv", "plot": "true",
     "model": "clarke", "alpha": "0.5", "doppler": "0.1", "table": "t.csv",
     "constellation": "8psk", "snr_db": "1.5", "samples": "100",
-    "quadrature": "true", "K": "50", "curve_points": "9", "mu_min": "-2",
+    "K": "50", "curve_points": "9", "mu_min": "-2",
     "mu_max": "-0.5", "L": "4", "predictor_order": "3",
     "rate_fraction": "0.3", "trials": "5", "genie": "true",
     "error_target": "0.1", "gmi_K": "1000",
@@ -639,8 +657,8 @@ def test_flag_and_config_key_give_the_same_params(command):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["capacity", "--constellation", "bpsk", "--snr-db", "0",
-      "--seed", "abc"], "seed"),
+    (["gmi", "--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
+      "--snr-db", "0", "--seed", "abc"], "seed"),
     (["gmi", "--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
       "--snr-db", "0", "--K", "x"], "K"),
 ])
@@ -670,23 +688,22 @@ def test_singular_prediction_exits_1(tmp_path, capsys):
 
 
 def test_runners_call_the_module_attribute(tmp_path, capsys, monkeypatch):
-    # external tracers wrap cli.psk_capacity by replacing the attribute, so
-    # the runners must look it up at call time
+    # external tracers wrap the cli's functions by replacing the attribute,
+    # so the runners must look psk_capacity_quadrature up at call time
     calls = []
 
-    def fake(order, rho, n_samples, seed):
-        calls.append((order, rho, n_samples))
-        return CapacityEstimate(nats=0.25, ci=0.0, raw_nats=0.25,
-                                clamped=False)
+    def fake(order, rho):
+        calls.append((order, rho))
+        return 0.25
 
-    monkeypatch.setattr(cli, "psk_capacity", fake)
+    monkeypatch.setattr(cli, "psk_capacity_quadrature", fake)
     assert main(["capacity", "--constellation", "qpsk", "--snr-db", "0",
-                 "--samples", "1000", "--output-dir", str(tmp_path)]) == 0
-    assert calls == [(4, 1.0, 1000)]
+                 "--output-dir", str(tmp_path)]) == 0
+    assert calls == [(4, 1.0)]
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["capacity_nats"] == 0.25
     assert main(["sweep", "--constellation", "qpsk", "--snr-db", "0:1:2",
-                 "--samples", "1000", "--output-dir", str(tmp_path)]) == 0
+                 "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 4
     capsys.readouterr()
 
@@ -703,8 +720,7 @@ def test_missing_table_file_exits_2_and_names_the_key(tmp_path, capsys):
 def _assert_split_grid_matches_joined(tmp_path, capsys, flag):
     """`flag -10:2:0` gives the stdout, report, CSV and SVG of the
     `--snr-db=-10:2:0` form."""
-    base = ["sweep", "--constellation", "bpsk", "--samples", "2000",
-            "--format", "both", "--plot"]
+    base = ["sweep", "--constellation", "bpsk", "--format", "both", "--plot"]
     d1, d2 = tmp_path / "joined", tmp_path / "split"
     assert main(base + ["--snr-db=-10:2:0", "--output-dir", str(d1)]) == 0
     joined = capsys.readouterr().out
@@ -753,7 +769,7 @@ def test_nonfinite_snr_exits_2(tmp_path, capsys, command, value):
     (["simulate", *_REQUIRED_ARGV["simulate"], "--snr-db", "0", "--genie",
       "-3"], "unrecognized arguments: -3"),
     (["capacity", "--config", "-1.cfg"], "cannot read config file -1.cfg"),
-    (["sweep", "--s", "-10:2:0"], "ambiguous option"),
+    (["sweep", "--c", "-10:2:0"], "ambiguous option"),
 ])
 def test_argv_edge_cases_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # a dash-digit token is a value only where a flag takes one, and an
@@ -881,12 +897,12 @@ def test_nonfinite_table_value_exits_2_and_names_the_lag(tmp_path, capsys):
     assert "autocorrelation at lag 1 is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(SCHEMAS))
+@pytest.mark.parametrize("command", sorted(
+    command for command, schema in SCHEMAS.items() if "seed" in schema))
 def test_negative_seed_exits_2_and_names_the_key(tmp_path, capsys, command):
     # capacity used to exit with numpy's message, and the others masked -1
     # to 2**64 - 1
-    snr = "0:1:1" if command == "sweep" else "0"
-    code = main([command, *_REQUIRED_ARGV[command], "--snr-db", snr,
+    code = main([command, *_REQUIRED_ARGV[command], "--snr-db", "0",
                  "--seed=-1", "--output-dir", str(tmp_path)])
     assert code == 2
     assert "bad value for seed: '-1'" in capsys.readouterr().err

@@ -288,8 +288,6 @@ def test_clarke_parameter_contracts():
         ClarkeFading(0.0)
     with pytest.raises(ValueError):
         ClarkeFading(0.6)
-    with pytest.raises(ValueError):
-        ClarkeFading(0.1, ray_count=8)
 
 
 def test_clarke_small_n_sampling_matches_autocorrelation():
@@ -482,7 +480,7 @@ def test_clarke_factor_holds_one_matrix():
 
 
 def test_clarke_large_n_ray_synthesis():
-    m = ClarkeFading(0.08, ray_count=256)
+    m = ClarkeFading(0.08)
     n = CHOLESKY_MAX_N + 4000
     h = generate_path(m, n, seed=77)
     assert float(np.mean(np.abs(h) ** 2)) == pytest.approx(1.0, abs=0.1)

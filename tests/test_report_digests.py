@@ -54,8 +54,7 @@ def _sim(**values):
 
 
 RUNS = {
-    "capacity": ["capacity", "--constellation", "bpsk", "--snr-db", "3",
-                 "--samples", "40000", "--quadrature"],
+    "capacity": ["capacity", "--constellation", "bpsk", "--snr-db", "3"],
     "gmi_ar1": ["gmi", *_AR1, "--constellation", "qpsk", "--snr-db", "0",
                 "--K", "20000"],
     "gmi_clarke": ["gmi", "--model", "clarke", "--doppler", "0.05",
@@ -65,8 +64,7 @@ RUNS = {
                       "--K", "20000"],
     "ladder": ["ladder", *_AR1, "--constellation", "qpsk", "--snr-db", "0",
                "--L", "4", "--samples", "20000", "--predictor-order", "8"],
-    "sweep": ["sweep", "--constellation", "8psk", "--snr-db=-6:3:6",
-              "--samples", "10000"],
+    "sweep": ["sweep", "--constellation", "8psk", "--snr-db=-6:3:6"],
     "simulate_genie": _SIM + ["--genie", "--seed", "2026"],
     # a rate near capacity makes about half the genie trials fail, so the
     # chosen rows, and with them the codebooks and the decoder, move the
@@ -90,11 +88,11 @@ RUNS = {
 DIGESTS = {
     'capacity': {
         'capacity.csv':
-            '5b074b43a3b35dc01e7413ec608412cc35dae067fa3ab8d37f6a6e6c5185d3e9',
+            '522a87fc92164cc1f720506083fba96af44e8fa0d84c109dc47701b85b7809dc',
         'report.json':
-            'e41407db784c726331029260eea4f92847a4e947c1e167008858d1a3aa5c62d0',
+            '3269b5f1b5856c1fa9dac38d517f47f76530075665e8e5863d95ffe6e95336a2',
         'stdout':
-            '8b6e6b31ec58e33fd523edd3d11ea6f78b9698a98a5205fc2d999794ec7b2b1c',
+            'b62f100828a7a43bed47c8e00b54c7a557e153732cef2c7be8d274a017043fe8',
     },
     'gmi_ar1': {
         'lambda_curve.csv':
@@ -198,13 +196,13 @@ DIGESTS = {
     },
     'sweep': {
         'report.json':
-            '67a65697f235f7b17c1073818d1e5273c774b685d667234ab298b8f9787a335d',
+            '56cbe423b9a9042edd2c2777118daef272aed448b588e5d06bf2db19515e5436',
         'stdout':
-            'ddf901df17d870eb69e805139516d85a4ff15541cb6b601ead153b348423830e',
+            'a030138add2cd202142a7b15b7efb8de7f0f1abaa674f895d7c6ee94517a8972',
         'sweep.csv':
-            '9bcb6d5526633c0a2e34351b185ab6e06bbd2aba490f2ad279ec40556d4e77f7',
+            '8159fa4e078f2b9dcdf61e9c2121f127b9163baffddfb9a154d7d99d1e5d57a7',
         'sweep.svg':
-            '1df32753298989db857c754795ebc63f71f726b3d3d191f8ccf8bd7313b0ce82',
+            '80edb30689881c17c54f8af2ecb956c3fc62c168e4e0826539803925d597dd74',
     },
 }
 
