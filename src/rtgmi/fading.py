@@ -325,18 +325,6 @@ def _schur_factor(r: np.ndarray) -> tuple:
     return blocks
 
 
-def _toeplitz(r: np.ndarray) -> np.ndarray:
-    """The (n, n) Hermitian Toeplitz matrix of r = r(0), ..., r(n - 1):
-    entry [i, j] is r(i - j) on and below the diagonal and conj(r(j - i))
-    above it, the matrix scipy.linalg.toeplitz(r) builds.  Row i is the
-    window line[n - 1 - i : 2n - 1 - i] of line = [r(n - 1), ..., r(1),
-    r(0), conj(r(1)), ..., conj(r(n - 1))], gathered into one C-order
-    array."""
-    n = len(r)
-    line = np.concatenate([r[::-1], np.conj(r[1:])])
-    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1].copy()
-
-
 def whole_lag(t) -> int:
     """int(t) for a whole-number lag; any other lag is refused, not truncated."""
     if int(t) != t:
@@ -350,6 +338,10 @@ class TabulatedFading(FadingModel):
 
     Lags must start at 0 (value exactly 1) and ascend; lags the table skips
     read as zero.  A read beyond the largest tabulated lag is rejected.
+    The (b + 1) x (b + 1) Toeplitz section, jittered on its diagonal, must
+    be positive definite: the Levinson recursion of
+    prediction.solve_hermitian_toeplitz decides it in O(b^2) time and O(b)
+    memory, without forming the section.
     Path synthesis extends the table by zero correlation beyond its largest
     lag b and embeds that Toeplitz covariance exactly in a circulant (Davies
     & Harte 1987; Wood & Chan 1994): one inverse FFT per path, no scipy.  A
@@ -376,20 +368,22 @@ class TabulatedFading(FadingModel):
             raise ValueError("autocorrelation at lag 0 must equal 1 exactly")
         if any(abs(v) > 1.0 + 1e-12 for v in values):
             raise ValueError("autocorrelation magnitudes cannot exceed 1")
-        # positive-semidefiniteness up to the max tabulated lag, by Cholesky
         r = np.zeros(lags[-1] + 1, dtype=complex)
         r[list(lags)] = values
-        cov = _toeplitz(r)
-        cov.flat[::len(r) + 1] += _PSD_JITTER
+        # prediction imports this module, so its solver is imported here
+        from .prediction import solve_hermitian_toeplitz
+        col = r.copy()
+        col[0] += _PSD_JITTER
         try:
-            np.linalg.cholesky(cov)
+            solve_hermitian_toeplitz(col, np.zeros_like(col))
         except np.linalg.LinAlgError:
             raise ValueError("tabulated autocorrelation is not positive semidefinite")
         object.__setattr__(self, "_dense_row", r)
 
     @classmethod
     def from_csv(cls, path):
-        """Load a `lag,re,im` table (header required, lags ascending from 0)."""
+        """Load a `lag,re,im` table: the header, then rows of exactly three
+        cells, lags ascending from 0."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or [c.strip() for c in rows[0]] != ["lag", "re", "im"]:
@@ -399,9 +393,10 @@ class TabulatedFading(FadingModel):
             if not row:
                 continue
             try:
-                lags.append(int(row[0]))
-                values.append(float(row[1]) + 1j * float(row[2]))
-            except (IndexError, ValueError):
+                lag, real, imag = row
+                lags.append(int(lag))
+                values.append(float(real) + 1j * float(imag))
+            except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: expected lag,re,im (an integer and "
                     f"two numbers), got {','.join(row)!r}") from None

@@ -53,10 +53,10 @@ class PredictionResult:
 def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Levinson recursion for T x = b, T Hermitian Toeplitz with first column c.
 
-    O(n^2) time, O(n) storage.  Raises LinAlgError when a leading minor is
-    numerically singular (the prediction-error energy underflows).  The fast
-    Toeplitz solver that acceptance criterion 3 checks; off the schedule
-    path, since every predictor takes the dense solve.
+    O(n^2) time, O(n) storage.  Raises LinAlgError unless T is positive
+    definite (a prediction-error energy falls to 1e-300 or below).  The fast
+    Toeplitz solver that acceptance criterion 3 checks, and TabulatedFading's
+    check of its section; no predictor calls it (they take the dense solve).
     """
     c = np.asarray(first_col, dtype=complex)
     b = np.asarray(rhs, dtype=complex)

@@ -656,6 +656,96 @@ def test_tabulated_contract_errors():
         TabulatedFading(lags=(0, 1, 2), values=(1.0, 0.8, -0.9))
 
 
+def _dense_section_is_positive_definite(values):
+    """The dense oracle: Cholesky of the jittered (b + 1) x (b + 1) section."""
+    cov = scipy.linalg.toeplitz(np.asarray(values, dtype=complex))
+    cov[np.diag_indices(len(cov))] += fading._PSD_JITTER
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _line_spectrum(rng):
+    # a few spectral lines: the section has rank <= 5, so it is singular
+    b, lines = int(rng.integers(1, 201)), int(rng.integers(1, 6))
+    freqs, weights = rng.uniform(-0.5, 0.5, lines), rng.dirichlet(np.ones(lines))
+    r = np.exp(2j * np.pi * np.outer(np.arange(b + 1), freqs)) @ weights
+    r[0] = 1.0
+    return r
+
+
+def _random_table(rng):
+    # random magnitudes and phases, mostly indefinite
+    b = int(rng.integers(1, 201))
+    mags = rng.uniform(0, 1) * rng.uniform(0, 1, b) ** rng.uniform(1, 8)
+    return np.concatenate(([1.0], mags * np.exp(2j * np.pi * rng.uniform(0, 1, b))))
+
+
+def _truncated_ar1(rng):
+    # a^k e^{iwk}, its lags perturbed by up to 30% noise: either verdict
+    b, a, w = int(rng.integers(1, 201)), rng.uniform(0, 1), rng.uniform(-np.pi, np.pi)
+    k = np.arange(b + 1)
+    r = a ** k * np.exp(1j * w * k)
+    r *= 1 + rng.uniform(-0.3, 0.3) * rng.standard_normal(b + 1) * (k > 0)
+    r /= max(1.0, np.abs(r).max())
+    r[0] = 1.0
+    return r
+
+
+@pytest.mark.parametrize("kind, make", [
+    pytest.param(0, _line_spectrum, id="line-spectra"),
+    pytest.param(1, _random_table, id="random"),
+    pytest.param(2, _truncated_ar1, id="truncated-ar1")])
+def test_levinson_check_gives_the_dense_cholesky_verdict(kind, make):
+    tables = [make(np.random.default_rng([kind, seed])) for seed in range(60)]
+    verdicts = []
+    for r in tables:
+        dense = _dense_section_is_positive_definite(r)
+        try:
+            TabulatedFading(lags=tuple(range(len(r))), values=tuple(r))
+        except ValueError as exc:
+            assert "not positive semidefinite" in str(exc)
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == dense, list(r)
+        verdicts.append(accepted)
+    # singular line-spectrum sections are accepted; the others split
+    assert set(verdicts) == ({True} if kind == 0 else {True, False})
+
+
+@pytest.mark.parametrize("values, accepted", [
+    # singular; so are its noiseless normal equations
+    pytest.param((1.0, 1.0, 1.0), True, id="flat"),
+    # the 3 x 3 section is indefinite
+    pytest.param((1.0, 0.8, -0.9), False, id="indefinite"),
+])
+def test_levinson_check_on_edge_tables(values, accepted):
+    assert _dense_section_is_positive_definite(values) == accepted
+    if accepted:
+        TabulatedFading(lags=(0, 1, 2), values=values)
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            TabulatedFading(lags=(0, 1, 2), values=values)
+
+
+def test_tabulated_check_holds_a_few_table_vectors():
+    # the Levinson recursion keeps O(b) vectors where the dense jittered
+    # section of the b = 2048 Bartlett table took (b + 1)^2 complex entries
+    b = 2048
+    lags = tuple(range(b + 1))
+    values = tuple(1 - k / (b + 1) for k in lags)
+    tracemalloc.start()
+    try:
+        TabulatedFading(lags=lags, values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * (b + 1) * 16
+
+
 def test_tabulated_refuses_a_non_integer_lag():
     # int() would truncate the lag 1.5 to 1
     with pytest.raises(ValueError, match="lag 1.5 is not an integer"):
@@ -694,7 +784,8 @@ def test_tabulated_from_csv_names_a_short_row(tmp_path):
         TabulatedFading.from_csv(str(p))
 
 
-@pytest.mark.parametrize("row", ["1,abc,0", "1,0.5,x", "1.5,0.5,0", "one,0,0"])
+@pytest.mark.parametrize("row", ["1,abc,0", "1,0.5,x", "1.5,0.5,0", "one,0,0",
+                                 "1,0.5,0,7"])
 def test_tabulated_from_csv_names_a_bad_cell(tmp_path, row):
     p = tmp_path / "bad.csv"
     p.write_text(f"lag,re,im\n0,1.0,0.0\n{row}\n")
