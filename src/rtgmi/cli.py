@@ -8,8 +8,10 @@ fixed (config, seed) so reruns are byte-identical.  This module is the one
 that reads argv and writes every output file; the computing modules return
 values.
 
-Every parameter is declared once, in SCHEMAS: its config-file key (snr_db)
-is also its flag (--snr-db), and both go through the same parser.
+COMMANDS is the one table: per command, its help, schema version, runner
+and parameters.  A Param's config-file key (snr_db) is also its flag
+(--snr-db), both go through one parser, and its echo is the report.json key
+that repeats the parsed value; runners return only what they compute.
 
 Exit codes: 0 success, 1 numerical fault (a failed self-check, a singular
 linear-algebra problem, or a nan or infinite value bound for report.json),
@@ -37,17 +39,9 @@ from .prediction import DEFAULT_PREDICTOR_ORDER
 from .psk import make_constellation, synthesize_block_at_rho
 from .simulate import SchemeConfig, psc_error_budget, run
 from .svgplot import LinePlot
-from .utils import derive_seed
+from .utils import MAX_GRID_POINTS, derive_seed
 
-COMMANDS = {
-    "capacity": "memoryless PSK capacity at one SNR",
-    "gmi": "GMI of the nearest-neighbor metric",
-    "ladder": "per-subchannel rate ladder",
-    "simulate": "end-to-end recursive training run",
-    "sweep": "capacity over an SNR grid",
-}
 _NAMED_CONSTELLATIONS = {"bpsk": 2, "qpsk": 4, "8psk": 8, "16psk": 16}
-MAX_GRID_POINTS = 10_001   # 0.01 dB steps over 100 dB
 
 
 def db_to_linear(db: float) -> float:
@@ -140,10 +134,14 @@ def _parse_grid(text):
 
 @dataclass(frozen=True)
 class Param:
+    """One key of a command: parser, whether it must be given, default, help
+    text, and echo, the report.json key that repeats the parsed value (None:
+    the report does not repeat it)."""
     parse: callable
     required: bool = False
     default: object = None
     help: str = None
+    echo: str = None
 
 
 _COMMON = {
@@ -151,67 +149,23 @@ _COMMON = {
     "format": Param(_parse_format, default="both", help="json | csv | both"),
     "plot": Param(_parse_bool, default=False),
 }
-
-# the master seed, taken by the commands that take a fading model; capacity
-# and sweep draw nothing, and the ladder, which draws nothing either, ignores
-# it as it ignores samples
-_SEED = {"seed": Param(_parse_seed, default=0)}
-
+_CONSTELLATION = Param(_parse_constellation, required=True,
+                       echo="constellation_order")
+_SNR_DB = Param(_parse_db, required=True, echo="snr_db")
+# the master seed of the commands that draw fading paths
+_SEED = Param(_parse_seed, default=0, echo="seed")
 _MODEL_KEYS = {
-    "model": Param(str, required=True, help="ar1 | clarke | tabulated"),
-    "alpha": Param(_parse_finite),
-    "doppler": Param(_parse_finite),
-    "table": Param(str, help="CSV autocorrelation table (lag,re,im)"),
+    "model": Param(str, required=True, help="ar1 | clarke | tabulated",
+                   echo="model"),
+    "alpha": Param(_parse_finite, echo="alpha"),
+    "doppler": Param(_parse_finite, echo="doppler"),
+    "table": Param(str, help="CSV autocorrelation table (lag,re,im)",
+                   echo="table"),
 }
-
-SCHEMAS = {
-    "capacity": {
-        **_COMMON,
-        "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_db, required=True),
-    },
-    "gmi": {
-        **_COMMON, **_SEED, **_MODEL_KEYS,
-        "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_db, required=True),
-        "K": Param(int, default=100_000, help="block length"),
-        "curve_points": Param(int, default=33),
-        "mu_min": Param(_parse_finite, default=DEFAULT_MU_RANGE[0]),
-        "mu_max": Param(_parse_finite, default=DEFAULT_MU_RANGE[1]),
-    },
-    "ladder": {
-        **_COMMON, **_SEED, **_MODEL_KEYS,
-        "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_db, required=True),
-        "L": Param(int, required=True, help="interleave depth"),
-        "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
-        # accepted for old command lines and config files: the ladder is
-        # computed by quadrature and draws no samples
-        "samples": Param(int, help="ignored: the ladder is exact"),
-    },
-    "simulate": {
-        **_COMMON, **_SEED, **_MODEL_KEYS,
-        "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_db, required=True),
-        "L": Param(int, required=True, help="interleave depth"),
-        "K": Param(int, required=True, help="codeword length"),
-        "rate_fraction": Param(_parse_finite, required=True),
-        "trials": Param(int, default=1000),
-        "genie": Param(_parse_bool, default=False),
-        "predictor_order": Param(int, default=DEFAULT_PREDICTOR_ORDER),
-        "error_target": Param(_parse_finite, default=0.05),
-        # accepted for old command lines and config files: codebooks are
-        # sized from the exact capacity and no GMI block is drawn
-        "gmi_K": Param(int, help="ignored: codebooks are sized from the "
-                                 "exact capacity"),
-    },
-    "sweep": {
-        **_COMMON,
-        "constellation": Param(_parse_constellation, required=True),
-        "snr_db": Param(_parse_grid, required=True,
-                        help="START:STEP:STOP in dB"),
-    },
-}
+_L = Param(int, required=True, help="interleave depth",
+           echo="interleave_depth")
+_PREDICTOR_ORDER = Param(int, default=DEFAULT_PREDICTOR_ORDER,
+                         echo="predictor_order")
 
 
 def read_config_file(path):
@@ -331,35 +285,29 @@ def _csv(header, rows):
 class _Outputs:
     """What one command emits: report.json, <stem>.csv, <stem>.svg, a line."""
     stem: str
-    payload: dict
+    payload: dict          # what it computed; _emit puts the echoes first
     csv: str
     plot: LinePlot         # None: the command draws nothing
     summary: str
 
 
-def _emit(params, out: _Outputs):
-    """Write the outputs that --format and --plot select, then the summary."""
+def _emit(name, params, out: _Outputs):
+    """Write the outputs that --format and --plot select, then the summary;
+    report.json repeats each given parameter under its echo."""
+    command = COMMANDS[name]
     path = os.path.join(params["output_dir"], out.stem)
     if params["format"] in ("json", "both"):
+        head = {"schema_version": command.version, "command": name}
+        head.update((spec.echo, params[key])
+                    for key, spec in command.params.items()
+                    if spec.echo is not None and params[key] is not None)
         _write_json(os.path.join(params["output_dir"], "report.json"),
-                    out.payload)
+                    {**head, **out.payload})
     if params["format"] in ("csv", "both"):
         _write(path + ".csv", out.csv)
     if params["plot"] and out.plot is not None:
         _write(path + ".svg", out.plot.render())
     print(out.summary)
-
-
-def _report_head(command, params, schema_version):
-    """Report keys shared by every command."""
-    return {"schema_version": schema_version, "command": command,
-            "constellation_order": params["constellation"],
-            "snr_db": params["snr_db"]}
-
-
-def _model_keys(params):
-    """The model name and whichever of its parameters were given."""
-    return {key: params[key] for key in _MODEL_KEYS if params[key] is not None}
 
 
 _CAPACITY_COLUMNS = "snr_db,rho_linear,capacity_nats,capacity_bits"
@@ -375,12 +323,7 @@ def _capacity_row(order, snr_db):
 def _run_capacity(params):
     row = _capacity_row(params["constellation"], params["snr_db"])
     _, rho, nats, bits = row
-    payload = {
-        **_report_head("capacity", params, 2),
-        "rho_linear": rho,
-        "capacity_nats": nats,
-        "capacity_bits": bits,
-    }
+    payload = {"rho_linear": rho, "capacity_nats": nats, "capacity_bits": bits}
     return _Outputs("capacity", payload, _csv(_CAPACITY_COLUMNS, [row]), None,
                     f"capacity: {bits:.6f} bits/symbol")
 
@@ -400,10 +343,7 @@ def _run_gmi(params):
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))
     payload = {
-        **_report_head("gmi", params, 1), **_model_keys(params),
-        "seed": params["seed"],
         "rho_linear": rho,
-        "block_length": params["K"],
         "mu_star": report.mu_star,
         "gmi_nats": report.gmi,
         "gmi_bits": report.gmi * NATS_TO_BITS,
@@ -429,10 +369,7 @@ def _run_ladder(params):
     ladder = rate_ladder(model, params["L"], snr, params["constellation"],
                          params["predictor_order"])
     payload = {
-        **_report_head("ladder", params, 3), **_model_keys(params),
         "snr_linear": snr,
-        "interleave_depth": params["L"],
-        "predictor_order": params["predictor_order"],
         "rho_linear": ladder.rho,
         "capacity_nats": ladder.capacity_nats,
         "l_average_nats": ladder.l_average,
@@ -475,16 +412,7 @@ def _run_simulate(params):
     budget = psc_error_budget(config.error_target, config.interleave_depth)
     plot.add("budget", ls, np.full(len(ls), budget))
     payload = {
-        **_report_head("simulate", params, 2), **_model_keys(params),
-        "seed": params["seed"],
-        "interleave_depth": config.interleave_depth,
-        "block_length": config.block_length,
-        "predictor_order": config.predictor_order,
-        "error_target": config.error_target,
         "snr_linear": config.snr,
-        "rate_fraction": config.rate_fraction,
-        "genie": config.genie,
-        "n_trials": config.n_trials,
         "rho_linear": report.rho,
         "gmi_nats": report.gmi_nats,
         "rate_target_nats": report.rate_targets,
@@ -513,11 +441,7 @@ def _run_sweep(params):
     rows = [_capacity_row(params["constellation"], snr_db)
             for snr_db in params["snr_db"]]
     _, _, nats, bits = zip(*rows)
-    payload = {
-        **_report_head("sweep", params, 2),
-        "capacity_nats": nats,
-        "capacity_bits": bits,
-    }
+    payload = {"capacity_nats": nats, "capacity_bits": bits}
     plot = LinePlot(title="capacity vs SNR",
                     xlabel="SNR (dB)", ylabel="capacity (bits/symbol)")
     plot.add("capacity", params["snr_db"], bits)
@@ -527,17 +451,68 @@ def _run_sweep(params):
         f"{max(bits):.6f} bits/symbol")
 
 
-_RUNNERS = {
-    "capacity": _run_capacity,
-    "gmi": _run_gmi,
-    "ladder": _run_ladder,
-    "simulate": _run_simulate,
-    "sweep": _run_sweep,
+@dataclass(frozen=True)
+class Command:
+    help: str
+    version: int        # report.json's schema_version
+    run: callable       # params -> _Outputs
+    params: dict        # key -> Param
+
+
+COMMANDS = {
+    "capacity": Command("memoryless PSK capacity at one SNR", 2, _run_capacity,
+                        {**_COMMON, "constellation": _CONSTELLATION,
+                         "snr_db": _SNR_DB}),
+    "gmi": Command("GMI of the nearest-neighbor metric", 1, _run_gmi, {
+        **_COMMON, "seed": _SEED, **_MODEL_KEYS,
+        "constellation": _CONSTELLATION, "snr_db": _SNR_DB,
+        "K": Param(int, default=100_000, help="block length",
+                   echo="block_length"),
+        "curve_points": Param(int, default=33),
+        "mu_min": Param(_parse_finite, default=DEFAULT_MU_RANGE[0]),
+        "mu_max": Param(_parse_finite, default=DEFAULT_MU_RANGE[1]),
+    }),
+    "ladder": Command("per-subchannel rate ladder", 3, _run_ladder, {
+        **_COMMON, **_MODEL_KEYS,
+        "constellation": _CONSTELLATION, "snr_db": _SNR_DB,
+        "L": _L, "predictor_order": _PREDICTOR_ORDER,
+        # accepted for old command lines and config files, and not repeated
+        # in the report: the ladder is computed by quadrature and draws
+        # nothing
+        "seed": Param(_parse_seed, default=0),
+        "samples": Param(int, help="ignored: the ladder is exact"),
+    }),
+    "simulate": Command("end-to-end recursive training run", 2,
+                        _run_simulate, {
+        **_COMMON, "seed": _SEED, **_MODEL_KEYS,
+        "constellation": _CONSTELLATION, "snr_db": _SNR_DB,
+        "L": _L,
+        "K": Param(int, required=True, help="codeword length",
+                   echo="block_length"),
+        "rate_fraction": Param(_parse_finite, required=True,
+                               echo="rate_fraction"),
+        "trials": Param(int, default=1000, echo="n_trials"),
+        "genie": Param(_parse_bool, default=False, echo="genie"),
+        "predictor_order": _PREDICTOR_ORDER,
+        "error_target": Param(_parse_finite, default=0.05,
+                              echo="error_target"),
+        # accepted for old command lines and config files: codebooks are
+        # sized from the exact capacity and no GMI block is drawn
+        "gmi_K": Param(int, help="ignored: codebooks are sized from the "
+                                 "exact capacity"),
+    }),
+    "sweep": Command("capacity over an SNR grid", 2, _run_sweep, {
+        **_COMMON, "constellation": _CONSTELLATION,
+        "snr_db": Param(_parse_grid, required=True,
+                        help="START:STEP:STOP in dB", echo="snr_db"),
+    }),
 }
+# each command's keys, as the parser and merge_parameters read them
+SCHEMAS = {name: command.params for name, command in COMMANDS.items()}
 
 
 def build_parser():
-    """One subcommand per SCHEMAS entry, one flag per key: snr_db is --snr-db.
+    """One subcommand per COMMANDS entry, one flag per key: snr_db is --snr-db.
 
     Flags keep their text, as config-file values do, for merge_parameters to
     parse; boolean keys are bare flags.
@@ -547,8 +522,8 @@ def build_parser():
         description="PSK fading-channel rate estimation and recursive "
                     "decision-directed training simulation")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, schema in SCHEMAS.items():
-        sub = subs.add_parser(command, help=COMMANDS[command])
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
         # argparse reads a token after a value flag as a new option if it
         # starts with '-' and is not a plain negative number.  Widening its
         # negative-number pattern to "'-' then a digit or '.'" lets a
@@ -557,7 +532,7 @@ def build_parser():
         # Python release changes it.
         sub._negative_number_matcher = re.compile(r"^-[\d.]")
         sub.add_argument("--config", help="flat key=value file")
-        for key, spec in schema.items():
+        for key, spec in command.params.items():
             flag = "--" + key.replace("_", "-")
             if spec.parse is _parse_bool:
                 sub.add_argument(flag, dest=key, action="store_const",
@@ -583,7 +558,7 @@ def main(argv=None) -> int:
         file_values = read_config_file(args.config) if args.config else {}
         params = merge_parameters(args.command, file_values, _flag_values(args))
         _prepare_output_dir(params["output_dir"])
-        _emit(params, _RUNNERS[args.command](params))
+        _emit(args.command, params, COMMANDS[args.command].run(params))
         return 0
     except (NumericalConsistencyError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError, but a singular solve is a numerical

@@ -339,9 +339,9 @@ class TabulatedFading(FadingModel):
     Lags must start at 0 (value exactly 1) and ascend; lags the table skips
     read as zero.  A read beyond the largest tabulated lag is rejected.
     The (b + 1) x (b + 1) Toeplitz section, jittered on its diagonal, must
-    be positive definite: the Levinson recursion of
-    prediction.solve_hermitian_toeplitz decides it in O(b^2) time and O(b)
-    memory, without forming the section.
+    be positive definite: the forward Levinson recursion that
+    prediction.solve_hermitian_toeplitz runs decides it in O(b^2) time and
+    O(b) memory, without forming the section or solving a system.
     Path synthesis extends the table by zero correlation beyond its largest
     lag b and embeds that Toeplitz covariance exactly in a circulant (Davies
     & Harte 1987; Wood & Chan 1994): one inverse FFT per path, no scipy.  A
@@ -370,12 +370,13 @@ class TabulatedFading(FadingModel):
             raise ValueError("autocorrelation magnitudes cannot exceed 1")
         r = np.zeros(lags[-1] + 1, dtype=complex)
         r[list(lags)] = values
-        # prediction imports this module, so its solver is imported here
-        from .prediction import solve_hermitian_toeplitz
+        # prediction imports this module, so its recursion is imported here
+        from .prediction import _levinson
         col = r.copy()
         col[0] += _PSD_JITTER
         try:
-            solve_hermitian_toeplitz(col, np.zeros_like(col))
+            for _ in _levinson(col):
+                pass
         except np.linalg.LinAlgError:
             raise ValueError("tabulated autocorrelation is not positive semidefinite")
         object.__setattr__(self, "_dense_row", r)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import block_step, sum_rows
+from .utils import MAX_GRID_POINTS, block_step, sum_rows
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 NEWTON_TOL = 1e-6
@@ -356,8 +356,9 @@ def gmi(block: PscBlock, constellation: PskConstellation,
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (math.isfinite(lo) and lo < hi < 0.0):
         raise ValueError("mu range must be finite and satisfy lo < hi < 0")
-    if curve_points < 1:
-        raise ValueError(f"curve_points must be >= 1, got {curve_points}")
+    if not 1 <= curve_points <= MAX_GRID_POINTS:
+        raise ValueError(f"curve_points must be in [1, {MAX_GRID_POINTS}], "
+                         f"got {curve_points}")
     if block.block_length < BOOTSTRAP_SEGMENTS:
         raise ValueError(
             f"gmi needs a block of at least {BOOTSTRAP_SEGMENTS} samples for "

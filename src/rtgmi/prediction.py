@@ -50,36 +50,44 @@ class PredictionResult:
     spec: PredictorSpec
 
 
-def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Levinson recursion for T x = b, T Hermitian Toeplitz with first column c.
-
-    O(n^2) time, O(n) storage.  Raises LinAlgError unless T is positive
-    definite (a prediction-error energy falls to 1e-300 or below).  The fast
-    Toeplitz solver that acceptance criterion 3 checks, and TabulatedFading's
-    check of its section; no predictor calls it (they take the dense solve).
-    """
-    c = np.asarray(first_col, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    n = len(c)
-    if len(b) != n or n == 0:
-        raise ValueError("shape mismatch")
+def _levinson(c: np.ndarray):
+    """Levinson's forward recursion on the Hermitian Toeplitz T with first
+    column c: per leading section, order k = 0, ..., n - 1, yields
+    (c[k], ..., c[1]), bwd and energy, T_k bwd = energy * e_last.  Raises
+    LinAlgError unless T is positive definite (an energy <= 1e-300)."""
     if c[0].real <= 0.0:
         raise np.linalg.LinAlgError("matrix not positive definite")
     fwd = np.array([1.0 + 0.0j])   # monic forward predictor: T fwd = energy * e0
     energy = c[0].real
-    x = np.array([b[0] / c[0].real])
-    for k in range(1, n):
+    yield c[:0], fwd, energy
+    for k in range(1, len(c)):
         rev = c[k:0:-1]            # c[k], c[k-1], ..., c[1]
-        beta = np.dot(fwd, rev)
-        delta = np.dot(x, rev)
-        kappa = -beta / energy
+        kappa = -np.dot(fwd, rev) / energy
         fwd = np.concatenate((fwd, [0.0])) \
             + kappa * np.concatenate(([0.0], np.conj(fwd[::-1])))
         energy *= 1.0 - abs(kappa) ** 2
         if not energy > 1e-300:
             raise np.linalg.LinAlgError("numerically singular Toeplitz system")
-        # conj(fwd[::-1]) is the backward vector: T bwd = energy * e_last
-        x = np.concatenate((x, [0.0])) + ((b[k] - delta) / energy) * np.conj(fwd[::-1])
+        yield rev, np.conj(fwd[::-1]), energy
+
+
+def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Levinson recursion for T x = b, T Hermitian Toeplitz with first column c.
+
+    O(n^2) time, O(n) storage.  Raises LinAlgError unless T is positive
+    definite (a prediction-error energy falls to 1e-300 or below).  The fast
+    Toeplitz solver that acceptance criterion 3 checks; no predictor calls
+    it (they take the dense solve).
+    """
+    c = np.asarray(first_col, dtype=complex)
+    b = np.asarray(rhs, dtype=complex)
+    if len(b) != len(c) or len(c) == 0:
+        raise ValueError("shape mismatch")
+    steps = _levinson(c)
+    x = np.array([b[0] / next(steps)[2]])
+    for rev, bwd, energy in steps:
+        delta = np.dot(x, rev)
+        x = np.concatenate((x, [0.0])) + ((b[len(x)] - delta) / energy) * bwd
     return x
 
 

@@ -11,6 +11,7 @@ _MASK64 = (1 << 64) - 1
 # elements per block of a streamed kernel: 256 KiB of float64, so a block and
 # its few temporaries fit a 2 MiB per-core L2 cache
 BLOCK_ELEMENTS = 1 << 15
+MAX_GRID_POINTS = 10_001  # a sweep's 0.01 dB steps over 100 dB; gmi's curve
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -656,6 +657,84 @@ def test_flag_and_config_key_give_the_same_params(command):
         assert from_file[key] != spec.default, key
 
 
+# a runnable, non-default config text for every key a report repeats, less
+# the model's, and the seed, which the ladder takes and does not repeat
+_ECHO_TEXT = {
+    "constellation": "qpsk", "snr_db": "1.5", "seed": "7", "L": "3",
+    "predictor_order": "3", "rate_fraction": "0.3", "trials": "5",
+    "genie": "true", "error_target": "0.1",
+}
+_ECHO_TEXT_BY_COMMAND = {"gmi": {"K": "100"}, "simulate": {"K": "8"},
+                         "sweep": {"snr_db": "0:1:2"}}
+# each model with the one parameter key it takes
+_MODEL_TEXT = {"ar1": ("alpha", "0.5"), "clarke": ("doppler", "0.1"),
+               "tabulated": ("table", "table.csv")}
+# the report keys that repeat each command's inputs, as README lists them
+_MODEL_ECHOES = {"model", "alpha", "doppler", "table"}
+FROZEN_ECHOES = {
+    "capacity": {"constellation_order", "snr_db"},
+    "gmi": _MODEL_ECHOES | {"block_length", "constellation_order", "seed",
+                            "snr_db"},
+    "ladder": _MODEL_ECHOES | {"constellation_order", "interleave_depth",
+                               "predictor_order", "snr_db"},
+    "simulate": _MODEL_ECHOES | {
+        "block_length", "constellation_order", "error_target", "genie",
+        "interleave_depth", "n_trials", "predictor_order", "rate_fraction",
+        "seed", "snr_db"},
+    "sweep": {"constellation_order", "snr_db"},
+}
+_ECHO_CASES = [(command, model) for command, schema in sorted(SCHEMAS.items())
+               for model in (sorted(_MODEL_TEXT) if "model" in schema
+                             else [None])]
+
+
+@pytest.mark.parametrize("command, model", _ECHO_CASES)
+def test_report_repeats_every_config_value_under_its_echo(
+        tmp_path, capsys, monkeypatch, command, model):
+    schema = SCHEMAS[command]
+    text = {key: value for key, value in _ECHO_TEXT.items() if key in schema}
+    text.update(_ECHO_TEXT_BY_COMMAND.get(command, {}))
+    if model is not None:
+        key, value = _MODEL_TEXT[model]
+        text.update({"model": model, key: str(tmp_path / value)
+                     if model == "tabulated" else value})
+        (tmp_path / "table.csv").write_text(
+            "lag,re,im\n" + "".join(f"{k},{1 - k / 9!r},0.0\n"
+                                    for k in range(9)))
+    (tmp_path / "run.cfg").write_text(
+        "".join(f"{key} = {value}\n" for key, value in text.items()))
+    params = merge_parameters(command, text, {})
+    echoed = {key: spec.echo for key, spec in schema.items() if spec.echo}
+    assert set(echoed.values()) == FROZEN_ECHOES[command]
+    other_models = {key for key, _ in _MODEL_TEXT.values()} - text.keys()
+    assert set(echoed) - other_models <= text.keys()
+    for key in text.keys() & echoed.keys():
+        assert params[key] != schema[key].default, key
+    # the runner's own payload, before the head is put in front of it
+    payloads = []
+    real = cli.COMMANDS[command]
+
+    def spy(run_params):
+        out = real.run(run_params)
+        payloads.append(out.payload)
+        return out
+
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        dataclasses.replace(real, run=spy))
+    assert main([command, "--config", str(tmp_path / "run.cfg"),
+                 "--format", "json", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    head = {"schema_version": real.version, "command": command,
+            **{echoed[key]: params[key] for key in text.keys() & echoed.keys()}}
+    assert {key: report[key] for key in head} == head
+    [payload] = payloads
+    assert not payload.keys() & head.keys()
+    assert set(report) == head.keys() | payload.keys()
+    if command == "ladder":
+        assert params["seed"] == 7 and "seed" not in report
+
+
 @pytest.mark.parametrize("argv, key", [
     (["gmi", "--model", "ar1", "--alpha", "0.9", "--constellation", "bpsk",
       "--snr-db", "0", "--seed", "abc"], "seed"),
@@ -784,10 +863,13 @@ def test_argv_edge_cases_exit_2(tmp_path, capsys, monkeypatch, argv, message):
 
 
 def test_gmi_curve_points_below_one_exits_2_and_names_the_key(tmp_path, capsys):
-    code = main(["gmi", *_REQUIRED_ARGV["gmi"], "--snr-db", "0",
-                 "--curve-points", "0", "--output-dir", str(tmp_path)])
-    assert code == 2
-    assert "curve_points" in capsys.readouterr().err
+    # and above the sweep's grid bound, which np.logspace would otherwise
+    # be asked to build
+    for points in ("0", str(MAX_GRID_POINTS + 1)):
+        code = main(["gmi", *_REQUIRED_ARGV["gmi"], "--snr-db", "0",
+                     "--curve-points", points, "--output-dir", str(tmp_path)])
+        assert code == 2, points
+        assert "curve_points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
