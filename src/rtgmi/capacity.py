@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
 from .psk import make_constellation
-from .utils import block_step, complex_normal, log_mean_exp
+from .utils import block_step, blocks, complex_normal, log_mean_exp
 
 DEFAULT_MC_SAMPLES = 400_000
 QUADRATURE_NODES = 64
@@ -96,20 +96,17 @@ def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
     step = block_step(order)
     total = 0.0
     total_sq = 0.0
-    left = n_samples
-    while left > 0:
+    for chunk in blocks(n_samples, _MC_CHUNK):
         # the draw per _MC_CHUNK fixes the stream and the order of the sums;
         # the (J, m) table is built a cache-sized block of columns at a time
-        m = min(left, _MC_CHUNK)
+        m = chunk.stop - chunk.start
         h = complex_normal(rng, m)
         z = complex_normal(rng, m)
         vals = np.empty(m)
-        for start in range(0, m, step):
-            cols = slice(start, start + step)
+        for cols in blocks(m, step):
             vals[cols] = _log_likelihood_ratio_sum(h[cols], z[cols], points, rho)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
-        left -= m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean ** 2, 0.0)
     raw = math.log(order) - mean
@@ -215,8 +212,7 @@ def psk_capacity_quadrature(order: int, rho: float,
     # each node's noise sum is a row sum, so no bit depends on the block size
     step = block_step(order * len(z))
     noise_mean = np.empty(len(t))
-    for start in range(0, len(t), step):
-        rows = slice(start, start + step)
+    for rows in blocks(len(t), step):
         a = np.sqrt(rho * t[rows])
         expo = (a * a)[:, None] * dist[:, None, None] \
             + a[:, None] * cross[:, None, :]

@@ -34,7 +34,7 @@ from .capacity import (NATS_TO_BITS, psk_capacity,  # noqa: F401
                        psk_capacity_quadrature, rate_ladder)
 from .errors import ConfigurationError, NumericalConsistencyError
 from .fading import Ar1Fading, ClarkeFading, TabulatedFading
-from .gmi import DEFAULT_MU_RANGE, gmi
+from .gmi import DEFAULT_MU_RANGE, check_gmi_inputs, gmi
 from .prediction import DEFAULT_PREDICTOR_ORDER
 from .psk import make_constellation, synthesize_block_at_rho
 from .simulate import SchemeConfig, psc_error_budget, run
@@ -329,8 +329,8 @@ def _run_capacity(params):
 
 
 def _run_gmi(params):
-    if not params["mu_min"] < params["mu_max"] < 0.0:
-        raise ConfigurationError("need mu_min < mu_max < 0")
+    mu_range = (params["mu_min"], params["mu_max"])
+    check_gmi_inputs(mu_range, params["curve_points"], params["K"])
     model = build_model(params)
     rho = db_to_linear(params["snr_db"])
     const = make_constellation(params["constellation"])
@@ -339,7 +339,7 @@ def _run_gmi(params):
     block = replace(synthesize_block_at_rho(model, rho, const, params["K"],
                                             derive_seed(params["seed"], 1)),
                     s=None, residual_noise=None)
-    report = gmi(block, const, mu_range=(params["mu_min"], params["mu_max"]),
+    report = gmi(block, const, mu_range=mu_range,
                  curve_points=params["curve_points"],
                  seed=derive_seed(params["seed"], 2))
     payload = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .psk import Codebook, PscBlock, PskConstellation, group_table
-from .utils import binomial_halfwidth, block_step, complex_normal
+from .utils import binomial_halfwidth, block_step, blocks, complex_normal
 
 _MAX_TILT = 64.0
 _TILT_BISECTIONS = 60
@@ -75,12 +75,10 @@ def decode(codebook: Codebook, block: PscBlock, sent_message=None) -> DecodeOutc
     scorer = _Scorer(codebook.constellation, block)
     metrics = np.empty(codebook.size)
     workspace = _workspace(scorer.groups)
-    step = len(workspace[0])
-    for start in range(0, codebook.size, step):
-        rows, index, picked = (a[:min(step, codebook.size - start)]
-                               for a in workspace)
+    for run in blocks(codebook.size, len(workspace[0])):
+        rows, index, picked = (a[:run.stop - run.start] for a in workspace)
         stream.fill(rows.reshape(-1))
-        scorer.score(rows, index, picked, metrics[start:start + len(rows)])
+        scorer.score(rows, index, picked, metrics[run])
     return _outcome(metrics, sent_message)
 
 
@@ -246,11 +244,10 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
     offsets = rows * constellation.order      # flat index of (k, symbol 0)
     # weight / bound = exp(-t K (score - sent_score)): at most 1 on every hit
     scaled = np.empty(n_trials)
-    step = block_step(block_length)
-    for start in range(0, n_trials, step):
+    for run in blocks(n_trials, block_step(block_length)):
         # rng.random fills rows in sequence, so the block size leaves the
         # stream unchanged
-        m = min(n_trials - start, step)
+        m = run.stop - run.start
         draws = rng.random((m, block_length))
         cand = np.tile(offsets, (m, 1))
         for edge in cdf[:, :-1].T:            # inverse-CDF symbol draw
@@ -259,7 +256,7 @@ def pairwise_undercut_probability(constellation: PskConstellation, rho: float,
         # larger correlation score means smaller distance metric
         hit = np.where(scores > sent_score, 1.0,
                        np.where(scores == sent_score, 0.5, 0.0))
-        scaled[start:start + m] = hit * np.exp(
+        scaled[run] = hit * np.exp(
             -t * block_length * np.maximum(scores - sent_score, 0.0))
     bound = math.exp(log_mgf - t * block_length * sent_score)
     se = math.sqrt(float(scaled.var()) / n_trials)

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import block_step, complex_normal_rows
+from .utils import block_step, blocks, complex_normal_rows
 
-# exact Cholesky synthesis above this length is too expensive (O(n^3) time,
-# O(n^2) memory); longer Clarke paths switch to a ray-sum approximation
+# exact synthesis takes O(n^2) time, but stores the Schur factor, about n^2 / 2
+# float64 (67 MB at n = 4096); longer Clarke paths switch to a ray-sum
+# approximation
 CHOLESKY_MAX_N = 4096
 RAY_COUNT = 128
 _PSD_JITTER = 1e-10
@@ -121,11 +122,9 @@ def _recur(h: np.ndarray, alpha: float):
     rows, n = h.shape
     segments = h.reshape(rows, -1, _SEGMENT)
     count = segments.shape[1]
-    step = block_step(rows * _SEGMENT)
-    blocks = [slice(first, min(first + step, count))
-              for first in range(0, count, step)]
+    cuts = blocks(count, block_step(rows * _SEGMENT))
     ends = np.zeros((rows, -(-count // _SEGMENT) * _SEGMENT), dtype=h.dtype)
-    for block in blocks:
+    for block in cuts:
         part = segments[:, block]
         for j in range(1, _SEGMENT):
             part[:, :, j] += alpha * part[:, :, j - 1]
@@ -134,7 +133,7 @@ def _recur(h: np.ndarray, alpha: float):
         return
     _recur(ends, alpha ** _SEGMENT)
     powers = [alpha ** (j + 1) for j in range(_SEGMENT - 1)]
-    for block in blocks:
+    for block in cuts:
         segments[:, block, -1] = ends[:, block]
         # segment m takes the end of segment m - 1; the first has no carry
         first = max(block.start, 1)
@@ -197,7 +196,7 @@ class ClarkeFading(FadingModel):
                 start += len(block)
             return np.ascontiguousarray(paths.view(np.complex128).T)
         out = np.zeros((len(rngs), n), dtype=complex)
-        step = block_step(RAY_COUNT)
+        runs = blocks(n, block_step(RAY_COUNT))
         for path, rng in zip(out, rngs):
             # equal-power rays: arrival angles uniform => Bessel autocorrelation
             angles = rng.uniform(0.0, 2.0 * math.pi, RAY_COUNT)
@@ -205,10 +204,10 @@ class ClarkeFading(FadingModel):
             dopplers = 2.0 * math.pi * self.normalized_doppler * np.cos(angles)
             # the (n, rays) phase table goes a cache-sized block of rows at a
             # time; each row sums its own rays, so no bit depends on the block
-            for start in range(0, n, step):
-                k = np.arange(start, min(start + step, n))
-                path[k] = np.exp(1j * (k[:, None] * dopplers[None, :]
-                                       + phases)).sum(axis=1)
+            for run in runs:
+                k = np.arange(run.start, run.stop)
+                path[run] = np.exp(1j * (k[:, None] * dopplers[None, :]
+                                         + phases)).sum(axis=1)
         out /= math.sqrt(RAY_COUNT)
         return out
 
@@ -300,11 +299,10 @@ def _schur_factor(r: np.ndarray) -> tuple:
     n = len(r)
     if not r[0] > 0.0:
         raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-    step = block_step(n)
-    blocks = tuple(np.zeros((min(step, n - first), n - first))
-                   for first in range(0, n, step))
+    factor = tuple(np.zeros((run.stop - run.start, n - run.start))
+                   for run in blocks(n, block_step(n)))
     # U[k, k:], a view into the block that holds row k
-    rows = [row[i:] for block in blocks for i, row in enumerate(block)]
+    rows = [row[i:] for block in factor for i, row in enumerate(block)]
     np.divide(r, math.sqrt(r[0]), out=rows[0])
     v = rows[0].copy()
     v[0] = 0.0
@@ -322,7 +320,7 @@ def _schur_factor(r: np.ndarray) -> tuple:
         below /= s
         vk *= s
         vk -= multiply(below, g, t)
-    return blocks
+    return factor
 
 
 def whole_lag(t) -> int:

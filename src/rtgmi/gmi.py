@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError
 from .psk import PscBlock, PskConstellation
-from .utils import MAX_GRID_POINTS, block_step, sum_rows
+from .utils import MAX_GRID_POINTS, block_step, blocks, sum_rows
 
 DEFAULT_MU_RANGE = (-32.0, -1e-4)
 NEWTON_TOL = 1e-6
@@ -145,16 +145,11 @@ class _LogMgfEvaluator:
         # are whole chunks, so the chunk sums of dmin are those of one vector
         self.build = _CHUNK * max(1, self.step // (2 * _CHUNK))
         sums = []
-        for run in self._runs(0, self.n):
+        for run in blocks(self.n, self.build):
             _nearest_gaps(self.x[run], self.root * self.h_hat[run], twice,
                           pick, self.gaps[:, run], self.nearest[run])
             sums.append(_chunk_sums(self._run_distances(run)))
         self.mean_dmin = self._mean(sums)
-
-    def _runs(self, start: int, stop: int):
-        """Columns start, ..., stop - 1 in runs of the build's width."""
-        for lo in range(start, stop, self.build):
-            yield slice(lo, min(lo + self.build, stop))
 
     def _run_distances(self, run: slice) -> np.ndarray:
         """dmin = |x - sqrt(rho) h_hat theta[j*]|^2 over one run of
@@ -176,11 +171,7 @@ class _LogMgfEvaluator:
         """dmin[k] = |x[k] - sqrt(rho) h_hat[k] theta[j*]|^2 over the block,
         recomputed with the bits the build summed."""
         return np.concatenate([self._run_distances(run)
-                               for run in self._runs(0, self.n)])
-
-    def _blocks(self):
-        return (slice(start, start + self.step)
-                for start in range(0, self.n, self.step))
+                               for run in blocks(self.n, self.build)])
 
     def _mean(self, sums) -> float:
         return math.fsum(np.concatenate(sums).tolist()) / self.n
@@ -204,7 +195,7 @@ class _LogMgfEvaluator:
         build's width at a time; a run's distances are recomputed once for
         all mus, and a column's bits do not depend on what is filled with
         it."""
-        for run in self._runs(start, start + out.shape[1]):
+        for run in blocks(start + out.shape[1], self.build, start):
             dmin = self._run_distances(run)
             gaps = self.gaps[:, run]
             e = np.empty(gaps.shape)
@@ -251,7 +242,7 @@ class _LogMgfEvaluator:
         if any(mu > 0.0 for mu in mus):
             raise ValueError("the log-MGF is evaluated at mu <= 0 only")
         sums = [[] for _ in mus]
-        for cols in self._blocks():
+        for cols in blocks(self.n, self.step):
             gaps = self.gaps[:, cols]
             e = np.empty(gaps.shape)
             for mu, terms in zip(mus, sums):
@@ -273,7 +264,7 @@ class _LogMgfEvaluator:
         """
         terms, slopes, curvatures = zip(*(
             self._moment_sums(self.gaps[:, cols], mu)
-            for cols in self._blocks()))
+            for cols in blocks(self.n, self.step)))
         return (mu * self.mean_dmin + self._mean(terms),
                 self.mean_dmin + self._mean(slopes), self._mean(curvatures))
 
@@ -343,6 +334,25 @@ def _newton_search(ev: _LogMgfEvaluator, grid: np.ndarray, i: int):
         moved, mu = abs(nxt - mu), nxt
 
 
+def check_gmi_inputs(mu_range, curve_points: int, block_length: int):
+    """(lo, hi), the mu range as floats, once gmi's bounds hold: a finite
+    range lo < hi < 0, 1 to MAX_GRID_POINTS curve points, and a block of
+    at least BOOTSTRAP_SEGMENTS samples; a ValueError names the first that
+    fails.  It reads no block, so a caller can check before synthesis."""
+    lo, hi = float(mu_range[0]), float(mu_range[1])
+    if not (math.isfinite(lo) and lo < hi < 0.0):
+        raise ValueError("mu range must be finite and satisfy lo < hi < 0, "
+                         f"got ({lo:g}, {hi:g})")
+    if not 1 <= curve_points <= MAX_GRID_POINTS:
+        raise ValueError(f"curve_points must be in [1, {MAX_GRID_POINTS}], "
+                         f"got {curve_points}")
+    if block_length < BOOTSTRAP_SEGMENTS:
+        raise ValueError(
+            f"gmi needs a block of at least {BOOTSTRAP_SEGMENTS} samples for "
+            f"its {BOOTSTRAP_SEGMENTS}-segment bootstrap, got {block_length}")
+    return lo, hi
+
+
 def gmi(block: PscBlock, constellation: PskConstellation,
         mu_range=DEFAULT_MU_RANGE, curve_points: int = 33,
         seed: int = 0) -> GmiReport:
@@ -351,19 +361,9 @@ def gmi(block: PscBlock, constellation: PskConstellation,
     Maximizes mu - lambda_hat(mu) over the (negative) search range to a
     Newton step or bracket of 1e-6, audits convexity of the sampled log-MGF
     curve, and reports a clamped-at-zero rate with bootstrap confidence
-    half-widths.  A block shorter than BOOTSTRAP_SEGMENTS is refused.
+    half-widths.  Inputs outside check_gmi_inputs' bounds are refused.
     """
-    lo, hi = float(mu_range[0]), float(mu_range[1])
-    if not (math.isfinite(lo) and lo < hi < 0.0):
-        raise ValueError("mu range must be finite and satisfy lo < hi < 0")
-    if not 1 <= curve_points <= MAX_GRID_POINTS:
-        raise ValueError(f"curve_points must be in [1, {MAX_GRID_POINTS}], "
-                         f"got {curve_points}")
-    if block.block_length < BOOTSTRAP_SEGMENTS:
-        raise ValueError(
-            f"gmi needs a block of at least {BOOTSTRAP_SEGMENTS} samples for "
-            f"its {BOOTSTRAP_SEGMENTS}-segment bootstrap, got "
-            f"{block.block_length}")
+    lo, hi = check_gmi_inputs(mu_range, curve_points, block.block_length)
     ev = _LogMgfEvaluator(block, constellation)
 
     grid = -np.logspace(math.log10(-hi), math.log10(-lo), curve_points)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fading import FadingModel, generate_path
 from .prediction import PredictionResult, effective_snr, prediction_reference
-from .utils import block_step, complex_normal, derive_seed
+from .utils import block_step, blocks, complex_normal, derive_seed
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,10 @@ class CodebookStream:
         if self._limit == 256 and not len(self._pending):
             self._bitgen.advance(n // 8)
             n %= 8
-        dropped = np.empty(min(n, block_step(1)), dtype=np.uint8)
-        while n:
-            part = dropped[:min(n, len(dropped))]
-            self.fill(part)
-            n -= len(part)
+        step = block_step(1)
+        dropped = np.empty(min(n, step), dtype=np.uint8)
+        for run in blocks(n, step):
+            self.fill(dropped[:run.stop - run.start])
 
     def fill(self, out: np.ndarray):
         """Write the next len(out) accepted bytes into the uint8 vector `out`."""
@@ -291,9 +290,7 @@ def synthesize_block_at_rho(model: FadingModel, rho: float,
     s = rng.integers(0, constellation.order, size=block_length)
     root = np.sqrt(rho)
     x = np.empty(block_length, dtype=complex)
-    step = block_step(2)        # two float64 per complex sample
-    for start in range(0, block_length, step):
-        cols = slice(start, start + step)
+    for cols in blocks(block_length, block_step(2)):  # 2 float64 a sample
         # left operands first, as in the expression (see gmi._nearest_gaps),
         # and the complex product into a separate output: numpy rounds an
         # in-place complex product of one element unlike its vector loop

@@ -38,7 +38,8 @@ from .prediction import (DEFAULT_PREDICTOR_ORDER, prediction_reference,
                          schedule_predictors, schedule_rhos)
 from .psk import (Codebook, PscBlock, generate_codebook,  # noqa: F401
                   make_constellation, synthesize_block_at_rho)
-from .utils import binomial_halfwidth, complex_normal_rows, derive_seed
+from .utils import (binomial_halfwidth, blocks, complex_normal_rows,
+                    derive_seed)
 
 MAX_CODEBOOK_SIZE = 1 << 16
 _STREAM_PATH = 2
@@ -143,10 +144,9 @@ def run(config: SchemeConfig) -> RtReport:
     err_counts = np.zeros(depth, dtype=np.int64)
     overall_count = 0
     propagation = 0
-    for first in range(0, config.n_trials, _BATCH):
-        trials = range(first, min(first + _BATCH, config.n_trials))
-        errs = _trial_errors(config, trials, const, predictors, sizes,
-                             warm_slots)
+    for batch in blocks(config.n_trials, _BATCH):
+        errs = _trial_errors(config, range(batch.start, batch.stop), const,
+                             predictors, sizes, warm_slots)
         err_counts += errs.sum(axis=0)
         failed = errs.sum(axis=1)
         overall_count += int(np.count_nonzero(failed))

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: stream seeding, complex Gaussian draws, log-sum-exp."""
+"""Shared numerical helpers: stream seeding, cache blocks, complex Gaussian
+draws, log-sum-exp."""
 
 import math
 
@@ -22,6 +23,12 @@ def derive_seed(master_seed: int, index: int) -> int:
 def block_step(width: int) -> int:
     """Rows (or columns) of `width` elements that make one block."""
     return max(1, BLOCK_ELEMENTS // width)
+
+
+def blocks(stop: int, step: int, start: int = 0) -> list:
+    """The slices that cut start, ..., stop - 1 into runs of `step`, the
+    last run shorter; the one walk every streamed kernel takes."""
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
 def complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -70,8 +77,8 @@ def log_mean_exp(a: np.ndarray, top: np.ndarray) -> np.ndarray:
     return top + np.log(sum_rows(np.exp(a - top)))
 
 
-def binomial_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
-    """Normal-approximation half-width for a binomial proportion.
+def binomial_halfwidth(p_hat: float, n: int) -> float:
+    """Normal-approximation 95% half-width for a binomial proportion.
 
     The variance is floored at that of one pseudo-count so an empty or full
     tally never reports a zero-width interval.
@@ -79,4 +86,4 @@ def binomial_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
     if n <= 0:
         raise ValueError("need at least one trial")
     floor = (1.0 / n) * (1.0 - 1.0 / n)
-    return z * math.sqrt(max(p_hat * (1.0 - p_hat), floor) / n)
+    return 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), floor) / n)

@@ -367,10 +367,21 @@ def test_gmi_command_holds_the_block_and_the_table_only(tmp_path, capsys):
     assert peak <= held + (3 << 19)
 
 
+@pytest.fixture
+def refuse_synthesis(monkeypatch):
+    """gmi's block synthesis fails the test: a refused run must exit before
+    it draws a sample."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block was synthesized")
+
+    monkeypatch.setattr(cli, "synthesize_block_at_rho", refuse)
+
+
 @pytest.mark.parametrize("k", ["8", "63"])
-def test_gmi_on_fewer_samples_than_bootstrap_segments_exits_2(tmp_path, capsys,
-                                                               k):
-    # it used to exit 0 with a nan CI, after two RuntimeWarnings
+def test_gmi_on_fewer_samples_than_bootstrap_segments_exits_2(
+        tmp_path, capsys, refuse_synthesis, k):
+    # it used to exit 0 with a nan CI, after two RuntimeWarnings, and then
+    # to synthesize the block before refusing it
     code = main(["gmi", "--model", "ar1", "--alpha", "0.5", "--constellation",
                  "qpsk", "--snr-db", "0", "--K", k, "--output-dir",
                  str(tmp_path)])
@@ -862,12 +873,15 @@ def test_argv_edge_cases_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_gmi_curve_points_below_one_exits_2_and_names_the_key(tmp_path, capsys):
+def test_gmi_curve_points_below_one_exits_2_and_names_the_key(
+        tmp_path, capsys, refuse_synthesis):
     # and above the sweep's grid bound, which np.logspace would otherwise
-    # be asked to build
+    # be asked to build; a 10^6-sample block used to be synthesized first
+    # (0.17 s, 92 MB)
     for points in ("0", str(MAX_GRID_POINTS + 1)):
         code = main(["gmi", *_REQUIRED_ARGV["gmi"], "--snr-db", "0",
-                     "--curve-points", points, "--output-dir", str(tmp_path)])
+                     "--K", "1000000", "--curve-points", points,
+                     "--output-dir", str(tmp_path)])
         assert code == 2, points
         assert "curve_points" in capsys.readouterr().err
 

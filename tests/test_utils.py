@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from rtgmi.utils import (binomial_halfwidth, complex_normal, derive_seed,
-                         log_mean_exp)
+import rtgmi
+from rtgmi.utils import (binomial_halfwidth, blocks, complex_normal,
+                         derive_seed, log_mean_exp)
 
 
 def test_derive_seed_range_and_determinism():
@@ -71,7 +74,59 @@ def test_log_mean_exp_does_not_overflow():
 
 
 def test_binomial_halfwidth_hand_values():
-    # z * sqrt(p(1-p)/n) with the Wilson-free plain normal approximation
+    # 1.96 * sqrt(p(1-p)/n) with the Wilson-free plain normal approximation
     assert binomial_halfwidth(0.5, 100) == pytest.approx(1.96 * 0.05)
     assert binomial_halfwidth(0.0, 100) > 0.0   # never reports certainty
     assert binomial_halfwidth(1.0, 50) > 0.0
+
+
+def test_blocks_of_an_empty_range_are_none():
+    assert blocks(0, 4) == []
+    assert blocks(5, 4, start=5) == []
+
+
+def test_blocks_start_past_zero():
+    assert blocks(10, 4, start=3) == [slice(3, 7), slice(7, 10)]
+
+
+@pytest.mark.parametrize("step", [7, 8, 1 << 15])
+def test_blocks_one_run_when_the_step_covers_the_range(step):
+    assert blocks(7, step) == [slice(0, 7)]
+    assert blocks(9, step, start=2) == [slice(2, 9)]
+
+
+def test_blocks_last_run_is_shorter():
+    assert blocks(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+    assert blocks(8, 4) == [slice(0, 4), slice(4, 8)]
+
+
+@pytest.mark.parametrize("start, stop, step",
+                         [(0, 1, 1), (0, 100, 7), (13, 100, 7), (5, 6, 3),
+                          (0, 64, 64), (0, 65_537, 1 << 15)])
+def test_blocks_tile_the_range_exactly(start, stop, step):
+    runs = blocks(stop, step, start)
+    covered = np.concatenate([np.arange(stop)[run] for run in runs])
+    assert covered.tolist() == list(range(start, stop))
+    assert all(0 < run.stop - run.start <= step and run.step is None
+               for run in runs)
+    assert all(run.stop - run.start == step for run in runs[:-1])
+
+
+def _stepped_ranges(path: pathlib.Path) -> list:
+    """Line numbers of the calls range(start, stop, step) in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "range"
+            and len(node.args) == 3]
+
+
+def test_no_module_but_utils_cuts_a_stepped_range():
+    # every cache-block walk goes through utils.blocks, so no kernel's cut
+    # is written out by hand
+    package = pathlib.Path(rtgmi.__file__).resolve().parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if path.name != "utils.py"
+             and (lines := _stepped_ranges(path))}
+    assert found == {}
+    assert _stepped_ranges(package / "utils.py")    # the guard sees one
