@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .fading import FadingModel
 from .prediction import DEFAULT_PREDICTOR_ORDER, rho_sequence
 from .psk import make_constellation
-from .utils import block_step, blocks, complex_normal, log_mean_exp
+from .utils import block_step, blocks, complex_normal, log_sum_exp
 
 DEFAULT_MC_SAMPLES = 400_000
 QUADRATURE_NODES = 64
@@ -67,7 +67,7 @@ def _log_likelihood_ratio_sum(h: np.ndarray, z: np.ndarray,
     """log sum_j exp(|z|^2 - |sqrt(rho) h (theta_0 - theta_j) + z|^2)."""
     shift = np.sqrt(rho) * h * (points[0] - points)[:, None] + z
     expo = np.abs(z) ** 2 - np.abs(shift) ** 2
-    return log_mean_exp(expo, expo.max(axis=0))
+    return log_sum_exp(expo)
 
 
 def psk_capacity(order: int, rho: float, n_samples: int = DEFAULT_MC_SAMPLES,
@@ -216,7 +216,7 @@ def psk_capacity_quadrature(order: int, rho: float,
         a = np.sqrt(rho * t[rows])
         expo = (a * a)[:, None] * dist[:, None, None] \
             + a[:, None] * cross[:, None, :]
-        inner = log_mean_exp(expo, expo.max(axis=0))  # row j = 0 is exactly 0
+        inner = log_sum_exp(expo)  # row j = 0 is exactly 0
         noise_mean[rows] = (inner * z_weight).sum(axis=1)
     return math.log(order) - float(np.sum(t_weight * noise_mean))
 

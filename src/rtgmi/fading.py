@@ -93,8 +93,6 @@ class Ar1Fading(FadingModel):
         return np.array([self.alpha ** t for t in range(n)], dtype=complex)
 
     def _sample(self, n, rngs):
-        if self.alpha == 0.0:
-            return complex_normal_rows(rngs, n)
         h = complex_normal_rows(rngs, -(-n // _SEGMENT) * _SEGMENT)
         scale = math.sqrt(1.0 - self.alpha ** 2)
         # h[0] = w[0] stays unscaled: the stationary start h[0] ~ CN(0, 1);
@@ -323,6 +321,27 @@ def _schur_factor(r: np.ndarray) -> tuple:
     return factor
 
 
+def _levinson(c: np.ndarray):
+    """Levinson's forward recursion on the Hermitian Toeplitz T with first
+    column c: per leading section, order k = 0, ..., n - 1, yields
+    (c[k], ..., c[1]), bwd and energy, T_k bwd = energy * e_last.  Raises
+    LinAlgError unless T is positive definite (an energy <= 1e-300)."""
+    if c[0].real <= 0.0:
+        raise np.linalg.LinAlgError("matrix not positive definite")
+    fwd = np.array([1.0 + 0.0j])   # monic forward predictor: T fwd = energy * e0
+    energy = c[0].real
+    yield c[:0], fwd, energy
+    for k in range(1, len(c)):
+        rev = c[k:0:-1]            # c[k], c[k-1], ..., c[1]
+        kappa = -(fwd * rev).sum() / energy
+        fwd = np.concatenate((fwd, [0.0])) \
+            + kappa * np.concatenate(([0.0], np.conj(fwd[::-1])))
+        energy *= 1.0 - abs(kappa) ** 2
+        if not energy > 1e-300:
+            raise np.linalg.LinAlgError("numerically singular Toeplitz system")
+        yield rev, np.conj(fwd[::-1]), energy
+
+
 def whole_lag(t) -> int:
     """int(t) for a whole-number lag; any other lag is refused, not truncated."""
     if int(t) != t:
@@ -337,9 +356,9 @@ class TabulatedFading(FadingModel):
     Lags must start at 0 (value exactly 1) and ascend; lags the table skips
     read as zero.  A read beyond the largest tabulated lag is rejected.
     The (b + 1) x (b + 1) Toeplitz section, jittered on its diagonal, must
-    be positive definite: the forward Levinson recursion that
-    prediction.solve_hermitian_toeplitz runs decides it in O(b^2) time and
-    O(b) memory, without forming the section or solving a system.
+    be positive definite: _levinson, the forward recursion that
+    prediction.solve_hermitian_toeplitz also runs, decides it in O(b^2)
+    time and O(b) memory, without forming the section or solving a system.
     Path synthesis extends the table by zero correlation beyond its largest
     lag b and embeds that Toeplitz covariance exactly in a circulant (Davies
     & Harte 1987; Wood & Chan 1994): one inverse FFT per path, no scipy.  A
@@ -368,8 +387,6 @@ class TabulatedFading(FadingModel):
             raise ValueError("autocorrelation magnitudes cannot exceed 1")
         r = np.zeros(lags[-1] + 1, dtype=complex)
         r[list(lags)] = values
-        # prediction imports this module, so its recursion is imported here
-        from .prediction import _levinson
         col = r.copy()
         col[0] += _PSD_JITTER
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import FadingModel, whole_lag
+from .fading import FadingModel, _levinson, whole_lag
 
 DEFAULT_PREDICTOR_ORDER = 16
 # the (p, p) complex normal equations of this order take 67 MB
@@ -50,27 +50,6 @@ class PredictionResult:
     spec: PredictorSpec
 
 
-def _levinson(c: np.ndarray):
-    """Levinson's forward recursion on the Hermitian Toeplitz T with first
-    column c: per leading section, order k = 0, ..., n - 1, yields
-    (c[k], ..., c[1]), bwd and energy, T_k bwd = energy * e_last.  Raises
-    LinAlgError unless T is positive definite (an energy <= 1e-300)."""
-    if c[0].real <= 0.0:
-        raise np.linalg.LinAlgError("matrix not positive definite")
-    fwd = np.array([1.0 + 0.0j])   # monic forward predictor: T fwd = energy * e0
-    energy = c[0].real
-    yield c[:0], fwd, energy
-    for k in range(1, len(c)):
-        rev = c[k:0:-1]            # c[k], c[k-1], ..., c[1]
-        kappa = -np.dot(fwd, rev) / energy
-        fwd = np.concatenate((fwd, [0.0])) \
-            + kappa * np.concatenate(([0.0], np.conj(fwd[::-1])))
-        energy *= 1.0 - abs(kappa) ** 2
-        if not energy > 1e-300:
-            raise np.linalg.LinAlgError("numerically singular Toeplitz system")
-        yield rev, np.conj(fwd[::-1]), energy
-
-
 def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Levinson recursion for T x = b, T Hermitian Toeplitz with first column c.
 
@@ -86,7 +65,7 @@ def solve_hermitian_toeplitz(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarr
     steps = _levinson(c)
     x = np.array([b[0] / next(steps)[2]])
     for rev, bwd, energy in steps:
-        delta = np.dot(x, rev)
+        delta = (x * rev).sum()
         x = np.concatenate((x, [0.0])) + ((b[len(x)] - delta) / energy) * bwd
     return x
 

@@ -65,15 +65,16 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0)
 
 
-def log_mean_exp(a: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """top + log(sum_j exp(a[j] - top)), the sum over axis 0.
+def log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log(sum_j exp(a[j])), the sum over axis 0.
 
-    `top` is the column maximum of `a` (or anything that bounds it), so the
-    exponentials cannot overflow.  The symbol axis comes first because
-    numpy reduces a short trailing axis slowly.  The rows are added in index
-    order (sum_rows), so a column's bits do not depend on how many columns
-    share its table.
+    Each column is shifted by its maximum, top + log(sum_j exp(a[j] - top)),
+    so the exponentials cannot overflow.  The symbol axis comes first
+    because numpy reduces a short trailing axis slowly.  The rows are added
+    in index order (sum_rows), so a column's bits do not depend on how many
+    columns share its table.
     """
+    top = a.max(axis=0)
     return top + np.log(sum_rows(np.exp(a - top)))
 
 

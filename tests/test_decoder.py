@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rtgmi.decoder import (_Scorer, decode, metric,
+from rtgmi.decoder import (_correlations, decode, metric,
                            pairwise_undercut_probability)
 from rtgmi.fading import Ar1Fading
-from rtgmi.psk import (generate_codebook, make_constellation, packing,
-                       synthesize_block_at_rho)
+from rtgmi.psk import (generate_codebook, group_table, make_constellation,
+                       packing, synthesize_block_at_rho)
 from rtgmi.utils import block_step, complex_normal
 
 
@@ -66,9 +66,6 @@ def test_decode_agrees_with_per_candidate_metric():
     direct = np.array([metric(c, symbols[m], blk) for m in range(200)])
     assert np.allclose(out.metrics, direct, atol=1e-10)
     assert out.chosen_message == int(np.argmin(direct))
-    assert out.chosen_metric == pytest.approx(direct.min(), abs=1e-12)
-    runner = np.partition(direct, 1)[1]
-    assert out.runner_up_metric == pytest.approx(runner, abs=1e-10)
     assert out.correct == (out.chosen_message == sent)
 
 
@@ -114,9 +111,6 @@ def assert_outcome_of(out, expected, sent):
     """`out` is the decode outcome of the candidate metrics `expected`."""
     assert np.array_equal(out.metrics, expected)
     assert out.chosen_message == int(np.argmin(expected))
-    assert out.chosen_metric == expected.min()
-    assert out.runner_up_metric == (np.sort(expected)[1] if len(expected) > 1
-                                    else math.inf)
     assert out.correct is (None if sent is None
                            else out.chosen_message == sent)
 
@@ -158,16 +152,19 @@ def test_decode_seeded_equals_decode_of_the_stored_codebook(order):
 
 
 def fresh_array_metrics(codebook, block):
-    """Every candidate's metric by the scorer's formula on fresh arrays:
-    the byte table gathered at the book's bytes plus the group offsets,
+    """Every candidate's metric by decode's formula on fresh arrays: the
+    block's byte table gathered at the book's bytes plus the group offsets,
     summed per row, then max(base - 2 * (sum / K), 0).  decode runs the
     same arithmetic in place, in the buffers it reuses."""
-    scorer = _Scorer(codebook.constellation, block)
+    base = float(np.mean(np.abs(block.x) ** 2)) \
+        + block.rho * float(np.mean(np.abs(block.h_hat) ** 2))
+    table = group_table(_correlations(codebook.constellation, block.rho,
+                                      block.x, block.h_hat))
     rows = np.empty((codebook.size, codebook.groups), dtype=np.uint8)
     codebook.stream().fill(rows.reshape(-1))
-    picked = np.take(scorer.table, rows + scorer.offsets)
+    picked = np.take(table, rows + np.arange(codebook.groups) * 256)
     return np.maximum(
-        scorer.base - 2.0 * (picked.sum(axis=-1) / scorer.block_length), 0.0)
+        base - 2.0 * (picked.sum(axis=-1) / block.block_length), 0.0)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 8])
@@ -190,9 +187,10 @@ def test_decode_metrics_equal_the_fresh_array_formula(order):
 @pytest.mark.parametrize("n", [17, 240])
 def test_a_repeated_decode_allocates_no_per_block_buffers(n):
     # after a first decode at a row width, a decode of any size holds its
-    # metrics (and their partition), the block's byte table and its build,
-    # and 128 KiB of small arrays; the table indices or the gathered entries
-    # of one block alone take 256 KiB, a buffered np.take as much again
+    # metrics, the block's byte table and its build, and small arrays,
+    # within twice the metrics, three tables and 128 KiB; the table indices
+    # or the gathered entries of one block alone take 256 KiB, a buffered
+    # np.take as much again
     c = make_constellation(4)
     groups = -(-n // packing(4)[0])
     step = block_step(groups)
@@ -220,7 +218,9 @@ def test_decode_seeded_ties_go_to_the_lowest_index():
     assert_outcome_of(got, row_gather_metrics(c, blk, symbols), 39)
     best = symbols[got.chosen_message, 0]
     assert got.chosen_message == int(np.flatnonzero(symbols[:, 0] == best)[0])
-    assert got.runner_up_metric == got.chosen_metric
+    # rows that tie with the chosen one, all at higher indices
+    ties = np.flatnonzero(got.metrics == got.metrics[got.chosen_message])
+    assert ties[0] == got.chosen_message and len(ties) > 1
 
 
 def test_decode_without_sent_message():
@@ -233,18 +233,14 @@ def test_decode_without_sent_message():
 
 
 @pytest.mark.parametrize("size", [1, (1 << 16) + 8])
-def test_decode_reports_every_metric_and_the_runner_up(size):
-    # 2^16 + 8 rows, past the cap simulate puts on codebooks; a single
-    # codeword has no runner-up
+def test_decode_reports_every_metric_and_their_argmin(size):
+    # 2^16 + 8 rows, past the cap simulate puts on codebooks, and one row
     c = make_constellation(2)
     book = generate_codebook(c, size, 4, seed=7)
     blk = synthesize_block_at_rho(Ar1Fading(0.0), 1.0, c, 4, seed=8)
     out = decode(book, blk)
     assert out.metrics.shape == (size,)
     assert out.chosen_message == int(np.argmin(out.metrics))
-    assert out.metrics[out.chosen_message] == out.chosen_metric
-    expected = np.sort(out.metrics)[1] if size > 1 else math.inf
-    assert out.runner_up_metric == expected
 
 
 @pytest.mark.parametrize("sent", [5, -1, 99])

@@ -7,7 +7,7 @@ import pytest
 
 import rtgmi
 from rtgmi.utils import (binomial_halfwidth, blocks, complex_normal,
-                         derive_seed, log_mean_exp)
+                         derive_seed, log_sum_exp)
 
 
 def test_derive_seed_range_and_determinism():
@@ -50,16 +50,16 @@ def test_complex_normal_is_the_complex_quotient():
 @pytest.mark.parametrize("width", [1, 2, 1001])
 @pytest.mark.parametrize("rows", [2, 4, 8, 16])
 def test_log_mean_exp_adds_the_rows_in_index_order(rows, width):
-    # numpy adds the rows of a wider table one after another, but would sum
-    # a single column pairwise from eight rows on; the table goes in blocks
-    # of `width` columns
+    # log_sum_exp: numpy adds the rows of a wider table one after another,
+    # but would sum a single column pairwise from eight rows on; the table
+    # goes in blocks of `width` columns
     a = np.random.default_rng(rows).standard_normal((rows, 1001)) * 30.0
     top = a.max(axis=0)
     e = np.exp(a - top)
     acc = e[0].copy()
     for j in range(1, rows):
         acc += e[j]
-    got = np.concatenate([log_mean_exp(a[:, k:k + width], top[k:k + width])
+    got = np.concatenate([log_sum_exp(a[:, k:k + width])
                           for k in range(0, 1001, width)])
     assert np.array_equal(got, top + np.log(acc))
 
@@ -67,7 +67,7 @@ def test_log_mean_exp_adds_the_rows_in_index_order(rows, width):
 def test_log_mean_exp_does_not_overflow():
     # exp(800) overflows a float64; shifting by the column maximum does not
     a = np.array([[800.0, -900.0], [800.0 - math.log(3.0), -900.0]])
-    got = log_mean_exp(a, a.max(axis=0)) - math.log(2.0)
+    got = log_sum_exp(a) - math.log(2.0)
     assert np.all(np.isfinite(got))
     assert got == pytest.approx([800.0 + math.log(2.0 / 3.0), -900.0],
                                 rel=1e-15)
@@ -130,3 +130,37 @@ def test_no_module_but_utils_cuts_a_stepped_range():
              and (lines := _stepped_ranges(path))}
     assert found == {}
     assert _stepped_ranges(package / "utils.py")    # the guard sees one
+
+
+def _importing_functions(source: str) -> list:
+    """Qualified names of the functions whose bodies hold an import."""
+    found = []
+
+    def visit(node, name, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if in_function:
+                    found.append(name)
+            elif isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name,
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, name, in_function)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_no_module_imports_inside_a_function():
+    # every import sits at the top of its module, so the import graph is
+    # the one the module heads show, with no cycle hidden in a method
+    package = pathlib.Path(rtgmi.__file__).resolve().parent
+    found = {path.name: names for path in sorted(package.glob("*.py"))
+             if (names := _importing_functions(path.read_text()))}
+    assert found == {}
+    # the guard sees an import in a method, under an if, and in a closure
+    assert _importing_functions(
+        "import os\nclass A:\n    def f(self):\n        if x:\n"
+        "            from . import y\n"
+        "def g():\n    def h():\n        import z\n") == ["A.f", "g.h"]
